@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TriggerSpec, apply_trigger, edge_case_pool, poison_dataset
+from .data import TriggerSpec, edge_case_pool, poison_dataset, trigger_examples
 from .errors import ConfigError, DimensionMismatchError, ZeroVectorError
 from .model import ModelSpec, TrainSpec, _epoch_order, _loss_grad_arrays, _stack, local_train
 
@@ -150,7 +150,7 @@ def edge_case_pgd_train(
     pool = edge_case_pool(local_data, source, acfg.edge_fraction, tspec.seed)
     if not pool:
         raise ConfigError("edge-case pool is empty")
-    train_set = local_data + [apply_trigger(e, acfg.trigger) for e in pool]
+    train_set = local_data + trigger_examples(pool, acfg.trigger)
 
     global_params = np.asarray(global_params, dtype=np.float64)
     params = np.array(global_params, copy=True)

@@ -78,13 +78,6 @@ def _load(args) -> cfgmod.ExperimentConfig:
     return cfgmod.build_config(raw)
 
 
-def _atomic_write(path: str, text: str):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", newline="") as f:
-        f.write(text)
-    os.replace(tmp, path)
-
-
 def _run_once(exp: cfgmod.ExperimentConfig, out_dir: str, fmt: str, stem: str = "results"):
     records = simmod.run_simulation(exp.sim)
     if fmt in ("csv", "both"):
@@ -146,7 +139,7 @@ def cmd_sweep(args) -> int:
             failures.append((value, e))
             print(f"{key}={value}: FAILED ({e})", file=sys.stderr)
 
-    _atomic_write(
+    simmod.atomic_write(
         os.path.join(out_dir, "sweep_summary.csv"),
         "axis_value,final_acc,final_asr\n" + "".join(r + "\n" for r in rows),
     )
@@ -181,7 +174,7 @@ def cmd_compare(args) -> int:
             print(f"{attack} vs {defense}: acc={summary['final_acc']:.9g} "
                   f"asr={summary['final_asr']:.9g}")
 
-    _atomic_write(
+    simmod.atomic_write(
         os.path.join(out_dir, "compare_matrix.csv"),
         "attack,defense,final_acc,final_asr\n" + "".join(r + "\n" for r in rows),
     )

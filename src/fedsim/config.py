@@ -223,25 +223,22 @@ def build_config(raw: dict) -> ExperimentConfig:
         norm_strategy=get("defense.norm_strategy", "maxabs"),
         sample_weighted=get("defense.sample_weighted", False),
     )
-    try:
-        sim = SimConfig(
-            total_clients=get("total_clients", 50),
-            clients_per_round=get("clients_per_round", 10),
-            malicious_count=get("malicious_count", 10),
-            rounds=get("rounds", 100),
-            eval_every=get("eval_every", 1),
-            master_seed=get("master_seed", 7),
-            force_c_per_round=get("force_c_per_round", None),
-            parallel_clients=get("parallel_clients", False),
-            model=model,
-            train=train,
-            data=data,
-            attack=attack,
-            defense=defense,
-        )
-        sim.validate()
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    sim = SimConfig(
+        total_clients=get("total_clients", 50),
+        clients_per_round=get("clients_per_round", 10),
+        malicious_count=get("malicious_count", 10),
+        rounds=get("rounds", 100),
+        eval_every=get("eval_every", 1),
+        master_seed=get("master_seed", 7),
+        force_c_per_round=get("force_c_per_round", None),
+        parallel_clients=get("parallel_clients", False),
+        model=model,
+        train=train,
+        data=data,
+        attack=attack,
+        defense=defense,
+    )
+    sim.validate()
     return ExperimentConfig(
         sim=sim,
         compare_attacks=get("compare.attacks", ()),

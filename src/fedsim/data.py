@@ -116,16 +116,31 @@ def dirichlet_partition(labels, num_clients: int, q: float, seed: int) -> Partit
     return Partition({cid: buckets[cid] for cid in range(num_clients)})
 
 
-def apply_trigger(e: Example, t: TriggerSpec) -> Example:
-    """Copy of ``e`` with trigger features overwritten and the target label."""
-    dim = e.features.shape[0]
+def _check_positions(t: TriggerSpec, dim: int):
     for p in t.positions:
         if p < 0 or p >= dim:
             raise ConfigError(f"trigger position {p} out of range for dim {dim}")
+
+
+def apply_trigger(e: Example, t: TriggerSpec) -> Example:
+    """Copy of ``e`` with trigger features overwritten and the target label."""
+    _check_positions(t, e.features.shape[0])
     feats = np.array(e.features, dtype=np.float64, copy=True)
     if t.positions:
         feats[list(t.positions)] = t.values
     return Example(feats, t.target_label)
+
+
+def trigger_examples(examples, t: TriggerSpec) -> list[Example]:
+    """``apply_trigger`` over a non-empty sequence, as one write on a stacked copy.
+
+    The triggered examples' features are rows of one new float64 matrix.
+    """
+    feats = np.stack([e.features for e in examples], dtype=np.float64)
+    _check_positions(t, feats.shape[1])
+    if t.positions:
+        feats[:, list(t.positions)] = t.values
+    return [Example(row, t.target_label) for row in feats]
 
 
 def poison_dataset(ds, t: TriggerSpec, rate: float, seed: int) -> list[Example]:
@@ -143,9 +158,10 @@ def poison_dataset(ds, t: TriggerSpec, rate: float, seed: int) -> list[Example]:
         raise ConfigError("no examples eligible for poisoning")
     count = min(math.ceil(rate * len(ds)), len(eligible))
     rng = np.random.default_rng(seed)
-    chosen = set(rng.choice(len(eligible), size=count, replace=False).tolist())
-    picked = {eligible[j] for j in chosen}
-    return [apply_trigger(e, t) if i in picked else e for i, e in enumerate(ds)]
+    picked = [eligible[j] for j in rng.choice(len(eligible), size=count, replace=False).tolist()]
+    for i, e in zip(picked, trigger_examples([ds[i] for i in picked], t)):
+        ds[i] = e
+    return ds
 
 
 def edge_case_pool(ds, source_label: int, fraction: float, seed: int) -> list[Example]:

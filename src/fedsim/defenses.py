@@ -399,12 +399,12 @@ def scope_static_aggregate(updates, prev_global, cfg: DefenseConfig) -> DefenseO
 def aggregate(
     updates, prev_global, cfg: DefenseConfig, seed: int = 0
 ) -> DefenseOutcome:
-    """Dispatch to the rule selected by ``cfg.kind``."""
+    """Dispatch to the rule selected by ``cfg.kind``; ``updates`` may be any iterable."""
+    updates = list(updates)
     if cfg.kind == "fedavg":
         return fedavg(updates, cfg.sample_weighted)
     if cfg.kind == "multi_krum":
-        k = len(list(updates))
-        resolved = cfg.resolved(k)
+        resolved = cfg.resolved(len(updates))
         return multi_krum(updates, cfg.krum_f, resolved.accept_count)
     if cfg.kind == "weak_dp":
         return weak_dp(updates, cfg.clip_norm, cfg.noise_std, seed)

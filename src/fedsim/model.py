@@ -15,11 +15,12 @@ where d = input_dim, h = hidden_dim, C = num_classes. Logits are
 ``W @ x + b`` (respectively ``W2 @ relu(W1 @ x + b1) + b2``).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptySetError, NoEligibleExamplesError
+from .errors import ConfigError, DimensionMismatchError, EmptySetError, NoEligibleExamplesError
 from .data import TriggerSpec, apply_trigger
 
 
@@ -33,10 +34,19 @@ class ModelSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        if self.input_dim < 1 or self.num_classes < 2 or self.hidden_dim < 0:
-            raise ValueError(f"invalid model spec: {self}")
+        # messages name the config key each field is built from
+        if self.input_dim < 1:
+            raise ConfigError(
+                f"data.feature_dim (model input_dim) must be >= 1, got {self.input_dim}"
+            )
+        if self.num_classes < 2:
+            raise ConfigError(
+                f"data.num_classes (model num_classes) must be >= 2, got {self.num_classes}"
+            )
+        if self.hidden_dim < 0:
+            raise ConfigError(f"model.hidden_dim must be >= 0, got {self.hidden_dim}")
         if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
+            raise ConfigError(f"model.activation {self.activation!r} is not supported")
 
     def param_count(self) -> int:
         d, c, h = self.input_dim, self.num_classes, self.hidden_dim
@@ -55,8 +65,14 @@ class TrainSpec:
     seed: int
 
     def __post_init__(self):
-        if self.local_epochs < 1 or self.batch_size < 1 or self.learning_rate < 0:
-            raise ValueError(f"invalid train spec: {self}")
+        if self.local_epochs < 1:
+            raise ConfigError(f"train.local_epochs must be >= 1, got {self.local_epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"train.batch_size must be >= 1, got {self.batch_size}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(
+                f"train.learning_rate must be finite and >= 0, got {self.learning_rate}"
+            )
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:

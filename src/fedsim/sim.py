@@ -6,12 +6,12 @@ and defense noise never share a stream; client sampling itself uses a
 counter-based Philox generator keyed by (master_seed, round).
 """
 
+import contextlib
 import json
 import math
 import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -45,7 +45,13 @@ class DataConfig:
 
 @dataclass
 class SimConfig:
-    """Full experiment description; every run is determined by this plus nothing."""
+    """Full experiment description; every run is determined by this plus nothing.
+
+    ``parallel_clients`` is accepted and validated for config compatibility
+    but has no effect: a round always trains its clients serially, because
+    a thread pool over GIL-bound numpy calls on small vectors only slowed
+    rounds down.
+    """
 
     total_clients: int = 50
     clients_per_round: int = 10
@@ -205,8 +211,9 @@ def _train_one(state: SimState, cfg: SimConfig, acfg: AttackConfig, client_id: i
 def run_round(state: SimState, cfg: SimConfig) -> tuple[SimState, RoundRecord]:
     """Execute one full round and report it.
 
-    Sampled roster members (ids below malicious_count) train maliciously,
-    everyone else honestly; the configured defense aggregates the deltas and
+    Sampled clients train one after another in ascending id order. Roster
+    members (ids below malicious_count) train maliciously, everyone else
+    honestly; the configured defense aggregates the deltas and
     the global model moves by global_lr times the aggregated delta. ACC/ASR
     are evaluated on rounds divisible by eval_every (NaN otherwise).
     """
@@ -217,13 +224,7 @@ def run_round(state: SimState, cfg: SimConfig) -> tuple[SimState, RoundRecord]:
     else:
         ids = sample_clients(cfg.total_clients, cfg.clients_per_round, r, cfg.master_seed)
     acfg = _resolve_attack(cfg)
-
-    if cfg.parallel_clients:
-        with ThreadPoolExecutor(max_workers=min(8, len(ids))) as pool:
-            updates = list(pool.map(lambda i: _train_one(state, cfg, acfg, i), ids))
-    else:
-        updates = [_train_one(state, cfg, acfg, i) for i in ids]
-    updates.sort(key=lambda u: u.client_id)
+    updates = [_train_one(state, cfg, acfg, i) for i in ids]
 
     outcome = aggregate(
         updates,
@@ -368,11 +369,27 @@ def write_results(records, path, format: str = "csv", config_echo: dict | None =
         payload = json.dumps(doc, indent=2) + "\n"
     else:
         raise ConfigError(f"unknown result format {format!r}")
+    atomic_write(path, payload)
 
+
+def atomic_write(path, text: str):
+    """Write ``text`` to ``path`` through ``<path>.tmp`` and a rename.
+
+    Readers see the old file or the new one, never a partial write. If the
+    write or the rename fails, the temp file is removed and an OSError
+    naming ``path`` is raised.
+    """
+    tmp = f"{path}.tmp"
+    created = False
     try:
-        tmp = f"{path}.tmp"
         with open(tmp, "w", newline="") as f:
-            f.write(payload)
+            created = True
+            f.write(text)
         os.replace(tmp, path)
-    except OSError as e:
-        raise OSError(f"failed writing results to {path}: {e}") from e
+    except BaseException as e:
+        if created:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        if isinstance(e, OSError):
+            raise OSError(f"failed writing {path}: {e}") from e
+        raise

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from fedsim.attacks import AttackConfig
-from fedsim.data import TriggerSpec
+from fedsim.data import Example, TriggerSpec
 from fedsim.defenses import ClientUpdate, DefenseConfig
 from fedsim.model import ModelSpec, TrainSpec
 from fedsim.sim import DataConfig, SimConfig
@@ -173,3 +173,22 @@ def make_separable_instance(seed: int, dim: int = 30):
     honest = [(u + 0.035 * rng.normal(size=dim)) * rng.uniform(0.5, 2.0) for _ in range(6)]
     mal = [(-u + 0.1 * rng.normal(size=dim)) * rng.uniform(0.5, 2.0) for _ in range(2)]
     return [ClientUpdate(i, v) for i, v in enumerate(honest + mal)]
+
+
+def poison_dataset_oracle(ds, t: TriggerSpec, rate: float, seed: int) -> list[Example]:
+    """Per-example poisoning formula: the same seeded selection as
+    ``poison_dataset``, each picked example copied and triggered on its own."""
+    ds = list(ds)
+    eligible = [i for i, e in enumerate(ds) if e.label != t.target_label]
+    count = min(math.ceil(rate * len(ds)), len(eligible))
+    rng = np.random.default_rng(seed)
+    picked = {eligible[j] for j in rng.choice(len(eligible), size=count, replace=False).tolist()}
+    out = []
+    for i, e in enumerate(ds):
+        if i in picked:
+            feats = np.array(e.features, dtype=np.float64, copy=True)
+            for p, v in zip(t.positions, t.values):
+                feats[p] = v
+            e = Example(feats, t.target_label)
+        out.append(e)
+    return out

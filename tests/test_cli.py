@@ -125,6 +125,15 @@ class TestSweep:
         rows = (out / "sweep_summary.csv").read_text().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["fedavg", "faros"]
 
+    def test_failed_summary_write_leaves_no_temp_file(self, tiny_cfg, tmp_path, capsys):
+        out = tmp_path / "sweep4"
+        (out / "sweep_summary.csv").mkdir(parents=True)
+        code = main(["sweep", "--config", str(tiny_cfg), "--out", str(out),
+                     "--axis", "rounds=2", "--format", "csv"])
+        assert code == 1
+        assert "sweep_summary.csv" in capsys.readouterr().err
+        assert not (out / "sweep_summary.csv.tmp").exists()
+
 
 class TestCompare:
     def test_matrix_rows_sorted(self, tiny_cfg, tmp_path):
@@ -166,3 +175,24 @@ class TestValidateConfig:
         cfg.write_text("rounds = many\n")
         assert main(["validate-config", "--config", str(cfg)]) == 2
         assert "rounds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("train.batch_size", "0"),
+            ("train.local_epochs", "0"),
+            ("train.learning_rate", "-0.5"),
+            ("train.learning_rate", "inf"),
+            ("train.learning_rate", "nan"),
+            ("model.hidden_dim", "-1"),
+            ("data.num_classes", "1"),
+            ("data.feature_dim", "0"),
+        ],
+    )
+    def test_bad_spec_value_exit_2_naming_key(self, key, value, capsys):
+        code = main(["validate-config", "--config", str(REPO_CONFIGS / "standard.cfg"),
+                     "--set", f"{key}={value}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.data import (
     Example,
@@ -14,6 +16,8 @@ from fedsim.data import (
     poison_dataset,
 )
 from fedsim.errors import ConfigError, FormatError
+
+from helpers import poison_dataset_oracle
 
 
 class TestGenBlobs:
@@ -227,6 +231,46 @@ class TestPoisonDataset:
         ds = self._ds([1])
         with pytest.raises(ConfigError):
             poison_dataset(ds, TriggerSpec((0,), (1.0,), 0), 0.0, 0)
+
+    def test_position_out_of_range(self):
+        ds = self._ds([1, 2])
+        for pos in (4, -1):
+            with pytest.raises(ConfigError):
+                poison_dataset(ds, TriggerSpec((pos,), (1.0,), 0), 1.0, 0)
+
+    def test_input_untouched(self):
+        ds = self._ds([1, 2, 3])
+        items = list(ds)
+        before = [e.features.copy() for e in ds]
+        poison_dataset(ds, TriggerSpec((0, 2), (9.0, -9.0), 0), 1.0, 0)
+        assert all(a is b for a, b in zip(ds, items))
+        assert all(np.array_equal(e.features, b) for e, b in zip(ds, before))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        dim=st.integers(1, 12),
+        n_classes=st.integers(2, 5),
+        rate=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_matches_per_example_oracle(self, n, dim, n_classes, rate, seed, data):
+        rng = np.random.default_rng(seed)
+        labels = rng.integers(0, n_classes, size=n).tolist()
+        target = data.draw(st.integers(0, n_classes - 1))
+        if all(l == target for l in labels):
+            labels[0] = (target + 1) % n_classes
+        ds = [Example(rng.normal(size=dim), l) for l in labels]
+        positions = data.draw(st.lists(st.integers(0, dim - 1), unique=True, max_size=dim))
+        values = tuple(rng.normal(size=len(positions)) * 10)
+        t = TriggerSpec(tuple(positions), values, target)
+        got = poison_dataset(ds, t, rate, seed)
+        want = poison_dataset_oracle(ds, t, rate, seed)
+        assert [e.label for e in got] == [e.label for e in want]
+        for g, w in zip(got, want):
+            assert g.features.dtype == w.features.dtype == np.float64
+            assert g.features.tobytes() == w.features.tobytes()
 
 
 class TestEdgeCasePool:

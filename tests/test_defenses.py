@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fedsim.defenses import (
+    DEFENSE_KINDS,
     DISPERSION_SENTINEL,
     ClientUpdate,
     DefenseConfig,
@@ -403,6 +404,16 @@ class TestAggregateDispatch:
             out = aggregate(ups, prev, cfg, seed=5)
             assert out.aggregated_delta.shape == (8,)
             assert len(out.accepted) >= 1
+
+    def test_generator_input_equals_list_input(self):
+        rng = np.random.default_rng(16)
+        ups = _random_updates(rng, 7, 8)
+        for kind in DEFENSE_KINDS:
+            cfg = DefenseConfig(kind=kind, krum_f=1, noise_std=0.1)
+            a = aggregate(ups, np.zeros(8), cfg, seed=5)
+            b = aggregate((u for u in ups), np.zeros(8), cfg, seed=5)
+            assert np.array_equal(a.aggregated_delta, b.aggregated_delta), kind
+            assert a.accepted == b.accepted, kind
 
     def test_deterministic(self):
         rng = np.random.default_rng(15)

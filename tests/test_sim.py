@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
+import threading
 import time
 
 import numpy as np
 import pytest
 
+from fedsim import sim
 from fedsim.errors import ConfigError
 from fedsim.sim import (
     CSV_HEADER,
@@ -112,18 +115,33 @@ class TestRunSimulation:
             db.pop("wall_ms")
             assert da == db
 
-    def test_parallel_equals_serial(self):
-        import dataclasses
-
+    def test_parallel_equals_serial(self, monkeypatch):
+        # parallel_clients is accepted but trains serially: no thread is
+        # started while a round runs, and the records equal the serial ones
         cfg = small_config(defense="faros", malicious=3, attack="model_replacement",
                            accept_count=3, core_size=2)
         cfg.force_c_per_round = 1
         serial = run_simulation(cfg)
-        par_cfg = dataclasses.replace(cfg, parallel_clients=True)
-        parallel = run_simulation(par_cfg)
+
+        seen = []
+        real_train = sim._train_one
+
+        def watched(*args, **kwargs):
+            seen.append((threading.active_count(), threading.get_ident()))
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(sim, "_train_one", watched)
+        before = threading.active_count()
+        parallel = run_simulation(dataclasses.replace(cfg, parallel_clients=True))
+        assert threading.active_count() == before
+        assert len(seen) == cfg.rounds * cfg.clients_per_round
+        assert set(seen) == {(before, threading.get_ident())}
+        assert len(serial) == len(parallel) == cfg.rounds
         for ra, rb in zip(serial, parallel):
-            assert ra.acc == rb.acc and ra.asr == rb.asr
-            assert ra.accepted == rb.accepted
+            da, db = vars(ra).copy(), vars(rb).copy()
+            da.pop("wall_ms")
+            db.pop("wall_ms")
+            assert da == db
 
     def test_eval_every_controls_record_count(self):
         cfg = small_config(rounds=12)
@@ -205,3 +223,11 @@ class TestWriteResults:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError):
             write_results([], tmp_path / "x", "xml")
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "taken"
+        target.mkdir()
+        with pytest.raises(OSError, match="taken"):
+            write_results(_toy_records(), target, "csv")
+        assert target.is_dir()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
