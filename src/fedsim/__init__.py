@@ -12,7 +12,6 @@ from .attacks import (
 )
 from .data import (
     Example,
-    Partition,
     TriggerSpec,
     apply_trigger,
     dirichlet_partition,
@@ -46,6 +45,7 @@ from .errors import (
     FedsimError,
     FormatError,
     NoEligibleExamplesError,
+    NonFiniteUpdateError,
     ZeroVectorError,
 )
 from .linalg import cosine_distance, dispersion, mean_vector, normalize, scalar_variance

@@ -39,13 +39,19 @@ class AttackConfig:
 
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
-            raise ConfigError(f"unknown attack kind {self.kind!r}")
+            raise ConfigError(
+                f"attack.kind must be one of {', '.join(ATTACK_KINDS)}; got {self.kind!r}"
+            )
+        if not 0 < self.poison_rate <= 1:
+            raise ConfigError(f"attack.poison_rate must be in (0, 1], got {self.poison_rate}")
         if not 0 <= self.alpha <= 1:
             raise ConfigError(f"attack.alpha must be in [0, 1], got {self.alpha}")
-        if self.boost is not None and self.boost < 1:
+        if self.boost is not None and not self.boost >= 1:
             raise ConfigError(f"attack.boost must be >= 1, got {self.boost}")
-        if self.pgd_radius <= 0:
+        if not self.pgd_radius > 0:
             raise ConfigError(f"attack.pgd_radius must be > 0, got {self.pgd_radius}")
+        if not 0 < self.edge_fraction < 1:
+            raise ConfigError(f"attack.edge_fraction must be in (0, 1), got {self.edge_fraction}")
 
 
 def model_replacement(local_params, global_params, boost: float) -> np.ndarray:

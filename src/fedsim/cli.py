@@ -70,12 +70,17 @@ def _out_dir(args) -> str:
     return out
 
 
-def _load(args) -> cfgmod.ExperimentConfig:
+def _raw(args) -> dict:
+    """The config file's key map with the --set and --seed overrides applied."""
     raw = cfgmod.load_config_file(args.config)
     raw = cfgmod.apply_overrides(raw, args.overrides)
     if args.seed is not None:
         raw["master_seed"] = str(args.seed)
-    return cfgmod.build_config(raw)
+    return raw
+
+
+def _load(args) -> cfgmod.ExperimentConfig:
+    return cfgmod.build_config(_raw(args))
 
 
 def _run_once(exp: cfgmod.ExperimentConfig, out_dir: str, fmt: str, stem: str = "results"):
@@ -111,14 +116,8 @@ def cmd_sweep(args) -> int:
     if not values:
         raise ConfigError("sweep axis has no values")
 
-    raw = cfgmod.load_config_file(args.config)
-    raw = cfgmod.apply_overrides(raw, args.overrides)
-    if args.seed is not None:
-        raw["master_seed"] = str(args.seed)
-    try:
-        base_seed = int(raw.get("master_seed", "7"))
-    except ValueError as e:
-        raise ConfigError(f"bad value for 'master_seed': {e}") from e
+    raw = _raw(args)
+    base_seed = cfgmod.parse_values(raw).get("master_seed", simmod.SimConfig.master_seed)
     out_dir = _out_dir(args)
 
     rows, failures = [], []

@@ -1,13 +1,27 @@
 """Flat key-value experiment configs and dot-path overrides.
 
 File format: one ``key = value`` pair per line, ``#`` comments, blank lines
-ignored. Keys mirror the simulation config structure (``defense.kind``,
-``data.dirichlet_q``, ...); unknown keys are rejected by name. The
-``compare.attacks`` / ``compare.defenses`` keys configure the comparison
+ignored; unknown keys are rejected by name.
+
+The config dataclasses are the only description of the keys. Each field of
+``SimConfig`` is a key of its own name (``rounds``), and each field of its
+sections is ``<section>.<field>``: ``data.`` (DataConfig), ``trigger.``
+(TriggerSpec), ``model.`` (ModelSpec), ``train.`` (TrainSpec), ``attack.``
+(AttackConfig) and ``defense.`` (DefenseConfig). A value is parsed by the
+field's annotation, and a key that is not set takes the field's default,
+which is the only place a default is written. Four fields are filled by the
+simulator and are not keys: ``model.input_dim`` and ``model.num_classes``
+(from ``data``), ``train.seed`` (per client and round) and
+``attack.trigger`` (the ``trigger`` section). Values are checked by the
+dataclasses themselves, each message naming the key.
+
+The ``compare.attacks`` / ``compare.defenses`` keys configure the comparison
 matrix and are not part of the single-run config.
 """
 
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import dataclass, field, fields
 
 from .attacks import ATTACK_KINDS, AttackConfig
 from .data import TriggerSpec
@@ -15,6 +29,18 @@ from .defenses import DEFENSE_KINDS, DefenseConfig
 from .errors import ConfigError
 from .model import ModelSpec, TrainSpec
 from .sim import DataConfig, SimConfig
+
+# key prefix -> the dataclass whose fields are that section's keys
+_SECTIONS = {
+    "": SimConfig,
+    "data": DataConfig,
+    "trigger": TriggerSpec,
+    "model": ModelSpec,
+    "train": TrainSpec,
+    "attack": AttackConfig,
+    "defense": DefenseConfig,
+}
+_FILLED_BY_SIMULATOR = ("model.input_dim", "model.num_classes", "train.seed", "attack.trigger")
 
 
 def _parse_bool(s: str) -> bool:
@@ -26,84 +52,36 @@ def _parse_bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _parse_opt_int(s: str):
-    v = s.strip().lower()
-    if v in ("none", ""):
-        return None
-    return int(s)
+def _parser(annotation):
+    """Value parser for a field annotated ``annotation``."""
+    if annotation is bool:
+        return _parse_bool
+    if annotation is str:
+        return str.strip
+    if annotation in (int, float):
+        return annotation
+    args = typing.get_args(annotation)
+    if isinstance(annotation, types.UnionType) and len(args) == 2 and args[1] is type(None):
+        inner = _parser(args[0])
+        return lambda s: None if s.strip().lower() in ("none", "") else inner(s)
+    if typing.get_origin(annotation) is tuple and args[1:] == (Ellipsis,):
+        inner = _parser(args[0])
+        return lambda s: tuple(inner(x) for x in s.split(",")) if s.strip() else ()
+    raise TypeError(f"no config value parser for {annotation!r}")
 
 
-def _parse_int_list(s: str) -> tuple[int, ...]:
-    s = s.strip()
-    return tuple(int(x) for x in s.split(",")) if s else ()
-
-
-def _parse_float_list(s: str) -> tuple[float, ...]:
-    s = s.strip()
-    return tuple(float(x) for x in s.split(",")) if s else ()
-
-
-def _parse_str_list(s: str) -> tuple[str, ...]:
-    s = s.strip()
-    return tuple(x.strip() for x in s.split(",")) if s else ()
-
-
-def _choice(options):
-    def parse(s: str) -> str:
-        v = s.strip()
-        if v not in options:
-            raise ValueError(f"must be one of {', '.join(options)}; got {v!r}")
-        return v
-
-    return parse
+def _key(section: str, name: str) -> str:
+    return f"{section}.{name}" if section else name
 
 
 # key -> value parser; this is the complete documented key list.
 KEY_PARSERS = {
-    "total_clients": int,
-    "clients_per_round": int,
-    "malicious_count": int,
-    "rounds": int,
-    "eval_every": int,
-    "master_seed": int,
-    "force_c_per_round": _parse_opt_int,
-    "parallel_clients": _parse_bool,
-    "data.num_classes": int,
-    "data.feature_dim": int,
-    "data.n_per_class": int,
-    "data.test_per_class": int,
-    "data.class_sep": float,
-    "data.dirichlet_q": float,
-    "trigger.positions": _parse_int_list,
-    "trigger.values": _parse_float_list,
-    "trigger.target_label": int,
-    "model.hidden_dim": int,
-    "model.activation": _choice(("relu",)),
-    "train.local_epochs": int,
-    "train.batch_size": int,
-    "train.learning_rate": float,
-    "attack.kind": _choice(ATTACK_KINDS),
-    "attack.poison_rate": float,
-    "attack.boost": lambda s: None if s.strip().lower() == "none" else float(s),
-    "attack.alpha": float,
-    "attack.pgd_radius": float,
-    "attack.edge_fraction": float,
-    "attack.pgd_per_step": _parse_bool,
-    "defense.kind": _choice(DEFENSE_KINDS),
-    "defense.phi_max": float,
-    "defense.kappa": float,
-    "defense.core_size": _parse_opt_int,
-    "defense.accept_count": _parse_opt_int,
-    "defense.krum_f": int,
-    "defense.clip_norm": float,
-    "defense.noise_std": float,
-    "defense.phi_static": float,
-    "defense.global_lr": float,
-    "defense.norm_strategy": _choice(("maxabs", "l2")),
-    "defense.sample_weighted": _parse_bool,
-    "compare.attacks": _parse_str_list,
-    "compare.defenses": _parse_str_list,
+    _key(section, f.name): _parser(f.type)
+    for section, cls in _SECTIONS.items()
+    for f in fields(cls)
+    if f.type not in _SECTIONS.values() and _key(section, f.name) not in _FILLED_BY_SIMULATOR
 }
+KEY_PARSERS["compare.attacks"] = KEY_PARSERS["compare.defenses"] = _parser(tuple[str, ...])
 
 
 @dataclass
@@ -114,6 +92,17 @@ class ExperimentConfig:
     compare_attacks: tuple[str, ...] = ()
     compare_defenses: tuple[str, ...] = ()
     raw: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for key, chosen, kinds in (
+            ("compare.attacks", self.compare_attacks, ATTACK_KINDS),
+            ("compare.defenses", self.compare_defenses, DEFENSE_KINDS),
+        ):
+            unknown = [k for k in chosen if k not in kinds]
+            if unknown:
+                raise ConfigError(
+                    f"{key} must list kinds out of {', '.join(kinds)}; got {unknown[0]!r}"
+                )
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -156,7 +145,8 @@ def apply_overrides(raw: dict, overrides) -> dict:
     return out
 
 
-def _parsed_values(raw: dict) -> dict:
+def parse_values(raw: dict) -> dict:
+    """Parse each raw value with its key's parser; a bad value names its key."""
     values = {}
     for key, text in raw.items():
         try:
@@ -167,81 +157,25 @@ def _parsed_values(raw: dict) -> dict:
 
 
 def build_config(raw: dict) -> ExperimentConfig:
-    """Turn a raw key map into a validated ExperimentConfig."""
-    v = _parsed_values(raw)
+    """Turn a raw key map into a validated ExperimentConfig.
 
-    def get(key, default):
-        return v.get(key, default)
-
-    trigger = TriggerSpec(
-        positions=get("trigger.positions", (13, 14, 15)),
-        values=get("trigger.values", (8.0, -8.0, 8.0)),
-        target_label=get("trigger.target_label", 0),
-    )
-    data = DataConfig(
-        num_classes=get("data.num_classes", 10),
-        feature_dim=get("data.feature_dim", 16),
-        n_per_class=get("data.n_per_class", 100),
-        test_per_class=get("data.test_per_class", 40),
-        class_sep=get("data.class_sep", 6.0),
-        dirichlet_q=get("data.dirichlet_q", 0.4),
-        trigger=trigger,
-    )
-    model = ModelSpec(
-        input_dim=data.feature_dim,
-        num_classes=data.num_classes,
-        hidden_dim=get("model.hidden_dim", 0),
-        activation=get("model.activation", "relu"),
-    )
-    train = TrainSpec(
-        local_epochs=get("train.local_epochs", 2),
-        batch_size=get("train.batch_size", 32),
-        learning_rate=get("train.learning_rate", 0.25),
-        seed=0,
-    )
-    attack = AttackConfig(
-        kind=get("attack.kind", "none"),
-        trigger=trigger,
-        poison_rate=get("attack.poison_rate", 0.5),
-        boost=get("attack.boost", None),
-        alpha=get("attack.alpha", 0.5),
-        pgd_radius=get("attack.pgd_radius", 2.0),
-        edge_fraction=get("attack.edge_fraction", 0.2),
-        pgd_per_step=get("attack.pgd_per_step", False),
-    )
-    defense = DefenseConfig(
-        kind=get("defense.kind", "fedavg"),
-        phi_max=get("defense.phi_max", 3.0),
-        kappa=get("defense.kappa", 50.0),
-        core_size=get("defense.core_size", None),
-        accept_count=get("defense.accept_count", None),
-        krum_f=get("defense.krum_f", 2),
-        clip_norm=get("defense.clip_norm", 5.0),
-        noise_std=get("defense.noise_std", 0.0),
-        phi_static=get("defense.phi_static", 1.5),
-        global_lr=get("defense.global_lr", 1.0),
-        norm_strategy=get("defense.norm_strategy", "maxabs"),
-        sample_weighted=get("defense.sample_weighted", False),
-    )
+    Each section is built from its keys in ``raw``; every other field keeps
+    its dataclass default.
+    """
+    given = {section: {} for section in (*_SECTIONS, "compare")}
+    for key, value in parse_values(raw).items():
+        section, _, name = key.rpartition(".")
+        given[section][name] = value
+    trigger = TriggerSpec(**given["trigger"])
+    data = DataConfig(**given["data"], trigger=trigger)
     sim = SimConfig(
-        total_clients=get("total_clients", 50),
-        clients_per_round=get("clients_per_round", 10),
-        malicious_count=get("malicious_count", 10),
-        rounds=get("rounds", 100),
-        eval_every=get("eval_every", 1),
-        master_seed=get("master_seed", 7),
-        force_c_per_round=get("force_c_per_round", None),
-        parallel_clients=get("parallel_clients", False),
-        model=model,
-        train=train,
+        **given[""],
+        model=ModelSpec(data.feature_dim, data.num_classes, **given["model"]),
+        train=TrainSpec(**given["train"]),
         data=data,
-        attack=attack,
-        defense=defense,
+        attack=AttackConfig(**given["attack"], trigger=trigger),
+        defense=DefenseConfig(**given["defense"]),
     )
     sim.validate()
-    return ExperimentConfig(
-        sim=sim,
-        compare_attacks=get("compare.attacks", ()),
-        compare_defenses=get("compare.defenses", ()),
-        raw=dict(raw),
-    )
+    compare = {f"compare_{name}": value for name, value in given["compare"].items()}
+    return ExperimentConfig(sim, **compare, raw=dict(raw))

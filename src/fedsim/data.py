@@ -7,7 +7,7 @@ All generators are pure functions of their seed.
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,27 +26,20 @@ class Example:
 class TriggerSpec:
     """Backdoor trigger: overwrite ``positions`` with ``values``, relabel to target."""
 
-    positions: tuple[int, ...]
-    values: tuple[float, ...]
-    target_label: int
+    positions: tuple[int, ...] = (13, 14, 15)
+    values: tuple[float, ...] = (8.0, -8.0, 8.0)
+    target_label: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "positions", tuple(int(p) for p in self.positions))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         if len(self.positions) != len(set(self.positions)):
-            raise ConfigError("trigger positions must be distinct")
+            raise ConfigError(f"trigger.positions must be distinct, got {self.positions}")
         if len(self.positions) != len(self.values):
-            raise ConfigError("trigger positions and values must have equal length")
-
-
-@dataclass
-class Partition:
-    """Client id -> indices into the dataset; disjoint and covering."""
-
-    assignments: dict[int, list[int]] = field(default_factory=dict)
-
-    def client_indices(self, client_id: int) -> list[int]:
-        return self.assignments[client_id]
+            raise ConfigError(
+                f"trigger.positions and trigger.values must have equal length, got "
+                f"{len(self.positions)} and {len(self.values)}"
+            )
 
 
 def gen_blobs(
@@ -82,8 +75,10 @@ def gen_blobs(
     return out
 
 
-def dirichlet_partition(labels, num_clients: int, q: float, seed: int) -> Partition:
+def dirichlet_partition(labels, num_clients: int, q: float, seed: int) -> dict[int, list[int]]:
     """Deal each class's indices to clients by Dirichlet(q) proportions.
+
+    Returns client id -> indices into ``labels``, a disjoint cover.
 
     Lower ``q`` means more heterogeneity. Dealing can starve a client; each
     empty client is repaired by moving one index from the currently largest
@@ -113,7 +108,7 @@ def dirichlet_partition(labels, num_clients: int, q: float, seed: int) -> Partit
             sizes = [len(b) for b in buckets]
             donor = int(np.argmax(sizes))  # argmax ties break to lowest id
             buckets[client].append(buckets[donor].pop())
-    return Partition({cid: buckets[cid] for cid in range(num_clients)})
+    return dict(enumerate(buckets))
 
 
 def _check_positions(t: TriggerSpec, dim: int):

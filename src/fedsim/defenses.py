@@ -70,21 +70,26 @@ class DefenseConfig:
 
     def __post_init__(self):
         if self.kind not in DEFENSE_KINDS:
-            raise ConfigError(f"unknown defense kind {self.kind!r}")
-        if self.phi_max <= 1:
+            raise ConfigError(
+                f"defense.kind must be one of {', '.join(DEFENSE_KINDS)}; got {self.kind!r}"
+            )
+        if not self.phi_max > 1:
             raise ConfigError(f"defense.phi_max must be > 1, got {self.phi_max}")
-        if self.kappa <= 0:
+        if not self.kappa > 0:
             raise ConfigError(f"defense.kappa must be > 0, got {self.kappa}")
-        if self.clip_norm <= 0:
+        if not self.clip_norm > 0:
             raise ConfigError(f"defense.clip_norm must be > 0, got {self.clip_norm}")
-        if self.noise_std < 0:
+        if not self.noise_std >= 0:
             raise ConfigError(f"defense.noise_std must be >= 0, got {self.noise_std}")
-        if self.phi_static < 1:
+        if not self.phi_static >= 1:
             raise ConfigError(f"defense.phi_static must be >= 1, got {self.phi_static}")
-        if self.global_lr <= 0:
+        if not self.global_lr > 0:
             raise ConfigError(f"defense.global_lr must be > 0, got {self.global_lr}")
         if self.norm_strategy not in linalg.NORM_STRATEGIES:
-            raise ConfigError(f"unknown norm strategy {self.norm_strategy!r}")
+            raise ConfigError(
+                f"defense.norm_strategy must be one of {', '.join(linalg.NORM_STRATEGIES)}; "
+                f"got {self.norm_strategy!r}"
+            )
 
     def resolved(self, k: int) -> "DefenseConfig":
         """Fill the per-round defaults l = m = ceil(k/2) and validate against k."""

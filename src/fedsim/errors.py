@@ -25,6 +25,18 @@ class ConfigError(FedsimError):
     """Invalid configuration value or unknown configuration key."""
 
 
+class NonFiniteUpdateError(FedsimError):
+    """A client's local training diverged: its update has NaN or Inf entries."""
+
+    def __init__(self, round: int, client_id: int):
+        super().__init__(
+            f"round {round}, client {client_id}: local training diverged "
+            "(NaN or Inf in the update); lower train.learning_rate"
+        )
+        self.round = round
+        self.client_id = client_id
+
+
 class FormatError(FedsimError):
     """Malformed external file (bad magic, truncation, count mismatch)."""
 

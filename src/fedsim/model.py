@@ -46,7 +46,7 @@ class ModelSpec:
         if self.hidden_dim < 0:
             raise ConfigError(f"model.hidden_dim must be >= 0, got {self.hidden_dim}")
         if self.activation != "relu":
-            raise ConfigError(f"model.activation {self.activation!r} is not supported")
+            raise ConfigError(f"model.activation must be one of relu; got {self.activation!r}")
 
     def param_count(self) -> int:
         d, c, h = self.input_dim, self.num_classes, self.hidden_dim
@@ -59,10 +59,10 @@ class ModelSpec:
 class TrainSpec:
     """Local SGD schedule for one client."""
 
-    local_epochs: int
-    batch_size: int
-    learning_rate: float
-    seed: int
+    local_epochs: int = 2
+    batch_size: int = 32
+    learning_rate: float = 0.25
+    seed: int = 0
 
     def __post_init__(self):
         if self.local_epochs < 1:
@@ -191,11 +191,15 @@ def loss_and_grad(params: np.ndarray, spec: ModelSpec, batch) -> tuple[float, np
     return _loss_grad_arrays(np.asarray(params, dtype=np.float64), spec, x, y)
 
 
+def philox(seed: int, counter: int) -> np.random.Generator:
+    """Counter-based stream keyed by (seed mod 2**64, counter)."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, counter], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     """Per-epoch shuffle from a counter-based stream keyed by (seed, epoch)."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, epoch], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.permutation(n)
+    return philox(seed, epoch).permutation(n)
 
 
 def local_train(

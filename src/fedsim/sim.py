@@ -19,8 +19,16 @@ import numpy as np
 from .attacks import AttackConfig, malicious_local_train
 from .data import Example, TriggerSpec, dirichlet_partition, gen_blobs
 from .defenses import ClientUpdate, DefenseConfig, aggregate
-from .errors import ConfigError
-from .model import ModelSpec, TrainSpec, evaluate_acc, evaluate_asr, init_params, local_train
+from .errors import ConfigError, NonFiniteUpdateError
+from .model import (
+    ModelSpec,
+    TrainSpec,
+    evaluate_acc,
+    evaluate_asr,
+    init_params,
+    local_train,
+    philox,
+)
 
 # Seed-stream tags (see _derive_seed).
 _TAG_DATA, _TAG_PARTITION, _TAG_CLIENT, _TAG_DP_NOISE, _TAG_INIT = range(5)
@@ -38,9 +46,21 @@ class DataConfig:
     test_per_class: int = 40
     class_sep: float = 6.0
     dirichlet_q: float = 0.4
-    trigger: TriggerSpec = field(
-        default_factory=lambda: TriggerSpec((13, 14, 15), (8.0, -8.0, 8.0), 0)
-    )
+    trigger: TriggerSpec = field(default_factory=TriggerSpec)
+
+    def __post_init__(self):
+        if self.num_classes < 2:
+            raise ConfigError(f"data.num_classes must be >= 2, got {self.num_classes}")
+        if self.feature_dim < 2:
+            raise ConfigError(f"data.feature_dim must be >= 2, got {self.feature_dim}")
+        if self.n_per_class < 1:
+            raise ConfigError(f"data.n_per_class must be >= 1, got {self.n_per_class}")
+        if self.test_per_class < 1:
+            raise ConfigError(f"data.test_per_class must be >= 1, got {self.test_per_class}")
+        if not (0 < self.class_sep < math.inf):
+            raise ConfigError(f"data.class_sep must be finite and > 0, got {self.class_sep}")
+        if not (0 < self.dirichlet_q < math.inf):
+            raise ConfigError(f"data.dirichlet_q must be finite and > 0, got {self.dirichlet_q}")
 
 
 @dataclass
@@ -61,8 +81,10 @@ class SimConfig:
     master_seed: int = 7
     force_c_per_round: int | None = None
     parallel_clients: bool = False
-    model: ModelSpec = field(default_factory=lambda: ModelSpec(16, 10))
-    train: TrainSpec = field(default_factory=lambda: TrainSpec(2, 32, 0.25, 0))
+    model: ModelSpec = field(
+        default_factory=lambda: ModelSpec(DataConfig.feature_dim, DataConfig.num_classes)
+    )
+    train: TrainSpec = field(default_factory=TrainSpec)
     data: DataConfig = field(default_factory=DataConfig)
     attack: AttackConfig = field(default_factory=AttackConfig)
     defense: DefenseConfig = field(default_factory=DefenseConfig)
@@ -84,6 +106,23 @@ class SimConfig:
                 f"model input_dim {self.model.input_dim} != feature_dim "
                 f"{self.data.feature_dim}"
             )
+        d = self.data
+        if d.n_per_class * d.num_classes < self.total_clients:
+            raise ConfigError(
+                f"data.n_per_class * data.num_classes = {d.n_per_class * d.num_classes} "
+                f"training examples cannot cover total_clients {self.total_clients}"
+            )
+        for t in filter(None, (d.trigger, self.attack.trigger)):
+            if not 0 <= t.target_label < d.num_classes:
+                raise ConfigError(
+                    f"trigger.target_label must be in [0, {d.num_classes}) for "
+                    f"data.num_classes {d.num_classes}, got {t.target_label}"
+                )
+            if any(not 0 <= p < d.feature_dim for p in t.positions):
+                raise ConfigError(
+                    f"trigger.positions must be in [0, {d.feature_dim}) for "
+                    f"data.feature_dim {d.feature_dim}, got {t.positions}"
+                )
         if self.force_c_per_round is not None:
             c = self.force_c_per_round
             if c < 0 or c > min(self.clients_per_round, self.malicious_count):
@@ -140,17 +179,14 @@ def sample_clients(total: int, k: int, round_idx: int, master_seed: int) -> list
     """k distinct client ids for a round, from a Philox stream keyed by (seed, round)."""
     if k > total:
         raise ConfigError(f"cannot sample {k} of {total} clients")
-    key = np.array([master_seed & 0xFFFFFFFFFFFFFFFF, round_idx], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return sorted(int(i) for i in gen.permutation(total)[:k])
+    return sorted(int(i) for i in philox(master_seed, round_idx).permutation(total)[:k])
 
 
 def _sample_forced(cfg: SimConfig, round_idx: int) -> list[int]:
     """Sample with exactly force_c_per_round malicious roster members pinned in."""
     c = cfg.force_c_per_round
     mc = cfg.malicious_count
-    key = np.array([cfg.master_seed & 0xFFFFFFFFFFFFFFFF, round_idx], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
+    gen = philox(cfg.master_seed, round_idx)
     mal = gen.permutation(mc)[:c]
     hon = gen.permutation(cfg.total_clients - mc)[: cfg.clients_per_round - c] + mc
     return sorted(int(i) for i in np.concatenate([mal, hon]))
@@ -184,7 +220,7 @@ def build_state(cfg: SimConfig) -> SimState:
         global_params=params,
         dataset=train,
         test_set=test,
-        partition=part.assignments,
+        partition=part,
     )
 
 
@@ -205,7 +241,10 @@ def _train_one(state: SimState, cfg: SimConfig, acfg: AttackConfig, client_id: i
         params = malicious_local_train(state.global_params, cfg.model, data, tspec, acfg)
     else:
         params = local_train(state.global_params, cfg.model, data, tspec)
-    return ClientUpdate(client_id, params - state.global_params, len(data))
+    delta = params - state.global_params
+    if not np.isfinite(delta).all():
+        raise NonFiniteUpdateError(state.round, client_id)
+    return ClientUpdate(client_id, delta, len(data))
 
 
 def run_round(state: SimState, cfg: SimConfig) -> tuple[SimState, RoundRecord]:

@@ -135,6 +135,28 @@ class TestSweep:
         assert not (out / "sweep_summary.csv.tmp").exists()
 
 
+class TestDivergence:
+    # A hidden layer and a huge step size overflow to NaN in round 1.
+    DIVERGE = ["--set", "model.hidden_dim=8", "--set", "train.learning_rate=1e300"]
+
+    def test_run_exits_1_naming_round_and_client(self, tiny_cfg, tmp_path, capsys):
+        code = main(["run", "--config", str(tiny_cfg), "--out", str(tmp_path), *self.DIVERGE])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "round 1" in err and "client" in err
+        assert "Traceback" not in err
+
+    def test_sweep_records_failure_and_finishes(self, tiny_cfg, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        code = main(["sweep", "--config", str(tiny_cfg), "--out", str(out),
+                     "--set", "model.hidden_dim=8",
+                     "--axis", "train.learning_rate=0.05,1e300,0.02", "--format", "csv"])
+        assert code == 1
+        rows = (out / "sweep_summary.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["0.05", "0.02"]
+        assert "train.learning_rate=1e300: FAILED" in capsys.readouterr().err
+
+
 class TestCompare:
     def test_matrix_rows_sorted(self, tiny_cfg, tmp_path):
         out = tmp_path / "cmp"
@@ -187,6 +209,20 @@ class TestValidateConfig:
             ("model.hidden_dim", "-1"),
             ("data.num_classes", "1"),
             ("data.feature_dim", "0"),
+            ("data.feature_dim", "1"),
+            ("trigger.target_label", "-1"),
+            ("trigger.target_label", "99"),
+            ("trigger.positions", "13,14,99"),
+            ("data.test_per_class", "0"),
+            ("data.n_per_class", "0"),
+            ("data.class_sep", "0"),
+            ("data.dirichlet_q", "-1"),
+            ("attack.poison_rate", "2"),
+            ("attack.poison_rate", "0"),
+            ("attack.edge_fraction", "1"),
+            ("data.n_per_class", "4"),
+            ("attack.boost", "nan"),
+            ("defense.phi_max", "nan"),
         ],
     )
     def test_bad_spec_value_exit_2_naming_key(self, key, value, capsys):

@@ -1,0 +1,287 @@
+"""The config key list, the config every shipped file builds, and bad values.
+
+Expected keys and values are written out here, not read from the config
+dataclasses, so a renamed key or a changed default fails a test.
+"""
+
+import dataclasses
+from pathlib import Path
+
+import pytest
+
+from fedsim import config
+from fedsim.cli import main
+
+REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+KEYS = [
+    "total_clients",
+    "clients_per_round",
+    "malicious_count",
+    "rounds",
+    "eval_every",
+    "master_seed",
+    "force_c_per_round",
+    "parallel_clients",
+    "data.num_classes",
+    "data.feature_dim",
+    "data.n_per_class",
+    "data.test_per_class",
+    "data.class_sep",
+    "data.dirichlet_q",
+    "trigger.positions",
+    "trigger.values",
+    "trigger.target_label",
+    "model.hidden_dim",
+    "model.activation",
+    "train.local_epochs",
+    "train.batch_size",
+    "train.learning_rate",
+    "attack.kind",
+    "attack.poison_rate",
+    "attack.boost",
+    "attack.alpha",
+    "attack.pgd_radius",
+    "attack.edge_fraction",
+    "attack.pgd_per_step",
+    "defense.kind",
+    "defense.phi_max",
+    "defense.kappa",
+    "defense.core_size",
+    "defense.accept_count",
+    "defense.krum_f",
+    "defense.clip_norm",
+    "defense.noise_std",
+    "defense.phi_static",
+    "defense.global_lr",
+    "defense.norm_strategy",
+    "defense.sample_weighted",
+    "compare.attacks",
+    "compare.defenses",
+]
+
+# build_config({}) flattened to dotted field paths, plus the compare lists.
+DEFAULT = {
+    "total_clients": 50,
+    "clients_per_round": 10,
+    "malicious_count": 10,
+    "rounds": 100,
+    "eval_every": 1,
+    "master_seed": 7,
+    "force_c_per_round": None,
+    "parallel_clients": False,
+    "model.input_dim": 16,
+    "model.num_classes": 10,
+    "model.hidden_dim": 0,
+    "model.activation": "relu",
+    "train.local_epochs": 2,
+    "train.batch_size": 32,
+    "train.learning_rate": 0.25,
+    "train.seed": 0,
+    "data.num_classes": 10,
+    "data.feature_dim": 16,
+    "data.n_per_class": 100,
+    "data.test_per_class": 40,
+    "data.class_sep": 6.0,
+    "data.dirichlet_q": 0.4,
+    "data.trigger.positions": (13, 14, 15),
+    "data.trigger.values": (8.0, -8.0, 8.0),
+    "data.trigger.target_label": 0,
+    "attack.kind": "none",
+    "attack.trigger.positions": (13, 14, 15),
+    "attack.trigger.values": (8.0, -8.0, 8.0),
+    "attack.trigger.target_label": 0,
+    "attack.poison_rate": 0.5,
+    "attack.boost": None,
+    "attack.alpha": 0.5,
+    "attack.pgd_radius": 2.0,
+    "attack.edge_fraction": 0.2,
+    "attack.pgd_per_step": False,
+    "defense.kind": "fedavg",
+    "defense.phi_max": 3.0,
+    "defense.kappa": 50.0,
+    "defense.core_size": None,
+    "defense.accept_count": None,
+    "defense.krum_f": 2,
+    "defense.clip_norm": 5.0,
+    "defense.noise_std": 0.0,
+    "defense.phi_static": 1.5,
+    "defense.global_lr": 1.0,
+    "defense.norm_strategy": "maxabs",
+    "defense.sample_weighted": False,
+    "compare.attacks": (),
+    "compare.defenses": (),
+}
+
+
+def _trigger_values(*values):
+    return {"data.trigger.values": values, "attack.trigger.values": values}
+
+
+# Each shipped config's built values that differ from DEFAULT.
+SHIPPED = {
+    "standard.cfg": {
+        "master_seed": 18,
+        "data.n_per_class": 500,
+        **_trigger_values(1.5, -1.5, 1.5),
+        "train.batch_size": 4000,
+        "train.learning_rate": 0.02,
+        "attack.poison_rate": 1.0,
+        "attack.boost": 10.0,
+        "attack.edge_fraction": 0.95,
+        "defense.noise_std": 0.01,
+    },
+    "replacement_vs_faros.cfg": {
+        "master_seed": 18,
+        "force_c_per_round": 2,
+        "data.n_per_class": 500,
+        **_trigger_values(1.5, -1.5, 1.5),
+        "train.batch_size": 4000,
+        "train.learning_rate": 0.02,
+        "attack.kind": "model_replacement",
+        "attack.boost": 10.0,
+        "attack.poison_rate": 1.0,
+        "defense.kind": "faros",
+    },
+    "edge_case_detection.cfg": {
+        "master_seed": 18,
+        "force_c_per_round": 2,
+        "data.n_per_class": 500,
+        **_trigger_values(5.0, -5.0, 5.0),
+        "train.batch_size": 4000,
+        "train.learning_rate": 0.02,
+        "attack.kind": "edge_case_pgd",
+        "attack.poison_rate": 1.0,
+        "attack.edge_fraction": 0.95,
+        "defense.kind": "faros",
+        "defense.accept_count": 8,
+    },
+    "compare_small.cfg": {
+        "total_clients": 30,
+        "clients_per_round": 8,
+        "malicious_count": 6,
+        "rounds": 15,
+        "master_seed": 18,
+        "force_c_per_round": 2,
+        "data.n_per_class": 200,
+        "data.test_per_class": 20,
+        **_trigger_values(1.5, -1.5, 1.5),
+        "train.batch_size": 2000,
+        "train.learning_rate": 0.02,
+        "attack.boost": 8.0,
+        "attack.poison_rate": 1.0,
+        "compare.attacks": ("none", "model_replacement", "constrain_and_scale"),
+        "compare.defenses": ("fedavg", "faros"),
+    },
+}
+
+# One value per key that its parser or its checks reject.
+MALFORMED = {
+    "total_clients": "many",
+    "clients_per_round": "x",
+    "malicious_count": "1.5",
+    "rounds": "many",
+    "eval_every": "often",
+    "master_seed": "seven",
+    "force_c_per_round": "two",
+    "parallel_clients": "maybe",
+    "data.num_classes": "ten",
+    "data.feature_dim": "16.5",
+    "data.n_per_class": "lots",
+    "data.test_per_class": "x",
+    "data.class_sep": "wide",
+    "data.dirichlet_q": "q",
+    "trigger.positions": "13,x,15",
+    "trigger.values": "1.5,up,1.5",
+    "trigger.target_label": "zero",
+    "model.hidden_dim": "none",
+    "model.activation": "tanh",
+    "train.local_epochs": "two",
+    "train.batch_size": "big",
+    "train.learning_rate": "fast",
+    "attack.kind": "bogus",
+    "attack.poison_rate": "half",
+    "attack.boost": "huge",
+    "attack.alpha": "a",
+    "attack.pgd_radius": "r",
+    "attack.edge_fraction": "f",
+    "attack.pgd_per_step": "sometimes",
+    "defense.kind": "median",
+    "defense.phi_max": "p",
+    "defense.kappa": "k",
+    "defense.core_size": "half",
+    "defense.accept_count": "most",
+    "defense.krum_f": "f",
+    "defense.clip_norm": "c",
+    "defense.noise_std": "n",
+    "defense.phi_static": "s",
+    "defense.global_lr": "g",
+    "defense.norm_strategy": "l1",
+    "defense.sample_weighted": "perhaps",
+    "compare.attacks": "none,bogus",
+    "compare.defenses": "fedavg,median",
+}
+
+
+def _flat(obj, prefix=""):
+    out = {}
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            out.update(_flat(value, f"{prefix}{f.name}."))
+        else:
+            out[prefix + f.name] = value
+    return out
+
+
+def _built(raw):
+    exp = config.build_config(raw)
+    return {
+        **_flat(exp.sim),
+        "compare.attacks": exp.compare_attacks,
+        "compare.defenses": exp.compare_defenses,
+    }
+
+
+def _assert_same(got, expected):
+    assert got == expected
+    assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in expected.items()}
+
+
+def test_key_list_and_order():
+    assert list(config.KEY_PARSERS) == KEYS
+
+
+def test_shipped_configs_cover_every_key():
+    used = set()
+    for path in REPO_CONFIGS.glob("*.cfg"):
+        used |= set(config.load_config_file(path))
+    assert sorted(used) == sorted(KEYS)
+
+
+def test_empty_config_builds_the_defaults():
+    _assert_same(_built({}), DEFAULT)
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED))
+def test_shipped_config_builds_pinned_values(name):
+    raw = config.load_config_file(REPO_CONFIGS / name)
+    _assert_same(_built(raw), {**DEFAULT, **SHIPPED[name]})
+
+
+def test_every_shipped_config_is_pinned():
+    assert sorted(p.name for p in REPO_CONFIGS.glob("*.cfg")) == sorted(SHIPPED)
+
+
+def test_malformed_table_covers_every_key():
+    assert list(MALFORMED) == KEYS
+
+
+@pytest.mark.parametrize("key", KEYS)
+def test_malformed_value_exit_2_naming_key(key, capsys):
+    code = main(["validate-config", "--config", str(REPO_CONFIGS / "standard.cfg"),
+                 "--set", f"{key}={MALFORMED[key]}"])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert key in err
+    assert "Traceback" not in err

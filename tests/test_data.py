@@ -78,7 +78,7 @@ class TestGenBlobs:
 def _check_partition(part, n, num_clients):
     seen = set()
     for cid in range(num_clients):
-        idxs = part.assignments[cid]
+        idxs = part[cid]
         assert len(idxs) > 0, f"client {cid} empty"
         for i in idxs:
             assert i not in seen, "index assigned twice"
@@ -105,7 +105,7 @@ class TestDirichletPartition:
         for seed in range(20):
             part = dirichlet_partition(labels, 10, 1e6, seed)
             for cid in range(10):
-                idxs = part.assignments[cid]
+                idxs = part[cid]
                 hist = np.bincount(labels[idxs], minlength=10) / len(idxs)
                 assert np.all(np.abs(hist - 0.1) <= 0.2 * 0.1), (seed, cid, hist)
 
@@ -115,7 +115,7 @@ class TestDirichletPartition:
         def mean_entropy(q, seed):
             part = dirichlet_partition(labels, 10, q, seed)
             ents = []
-            for idxs in part.assignments.values():
+            for idxs in part.values():
                 p = np.bincount(labels[idxs], minlength=10) / len(idxs)
                 p = p[p > 0]
                 ents.append(-np.sum(p * np.log(p)))
@@ -129,7 +129,7 @@ class TestDirichletPartition:
         labels = np.repeat(np.arange(5), 40)
         a = dirichlet_partition(labels, 7, 0.4, 9)
         b = dirichlet_partition(labels, 7, 0.4, 9)
-        assert a.assignments == b.assignments
+        assert a == b
 
     def test_bad_q(self):
         with pytest.raises(ConfigError):

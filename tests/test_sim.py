@@ -7,8 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from fedsim import sim
+from fedsim import errors, sim
 from fedsim.errors import ConfigError
+from fedsim.model import ModelSpec, TrainSpec
 from fedsim.sim import (
     CSV_HEADER,
     RoundRecord,
@@ -85,6 +86,19 @@ class TestRunRound:
         t0 = time.perf_counter()
         run_round(state, cfg)
         assert time.perf_counter() - t0 < 1.0
+
+    def test_divergence_raises_typed_error_naming_round_and_client(self):
+        cfg = small_config()
+        cfg.model = ModelSpec(16, 10, hidden_dim=8)
+        cfg.train = TrainSpec(2, 4000, 1e300, 0)
+        state = build_state(cfg)
+        ids = sample_clients(cfg.total_clients, cfg.clients_per_round, 1, cfg.master_seed)
+        with pytest.raises(errors.NonFiniteUpdateError) as info, np.errstate(all="ignore"):
+            run_round(state, cfg)
+        assert isinstance(info.value, errors.FedsimError)
+        assert info.value.round == 1
+        assert info.value.client_id == ids[0]
+        assert f"round 1, client {ids[0]}" in str(info.value)
 
     def test_conservation_and_self_consistency(self):
         cfg = small_config(defense="faros", malicious=3, attack="data_poison",
