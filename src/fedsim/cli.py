@@ -123,7 +123,8 @@ def cmd_sweep(args) -> int:
     rows, failures = [], []
     for idx, value in enumerate(values):
         per_run = cfgmod.apply_overrides(raw, [f"{key}={value}"])
-        per_run["master_seed"] = str(base_seed + idx)
+        if key != "master_seed":
+            per_run["master_seed"] = str(base_seed + idx)
         try:
             exp = cfgmod.build_config(per_run)
             stem = f"sweep_{idx:03d}_{_safe_name(value)}"

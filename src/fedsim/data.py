@@ -102,7 +102,7 @@ def dirichlet_partition(labels, num_clients: int, q: float, seed: int) -> dict[i
         props = rng.dirichlet(np.full(num_clients, q))
         cuts = (np.cumsum(props) * idx.size).astype(int)[:-1]
         for client, chunk in enumerate(np.split(idx, cuts)):
-            buckets[client].extend(int(i) for i in chunk)
+            buckets[client].extend(chunk.tolist())
     for client in range(num_clients):
         if not buckets[client]:
             sizes = [len(b) for b in buckets]
@@ -126,16 +126,30 @@ def apply_trigger(e: Example, t: TriggerSpec) -> Example:
     return Example(feats, t.target_label)
 
 
+def _stamp(feats: np.ndarray, t: TriggerSpec) -> np.ndarray:
+    """Overwrite the trigger columns of a fresh 2-D feature matrix in place."""
+    _check_positions(t, feats.shape[1])
+    if t.positions:
+        feats[:, list(t.positions)] = t.values
+    return feats
+
+
 def trigger_examples(examples, t: TriggerSpec) -> list[Example]:
     """``apply_trigger`` over a non-empty sequence, as one write on a stacked copy.
 
     The triggered examples' features are rows of one new float64 matrix.
     """
-    feats = np.stack([e.features for e in examples], dtype=np.float64)
-    _check_positions(t, feats.shape[1])
-    if t.positions:
-        feats[:, list(t.positions)] = t.values
+    feats = _stamp(np.stack([e.features for e in examples], dtype=np.float64), t)
     return [Example(row, t.target_label) for row in feats]
+
+
+def triggered_rows(x: np.ndarray, y: np.ndarray, t: TriggerSpec) -> np.ndarray:
+    """Triggered copies of the rows of ``x`` whose label in ``y`` is not the target.
+
+    The rows the attack success rate is measured on, in their original
+    order, as one new float64 matrix.
+    """
+    return _stamp(np.asarray(x, dtype=np.float64)[np.asarray(y) != t.target_label], t)
 
 
 def poison_dataset(ds, t: TriggerSpec, rate: float, seed: int) -> list[Example]:

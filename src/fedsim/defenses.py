@@ -22,7 +22,6 @@ from .errors import (
     DegenerateCentroidError,
     DimensionMismatchError,
     EmptySetError,
-    ZeroVectorError,
 )
 
 DEFENSE_KINDS = ("fedavg", "multi_krum", "weak_dp", "scope_static", "faros")
@@ -140,12 +139,12 @@ def _sorted_updates(updates) -> list[ClientUpdate]:
 
 
 def _mean_delta(updates, sample_weighted: bool = False) -> np.ndarray:
+    stack = np.stack([u.delta for u in updates])
     if sample_weighted:
         weights = np.array([u.num_samples for u in updates], dtype=np.float64)
         weights /= weights.sum()
-        stack = np.stack([u.delta for u in updates])
         return weights @ stack
-    return linalg.mean_vector([u.delta for u in updates])
+    return np.mean(stack, axis=0)
 
 
 def fedavg(updates, sample_weighted: bool = False) -> DefenseOutcome:
@@ -239,22 +238,24 @@ def adaptive_phi(d_t: float, phi_max: float, kappa: float) -> float:
 
 
 def differential_scale(v, phi: float) -> np.ndarray:
-    """Element-wise |x|^phi * sgn(x); expects a normalized vector (entries in [-1, 1]).
+    """Element-wise |x|^phi * sgn(x); expects normalized entries in [-1, 1].
 
     {-1, 0, 1} are fixed points for any power; phi > 1 suppresses small
-    coordinates relative to dominant ones.
+    coordinates relative to dominant ones. A 2-D matrix of vectors keeps
+    its shape; any other input is flattened to one vector.
     """
-    v = linalg.as_vector(v)
+    v = linalg.as_matrix(v) if np.ndim(v) == 2 else linalg.as_vector(v)
     return np.sign(v) * np.abs(v) ** phi
 
 
 def pairwise_scores(scaled) -> list[float]:
     """Mutual-dissimilarity score per vector: sum of cosine distances to all vectors.
 
-    The sum runs over every vector including itself (the self term is 0 and
-    never affects the ranking).
+    ``scaled`` is a sequence of vectors or the rows of a 2-D matrix. The sum
+    runs over every vector including itself (the self term is 0 and never
+    affects the ranking).
     """
-    scaled = [linalg.as_vector(v) for v in scaled]
+    scaled = linalg.as_matrix(scaled)
     k = len(scaled)
     dists = np.zeros((k, k))
     for i in range(k):
@@ -276,16 +277,17 @@ def rcc_filter(scaled, core, m: int):
     """Accept the ``m`` vectors nearest the core set's centroid.
 
     Returns (centroid, accepted positions, per-vector cosine distances).
-    The centroid averages the scaled vectors at the ``core`` positions; a
-    zero centroid is degenerate and raises.
+    ``scaled`` is a sequence of vectors or the rows of a 2-D matrix. The
+    centroid averages the scaled vectors at the ``core`` positions; a zero
+    centroid is degenerate and raises.
     """
-    scaled = [linalg.as_vector(v) for v in scaled]
+    scaled = linalg.as_matrix(scaled)
     core = list(core)
     if not core:
         raise EmptySetError("core set is empty")
     if not 1 <= m <= len(scaled):
         raise ConfigError(f"accept count must be in [1, {len(scaled)}], got {m}")
-    centroid = linalg.mean_vector([scaled[i] for i in core])
+    centroid = np.mean(scaled[core], axis=0)
     if not np.any(centroid):
         raise DegenerateCentroidError("core-set centroid is the zero vector")
     dists = [linalg.cosine_distance(v, centroid) for v in scaled]
@@ -305,9 +307,10 @@ def _scaled_pipeline(updates, prev_global, cfg: DefenseConfig, norm_strategy, ph
 
     Pipeline: normalize each delta -> dispersion -> scaling power ->
     power-scale -> mutual-similarity core set -> centroid filtering ->
-    uniform mean of the accepted raw deltas. Zero-delta clients are excluded
-    up front; degenerate rounds fall back to plain averaging over all
-    updates, flagged in the diagnostics.
+    uniform mean of the accepted raw deltas. The deltas are stacked once and
+    every stage works on rows of that matrix. Zero-delta clients are
+    excluded up front; degenerate rounds fall back to plain averaging over
+    all updates, flagged in the diagnostics.
     """
     updates = _sorted_updates(updates)
     if prev_global is not None:
@@ -319,18 +322,20 @@ def _scaled_pipeline(updates, prev_global, cfg: DefenseConfig, norm_strategy, ph
     cfg = cfg.resolved(len(updates))
     diag = RoundDiagnostics()
 
-    live, normalized = [], []
-    for u in updates:
-        try:
-            normalized.append(linalg.normalize(u.delta, norm_strategy))
-            live.append(u)
-        except ZeroVectorError:
+    normalized, zero = linalg.normalize_rows(
+        np.stack([u.delta for u in updates]), norm_strategy
+    )
+    live = []
+    for u, is_zero in zip(updates, zero.tolist()):
+        if is_zero:
             diag.excluded.append(u.client_id)
             warnings.warn(
                 f"client {u.client_id} sent an all-zero update; excluded from filtering",
                 RuntimeWarning,
                 stacklevel=3,
             )
+        else:
+            live.append(u)
 
     needed = 1 if single_core else cfg.core_size
     if len(live) < 2 or len(live) < max(needed, cfg.accept_count):
@@ -342,7 +347,7 @@ def _scaled_pipeline(updates, prev_global, cfg: DefenseConfig, norm_strategy, ph
         diag.d_t = DISPERSION_SENTINEL
     diag.phi_t = phi_fn(diag.d_t)
 
-    scaled = [differential_scale(v, diag.phi_t) for v in normalized]
+    scaled = differential_scale(normalized, diag.phi_t)
     scores = pairwise_scores(scaled)
     diag.scores = {u.client_id: s for u, s in zip(live, scores)}
     core = select_core_set(scores, 1 if single_core else cfg.core_size)

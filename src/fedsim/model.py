@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, EmptySetError, NoEligibleExamplesError
-from .data import TriggerSpec, apply_trigger
+from .data import TriggerSpec, triggered_rows
 
 
 @dataclass(frozen=True)
@@ -226,17 +226,24 @@ def local_train(
     return params
 
 
-def evaluate_acc(params: np.ndarray, spec: ModelSpec, clean_test) -> float:
-    """Fraction of examples whose argmax prediction matches the label.
+def accuracy(params: np.ndarray, spec: ModelSpec, x: np.ndarray, labels) -> float:
+    """Fraction of the rows of ``x``, shape (n, input_dim), predicted as ``labels``.
 
-    Ties break to the lowest class index (numpy argmax takes the first max).
+    ``labels`` is one class per row, or one class for all rows (the target,
+    for the attack success rate). The prediction is the argmax class; ties
+    break to the lowest class index (numpy argmax takes the first max).
     """
+    logits = _logits(np.asarray(params, dtype=np.float64), spec, x)
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
+
+
+def evaluate_acc(params: np.ndarray, spec: ModelSpec, clean_test) -> float:
+    """Fraction of examples whose argmax prediction matches the label."""
     clean_test = list(clean_test)
     if not clean_test:
         raise EmptySetError("cannot evaluate on an empty test set")
     x, y = _stack(clean_test)
-    preds = np.argmax(_logits(np.asarray(params, dtype=np.float64), spec, x), axis=1)
-    return float(np.mean(preds == y))
+    return accuracy(params, spec, x, y)
 
 
 def evaluate_asr(
@@ -247,10 +254,8 @@ def evaluate_asr(
     Examples whose true label already equals the target are excluded from
     the denominator.
     """
-    eligible = [e for e in clean_test if e.label != trigger.target_label]
-    if not eligible:
+    clean_test = list(clean_test)
+    if all(e.label == trigger.target_label for e in clean_test):
         raise NoEligibleExamplesError("no test examples with label != target_label")
-    triggered = [apply_trigger(e, trigger) for e in eligible]
-    x, _ = _stack(triggered)
-    preds = np.argmax(_logits(np.asarray(params, dtype=np.float64), spec, x), axis=1)
-    return float(np.mean(preds == trigger.target_label))
+    x, y = _stack(clean_test)
+    return accuracy(params, spec, triggered_rows(x, y, trigger), trigger.target_label)

@@ -17,18 +17,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .attacks import AttackConfig, malicious_local_train
-from .data import Example, TriggerSpec, dirichlet_partition, gen_blobs
+from .data import Example, TriggerSpec, dirichlet_partition, gen_blobs, triggered_rows
 from .defenses import ClientUpdate, DefenseConfig, aggregate
 from .errors import ConfigError, NonFiniteUpdateError
-from .model import (
-    ModelSpec,
-    TrainSpec,
-    evaluate_acc,
-    evaluate_asr,
-    init_params,
-    local_train,
-    philox,
-)
+from .model import ModelSpec, TrainSpec, accuracy, init_params, local_train, philox
 
 # Seed-stream tags (see _derive_seed).
 _TAG_DATA, _TAG_PARTITION, _TAG_CLIENT, _TAG_DP_NOISE, _TAG_INIT = range(5)
@@ -101,6 +93,10 @@ class SimConfig:
             raise ConfigError(f"malicious_count out of range: {self.malicious_count}")
         if self.rounds < 1 or self.eval_every < 1:
             raise ConfigError("rounds and eval_every must be positive")
+        if self.eval_every > self.rounds:
+            raise ConfigError(
+                f"eval_every {self.eval_every} exceeds rounds {self.rounds}: no round would be evaluated"
+            )
         if self.model.input_dim != self.data.feature_dim:
             raise ConfigError(
                 f"model input_dim {self.model.input_dim} != feature_dim "
@@ -161,13 +157,21 @@ class RoundRecord:
 
 @dataclass
 class SimState:
-    """Everything carried between rounds."""
+    """Everything carried between rounds.
+
+    ``test_x``/``test_y`` stack ``test_set``; ``asr_x`` holds the triggered
+    test rows whose label is not the attack's target. All three are built
+    once by :func:`build_state` and only read afterwards.
+    """
 
     round: int
     global_params: np.ndarray
     dataset: list[Example]
     test_set: list[Example]
     partition: dict[int, list[int]]
+    test_x: np.ndarray
+    test_y: np.ndarray
+    asr_x: np.ndarray
 
 
 def _derive_seed(master_seed: int, tag: int, *parts: int) -> int:
@@ -215,12 +219,17 @@ def build_state(cfg: SimConfig) -> SimState:
         _derive_seed(cfg.master_seed, _TAG_PARTITION),
     )
     params = init_params(cfg.model, _derive_seed(cfg.master_seed, _TAG_INIT))
+    test_x = np.stack([e.features for e in test])
+    test_y = np.array([e.label for e in test], dtype=np.intp)
     return SimState(
         round=1,
         global_params=params,
         dataset=train,
         test_set=test,
         partition=part,
+        test_x=test_x,
+        test_y=test_y,
+        asr_x=triggered_rows(test_x, test_y, _resolve_attack(cfg).trigger),
     )
 
 
@@ -281,8 +290,8 @@ def run_round(state: SimState, cfg: SimConfig) -> tuple[SimState, RoundRecord]:
 
     acc = asr = float("nan")
     if r % cfg.eval_every == 0:
-        acc = evaluate_acc(new_params, cfg.model, state.test_set)
-        asr = evaluate_asr(new_params, cfg.model, state.test_set, acfg.trigger)
+        acc = accuracy(new_params, cfg.model, state.test_x, state.test_y)
+        asr = accuracy(new_params, cfg.model, state.asr_x, acfg.trigger.target_label)
 
     diag = outcome.diagnostics
     record = RoundRecord(
@@ -298,14 +307,7 @@ def run_round(state: SimState, cfg: SimConfig) -> tuple[SimState, RoundRecord]:
         fn=fn,
         wall_ms=(time.perf_counter() - t0) * 1000.0,
     )
-    new_state = SimState(
-        round=r + 1,
-        global_params=new_params,
-        dataset=state.dataset,
-        test_set=state.test_set,
-        partition=state.partition,
-    )
-    return new_state, record
+    return replace(state, round=r + 1, global_params=new_params), record
 
 
 def run_simulation(cfg: SimConfig) -> list[RoundRecord]:

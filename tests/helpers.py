@@ -7,12 +7,26 @@ plain-formula cosine arithmetic for the filter constructions.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 
+from fedsim import linalg
 from fedsim.attacks import AttackConfig
 from fedsim.data import Example, TriggerSpec
-from fedsim.defenses import ClientUpdate, DefenseConfig
+from fedsim.defenses import (
+    DISPERSION_SENTINEL,
+    ClientUpdate,
+    DefenseConfig,
+    DefenseOutcome,
+    RoundDiagnostics,
+    adaptive_phi,
+    differential_scale,
+    pairwise_scores,
+    rcc_filter,
+    select_core_set,
+)
+from fedsim.errors import DegenerateCentroidError, ZeroVectorError
 from fedsim.model import ModelSpec, TrainSpec
 from fedsim.sim import DataConfig, SimConfig
 
@@ -192,3 +206,94 @@ def poison_dataset_oracle(ds, t: TriggerSpec, rate: float, seed: int) -> list[Ex
             e = Example(feats, t.target_label)
         out.append(e)
     return out
+
+
+def longdouble_cosine(a, b) -> float:
+    """Cosine distance by the reference formula: finite float64 operands,
+    long-double dot products and norms, clamped into [0, 2]."""
+    a = np.asarray(a, dtype=np.float64).reshape(-1)
+    b = np.asarray(b, dtype=np.float64).reshape(-1)
+    assert np.isfinite(a).all() and np.isfinite(b).all() and a.shape == b.shape
+    wa, wb = a.astype(np.longdouble), b.astype(np.longdouble)
+    na, nb = np.sqrt(np.dot(wa, wa)), np.sqrt(np.dot(wb, wb))
+    assert na != 0.0 and nb != 0.0
+    d = 1.0 - float(np.dot(wa, wb) / (na * nb))
+    return min(max(d, 0.0), 2.0)
+
+
+def _list_mean(updates, sample_weighted: bool) -> np.ndarray:
+    if sample_weighted:
+        weights = np.array([u.num_samples for u in updates], dtype=np.float64)
+        weights /= weights.sum()
+        return weights @ np.stack([u.delta for u in updates])
+    return linalg.mean_vector([u.delta.tolist() for u in updates])
+
+
+def scaled_filter_oracle(updates, cfg: DefenseConfig, single_core: bool) -> DefenseOutcome:
+    """Per-vector FAROS (``single_core=False``) or static single-seed filter.
+
+    Composes the public stages one vector at a time over Python lists:
+    normalize -> dispersion -> scaling power -> differential_scale ->
+    pairwise_scores -> select_core_set -> rcc_filter -> mean of the
+    accepted raw deltas, with the same zero-delta exclusion warnings and
+    fallbacks to plain averaging.
+    """
+    updates = sorted(updates, key=lambda u: u.client_id)
+    cfg = cfg.resolved(len(updates))
+    diag = RoundDiagnostics()
+
+    def fallback():
+        diag.fallback = True
+        return DefenseOutcome(
+            _list_mean(updates, cfg.sample_weighted), [u.client_id for u in updates], diag
+        )
+
+    live, normalized = [], []
+    for u in updates:
+        try:
+            normalized.append(linalg.normalize(u.delta.tolist(), cfg.norm_strategy).tolist())
+            live.append(u)
+        except ZeroVectorError:
+            diag.excluded.append(u.client_id)
+            warnings.warn(
+                f"client {u.client_id} sent an all-zero update; excluded from filtering",
+                RuntimeWarning,
+            )
+    core_size = 1 if single_core else cfg.core_size
+    if len(live) < 2 or len(live) < max(core_size, cfg.accept_count):
+        return fallback()
+    try:
+        diag.d_t = linalg.dispersion(normalized)
+    except DegenerateCentroidError:
+        diag.d_t = DISPERSION_SENTINEL
+    diag.phi_t = cfg.phi_static if single_core else adaptive_phi(diag.d_t, cfg.phi_max, cfg.kappa)
+    scaled = [differential_scale(v, diag.phi_t).tolist() for v in normalized]
+    scores = pairwise_scores(scaled)
+    diag.scores = {u.client_id: s for u, s in zip(live, scores)}
+    core = select_core_set(scores, core_size)
+    diag.core_set = [live[i].client_id for i in core]
+    try:
+        _, accepted_pos, dists = rcc_filter(scaled, core, cfg.accept_count)
+    except DegenerateCentroidError:
+        return fallback()
+    diag.distances = {u.client_id: d for u, d in zip(live, dists)}
+    accepted = [live[i] for i in accepted_pos]
+    return DefenseOutcome(
+        _list_mean(accepted, cfg.sample_weighted), [u.client_id for u in accepted], diag
+    )
+
+
+def outcome_bytes(out: DefenseOutcome) -> tuple:
+    """Everything an aggregation outcome carries, with floats as exact reprs."""
+    d = out.diagnostics
+    return (
+        out.aggregated_delta.dtype.str,
+        out.aggregated_delta.tobytes(),
+        list(out.accepted),
+        repr((d.d_t, d.phi_t)),
+        d.core_set,
+        repr(sorted(d.distances.items())),
+        repr(sorted(d.scores.items())),
+        d.excluded,
+        d.fallback,
+    )

@@ -2,10 +2,12 @@
 
 End-to-end criteria run the desk scenario from tests/helpers.py
 (standard_config). Runs are cached per configuration so criteria sharing a
-run (clean references, timing) do not repeat work. Run with `pytest
+run (clean references, timing) do not repeat work; the timing criterion adds
+two more timed pairs of its own. Run with `pytest
 tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
 
+import statistics
 import time
 import warnings
 
@@ -150,9 +152,15 @@ def test_criterion_04_fedavg_equivalence():
     report(4, "fedavg equivalence at m=k", "100 fuzzed sets, 0 ulp")
 
 
+def _clean_configs():
+    return (
+        standard_config(defense="fedavg", attack="none", malicious=0),
+        standard_config(defense="faros", attack="none", malicious=0),
+    )
+
+
 def _clean_refs():
-    fed = standard_config(defense="fedavg", attack="none", malicious=0)
-    far = standard_config(defense="faros", attack="none", malicious=0)
+    fed, far = _clean_configs()
     return cached_run(fed), cached_run(far)
 
 
@@ -267,8 +275,24 @@ def test_criterion_11_compare_determinism(tmp_path):
     report(11, "compare determinism", "byte-identical across runs and parallelism")
 
 
+def _timed_run(cfg) -> float:
+    t0 = time.perf_counter()
+    run_simulation(cfg)
+    return time.perf_counter() - t0
+
+
 def test_criterion_12_efficiency():
+    # A host whose CPU speed switches for seconds at a time can push one
+    # pair of runs past the bound while the typical ratio is far below it,
+    # so the ratio is the median over three fedavg/faros pairs: the cached
+    # pair and two more, each timed back to back.
     (_, t_fed), (_, t_far) = _clean_refs()
-    ratio = t_far / t_fed
+    fed, far = _clean_configs()
+    ratios = [t_far / t_fed]
+    for _ in range(2):
+        t_fed = _timed_run(fed)
+        ratios.append(_timed_run(far) / t_fed)
+    ratio = statistics.median(ratios)
     assert ratio <= 1.5
-    report(12, "efficiency", f"faros/fedavg wall ratio {ratio:.2f}")
+    report(12, "efficiency",
+           f"faros/fedavg wall ratio {ratio:.2f} (median of {', '.join(f'{r:.2f}' for r in ratios)})")

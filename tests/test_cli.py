@@ -125,6 +125,26 @@ class TestSweep:
         rows = (out / "sweep_summary.csv").read_text().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["fedavg", "faros"]
 
+    def test_master_seed_axis_runs_the_swept_seeds(self, tiny_cfg, tmp_path):
+        out = tmp_path / "sweep5"
+        code = main(["sweep", "--config", str(tiny_cfg), "--out", str(out), "--set", "rounds=2",
+                     "--axis", "master_seed=100,200", "--format", "json"])
+        assert code == 0
+        echoed = [json.loads((out / f"sweep_{i:03d}_{seed}.json").read_text())["config"]
+                  for i, seed in enumerate(("100", "200"))]
+        assert [c["master_seed"] for c in echoed] == ["100", "200"]
+        rows = (out / "sweep_summary.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["100", "200"]
+
+    def test_other_axes_step_the_base_seed(self, tiny_cfg, tmp_path):
+        out = tmp_path / "sweep6"
+        code = main(["sweep", "--config", str(tiny_cfg), "--out", str(out), "--set", "rounds=2",
+                     "--axis", "data.dirichlet_q=0.4,1.0", "--format", "json"])
+        assert code == 0
+        seeds = [json.loads(p.read_text())["config"]["master_seed"]
+                 for p in sorted(out.glob("sweep_*.json"))]
+        assert seeds == ["3", "4"]
+
     def test_failed_summary_write_leaves_no_temp_file(self, tiny_cfg, tmp_path, capsys):
         out = tmp_path / "sweep4"
         (out / "sweep_summary.csv").mkdir(parents=True)
@@ -223,6 +243,7 @@ class TestValidateConfig:
             ("data.n_per_class", "4"),
             ("attack.boost", "nan"),
             ("defense.phi_max", "nan"),
+            ("eval_every", "101"),
         ],
     )
     def test_bad_spec_value_exit_2_naming_key(self, key, value, capsys):

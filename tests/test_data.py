@@ -14,6 +14,7 @@ from fedsim.data import (
     gen_blobs,
     load_idx,
     poison_dataset,
+    triggered_rows,
 )
 from fedsim.errors import ConfigError, FormatError
 
@@ -182,6 +183,20 @@ class TestTrigger:
     def test_duplicate_positions_rejected(self):
         with pytest.raises(ConfigError):
             TriggerSpec((1, 1), (0.0, 0.0), 0)
+
+    def test_triggered_rows_match_apply_trigger_on_eligible_examples(self):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(30, 6))
+        y = rng.integers(0, 3, size=30)
+        t = TriggerSpec((1, 4), (2.5, -2.5), 2)
+        want = [apply_trigger(Example(row, int(label)), t).features
+                for row, label in zip(x, y) if label != t.target_label]
+        x0 = x.copy()
+        got = triggered_rows(x, y, t)
+        assert got.dtype == np.float64 and got.tobytes() == np.stack(want).tobytes()
+        assert np.array_equal(x, x0)  # input untouched
+        with pytest.raises(ConfigError):
+            triggered_rows(x, y, TriggerSpec((6,), (1.0,), 0))
 
 
 class TestPoisonDataset:

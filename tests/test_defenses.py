@@ -3,7 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fedsim import linalg
 from fedsim.defenses import (
     DEFENSE_KINDS,
     DISPERSION_SENTINEL,
@@ -27,7 +30,9 @@ from helpers import (
     brute_force_multi_krum,
     make_duplicated_malicious_instance,
     make_separable_instance,
+    outcome_bytes,
     plain_cosine,
+    scaled_filter_oracle,
 )
 
 
@@ -188,6 +193,13 @@ class TestDifferentialScale:
             assert np.array_equal(np.sign(out), np.sign(v))
             assert np.all(np.abs(out) <= 1.0)
             assert np.all(np.abs(out) <= np.abs(v) + 1e-15)
+
+    def test_matrix_keeps_its_shape(self):
+        rng = np.random.default_rng(6)
+        m = rng.uniform(-1, 1, size=(5, 9))
+        out = differential_scale(m, 2.3)
+        assert out.shape == (5, 9)
+        assert out.tobytes() == np.stack([differential_scale(v, 2.3) for v in m]).tobytes()
 
     def test_monotone_in_x(self):
         xs = np.linspace(-1, 1, 101)
@@ -423,3 +435,119 @@ class TestAggregateDispatch:
             a = aggregate(ups, np.zeros(8), cfg, seed=5)
             b = aggregate(ups, np.zeros(8), cfg, seed=5)
             assert np.array_equal(a.aggregated_delta, b.aggregated_delta), kind
+
+
+_entries = st.one_of(
+    st.sampled_from([0.0, 1.0, -1.0, 0.25]),
+    st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False, allow_subnormal=False),
+)
+
+
+@st.composite
+def _filter_cases(draw):
+    """Client updates in shuffled id order (some all-zero) plus a filter config."""
+    k = draw(st.integers(1, 7))
+    dim = draw(st.integers(1, 12))
+    rows = draw(st.lists(
+        st.one_of(st.just([0.0] * dim), st.lists(_entries, min_size=dim, max_size=dim)),
+        min_size=k, max_size=k,
+    ))
+    ids = draw(st.permutations(range(k)))
+    samples = draw(st.lists(st.integers(1, 50), min_size=k, max_size=k))
+    ups = [ClientUpdate(i, np.array(r), n) for i, r, n in zip(ids, rows, samples)]
+    cfg = DefenseConfig(
+        kind="faros",
+        core_size=draw(st.none() | st.integers(1, k)),
+        accept_count=draw(st.none() | st.integers(1, k)),
+        phi_max=draw(st.floats(1.01, 5.0)),
+        kappa=draw(st.floats(0.1, 100.0)),
+        phi_static=draw(st.floats(1.0, 4.0)),
+        norm_strategy=draw(st.sampled_from(linalg.NORM_STRATEGIES)),
+        sample_weighted=draw(st.booleans()),
+    )
+    return ups, cfg
+
+
+def _run_with_warnings(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = fn(*args)
+    return outcome_bytes(out), [str(w.message) for w in caught]
+
+
+def _assert_matches_oracle(ups, cfg):
+    faros, faros_warned = _run_with_warnings(faros_aggregate, ups, None, cfg)
+    oracle, oracle_warned = _run_with_warnings(scaled_filter_oracle, ups, cfg, False)
+    assert faros == oracle and faros_warned == oracle_warned
+    static, static_warned = _run_with_warnings(scope_static_aggregate, ups, None, cfg)
+    oracle, oracle_warned = _run_with_warnings(scaled_filter_oracle, ups, cfg, True)
+    assert static == oracle and static_warned == oracle_warned
+
+
+class TestFilterMatchesPerVectorOracle:
+    """The adaptive and static filters equal, byte for byte, the public
+    stages composed one vector at a time over Python lists."""
+
+    @given(_filter_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_random_rounds(self, case):
+        _assert_matches_oracle(*case)
+
+    @pytest.mark.parametrize("strategy", linalg.NORM_STRATEGIES)
+    def test_random_desk_sized_rounds(self, strategy):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            ups = _random_updates(rng, 10, 170)
+            _assert_matches_oracle(ups, DefenseConfig(kind="faros", norm_strategy=strategy))
+
+    @pytest.mark.parametrize("strategy", linalg.NORM_STRATEGIES)
+    def test_all_zero_deltas_are_excluded_with_a_warning(self, strategy):
+        rng = np.random.default_rng(22)
+        vs = [rng.normal(size=6) for _ in range(6)]
+        vs[1] = vs[4] = np.zeros(6)
+        cfg = DefenseConfig(kind="faros", core_size=2, accept_count=3, norm_strategy=strategy)
+        _assert_matches_oracle(_updates(vs), cfg)
+        (_, _, _, _, _, _, _, excluded, fallback), warned = _run_with_warnings(
+            faros_aggregate, _updates(vs), None, cfg
+        )
+        assert excluded == [1, 4] and not fallback
+        assert [w.split(" sent")[0] for w in warned] == ["client 1", "client 4"]
+
+    @pytest.mark.parametrize("strategy", linalg.NORM_STRATEGIES)
+    def test_degenerate_core_centroid_falls_back(self, strategy):
+        v = np.array([0.5, -2.0, 1.0])
+        cfg = DefenseConfig(kind="faros", core_size=2, accept_count=1, norm_strategy=strategy)
+        _assert_matches_oracle(_updates([v, -v]), cfg)
+        out = faros_aggregate(_updates([v, -v]), None, cfg)
+        assert out.diagnostics.fallback and out.diagnostics.d_t == DISPERSION_SENTINEL
+        assert out.accepted == [0, 1]
+
+    def test_too_few_live_clients_fall_back(self):
+        ups = _updates([np.zeros(3), np.ones(3), np.zeros(3)])
+        _assert_matches_oracle(ups, DefenseConfig(kind="faros"))
+        (*_, fallback), warned = _run_with_warnings(faros_aggregate, ups, None, DefenseConfig(kind="faros"))
+        assert fallback and len(warned) == 2
+
+
+class TestStagesAcceptMatrices:
+    """A k x D matrix and the list of its rows give the same stage results."""
+
+    def test_same_results_as_row_lists(self):
+        rng = np.random.default_rng(23)
+        m = rng.normal(size=(7, 11))
+        rows = [row.tolist() for row in m]
+        assert linalg.dispersion(m) == linalg.dispersion(rows)
+        assert pairwise_scores(m) == pairwise_scores(rows)
+        got, want = rcc_filter(m, [1, 4, 5], 4), rcc_filter(rows, [1, 4, 5], 4)
+        assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+
+    def test_errors_match_row_lists(self):
+        m = np.ones((3, 4))
+        m[2, 1] = np.nan
+        for stage in (linalg.dispersion, pairwise_scores, lambda vs: rcc_filter(vs, [0], 1)):
+            with pytest.raises(ValueError):
+                stage(m)
+        with pytest.raises(EmptySetError):
+            linalg.dispersion(np.ones((1, 4)))
+        with pytest.raises(DegenerateCentroidError):
+            rcc_filter(np.array([[1.0, 0.0], [-1.0, 0.0]]), [0, 1], 1)

@@ -11,6 +11,8 @@ from fedsim.errors import (
     ZeroVectorError,
 )
 
+from helpers import longdouble_cosine
+
 finite_vectors = st.lists(
     st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, allow_subnormal=False),
     min_size=1,
@@ -98,6 +100,89 @@ class TestCosineDistance:
         assert 0.0 <= d_ab <= 2.0
         assert np.isclose(linalg.cosine_distance(c1 * a, c2 * b), d_ab, atol=1e-9)
         assert linalg.cosine_distance(a, a) == 0.0
+
+
+_LD = np.array([1.0, 2.0, 3.0], dtype=np.longdouble) + np.longdouble(2.0) ** -60
+
+
+class TestCosineDistanceInputs:
+    """Errors and values of cosine_distance on awkward operands."""
+
+    @pytest.mark.parametrize(
+        "a,b,error",
+        [
+            ([1.0, np.nan], [1.0, 2.0], ValueError),
+            ([1.0, 2.0], [np.inf, 2.0], ValueError),
+            ([-np.inf, 2.0], [1.0, 2.0], ValueError),
+            ([np.nan, np.inf], [np.inf, np.nan], ValueError),
+            ([1.0, 2.0], [1.0, 2.0, 3.0], DimensionMismatchError),
+            ([1.0, np.nan], [1.0, 2.0, 3.0], ValueError),
+            ([1.0, 2.0], [np.inf, 2.0, 3.0], ValueError),
+            ([0.0, 0.0], [1.0, 2.0], ZeroVectorError),
+            ([1.0, 2.0], [0.0, 0.0], ZeroVectorError),
+            ([0.0, 0.0], [np.nan, 1.0], ValueError),
+            ([np.nan, 1.0], [0.0, 0.0], ValueError),
+            ([], [], ZeroVectorError),
+            ([0.0, 0.0], [0.0, 0.0, 0.0], DimensionMismatchError),
+        ],
+    )
+    def test_error_type(self, a, b, error):
+        with pytest.raises(error):
+            linalg.cosine_distance(a, b)
+
+    @pytest.mark.parametrize(
+        "a,b",
+        [
+            ([1, 2, 3], [3, -1, 2]),
+            ([0.1, 0.2, 0.3], (0.3, 0.2, 0.1)),
+            (np.array([[1.0, 2.0], [3.0, 4.0]]), [4.0, 3.0, 2.0, 1.0]),
+            (_LD, [1.0, 2.0, 3.0]),
+            (_LD, _LD[::-1]),
+            (np.array([1e300, -1e300, 5.0]), np.array([1e300, 1e300, -1.0])),
+            (np.array([1e-300, 3e-300]), np.array([2e-300, 1e-300])),
+            (np.arange(170, dtype=np.float32), np.ones(170)),
+            ([5.0], [-2.0]),
+        ],
+    )
+    def test_value_matches_reference_formula(self, a, b):
+        got = linalg.cosine_distance(a, b)
+        assert type(got) is float
+        assert repr(got) == repr(longdouble_cosine(a, b))
+
+    def test_operands_are_not_modified(self):
+        a, b = np.array([1.0, -2.0, 3.0]), np.array([0.5, 0.5, 0.5])
+        a0, b0 = a.copy(), b.copy()
+        linalg.cosine_distance(a, b)
+        assert np.array_equal(a, a0) and np.array_equal(b, b0)
+
+
+class TestMatrixInputs:
+    def test_as_matrix(self):
+        m = np.asfortranarray(np.arange(12, dtype=np.int64).reshape(3, 4))
+        out = linalg.as_matrix(m)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        assert np.array_equal(out, m)
+        assert np.array_equal(linalg.as_matrix([[1, 2], (3, 4)]), [[1.0, 2.0], [3.0, 4.0]])
+        assert linalg.as_matrix([]).shape == (0, 0)
+        with pytest.raises(ValueError):
+            linalg.as_matrix(np.array([[1.0, np.inf]]))
+        with pytest.raises(DimensionMismatchError):
+            linalg.as_matrix([[1.0, 2.0], [3.0]])
+
+    @pytest.mark.parametrize("strategy", linalg.NORM_STRATEGIES)
+    def test_normalize_rows_equals_normalize(self, strategy):
+        rng = np.random.default_rng(9)
+        m = rng.normal(size=(40, 170)) * rng.uniform(0.01, 100.0, size=(40, 1))
+        m[2] = 0.0
+        rows, zero = linalg.normalize_rows(m, strategy)
+        assert np.flatnonzero(zero).tolist() == [2]
+        # reference scales: the L-inf norm, or numpy's 1-D Euclidean norm of each row
+        scale = {"maxabs": lambda v: np.max(np.abs(v)), "l2": np.linalg.norm}[strategy]
+        want = np.stack([v / float(scale(v)) for i, v in enumerate(m) if i != 2])
+        assert rows.tobytes() == want.tobytes()
+        assert np.stack([linalg.normalize(v, strategy) for v in m[3:]]).tobytes() == want[2:].tobytes()
+        with pytest.raises(ValueError):
+            linalg.normalize_rows(m, "l1")
 
 
 class TestMeanVector:

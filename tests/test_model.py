@@ -8,6 +8,7 @@ from fedsim.errors import DimensionMismatchError, EmptySetError, NoEligibleExamp
 from fedsim.model import (
     ModelSpec,
     TrainSpec,
+    accuracy,
     evaluate_acc,
     evaluate_asr,
     forward,
@@ -208,3 +209,16 @@ class TestEvaluate:
     def test_empty_test_set(self):
         with pytest.raises(EmptySetError):
             evaluate_acc(np.zeros(15), SOFTMAX, [])
+
+    def test_list_evaluators_equal_the_array_core(self):
+        ds = gen_blobs(4, 8, 30, 4.0, 6)
+        spec = ModelSpec(8, 4, hidden_dim=5)
+        params = init_params(spec, 2)
+        x = np.stack([e.features for e in ds])
+        y = np.array([e.label for e in ds])
+        preds = np.array([np.argmax(forward(params, spec, row)) for row in x])
+        assert evaluate_acc(params, spec, ds) == accuracy(params, spec, x, y) == np.mean(preds == y)
+        t = TriggerSpec((0,), (6.0,), 1)
+        eligible = y != 1
+        x[:, 0] = 6.0
+        assert evaluate_asr(params, spec, ds, t) == accuracy(params, spec, x[eligible], 1)

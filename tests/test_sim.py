@@ -9,7 +9,8 @@ import pytest
 
 from fedsim import errors, sim
 from fedsim.errors import ConfigError
-from fedsim.model import ModelSpec, TrainSpec
+from fedsim.data import TriggerSpec
+from fedsim.model import ModelSpec, TrainSpec, evaluate_acc, evaluate_asr
 from fedsim.sim import (
     CSV_HEADER,
     RoundRecord,
@@ -99,6 +100,37 @@ class TestRunRound:
         assert info.value.round == 1
         assert info.value.client_id == ids[0]
         assert f"round 1, client {ids[0]}" in str(info.value)
+
+    @pytest.mark.parametrize("hidden_dim", [0, 8])
+    @pytest.mark.parametrize("attack", ["none", "model_replacement"])
+    def test_metrics_equal_the_list_evaluators(self, attack, hidden_dim):
+        cfg = small_config(defense="faros", malicious=3, attack=attack, force_c=1)
+        cfg.model = ModelSpec(16, 10, hidden_dim=hidden_dim)
+        # ASR is measured with the attack's trigger, or the data trigger if it names none
+        trigger = TriggerSpec((2, 9), (4.0, -4.0), 3)
+        if attack == "none":
+            cfg.data.trigger = trigger
+            cfg.attack = dataclasses.replace(cfg.attack, trigger=None)
+        else:
+            cfg.attack = dataclasses.replace(cfg.attack, trigger=trigger)
+        state = build_state(cfg)
+        for _ in range(3):
+            new, rec = run_round(state, cfg)
+            assert rec.acc == evaluate_acc(new.global_params, cfg.model, state.test_set)
+            assert rec.asr == evaluate_asr(new.global_params, cfg.model, state.test_set, trigger)
+            state = new
+
+    def test_state_carries_the_test_matrices(self):
+        cfg = small_config(malicious=3, attack="model_replacement", force_c=1)
+        state = build_state(cfg)
+        t = cfg.attack.trigger
+        assert np.array_equal(state.test_x, np.stack([e.features for e in state.test_set]))
+        assert state.test_y.tolist() == [e.label for e in state.test_set]
+        eligible = [e.features for e in state.test_set if e.label != t.target_label]
+        assert len(state.asr_x) == len(eligible)
+        assert np.array_equal(state.asr_x[:, list(t.positions)], np.tile(t.values, (len(eligible), 1)))
+        state2, _ = run_round(state, cfg)
+        assert state2.test_x is state.test_x and state2.asr_x is state.asr_x
 
     def test_conservation_and_self_consistency(self):
         cfg = small_config(defense="faros", malicious=3, attack="data_poison",
