@@ -12,12 +12,14 @@ from .attacks import (
 )
 from .data import (
     Example,
+    Samples,
     TriggerSpec,
     apply_trigger,
+    as_samples,
+    blob_arrays,
     dirichlet_partition,
     edge_case_pool,
     gen_blobs,
-    load_idx,
     poison_dataset,
 )
 from .defenses import (
@@ -43,7 +45,6 @@ from .errors import (
     DimensionMismatchError,
     EmptySetError,
     FedsimError,
-    FormatError,
     NoEligibleExamplesError,
     NonFiniteUpdateError,
     ZeroVectorError,

@@ -7,14 +7,13 @@ Attackers collude only through a shared config and trigger; every routine is
 a pure function of its arguments.
 """
 
-import collections
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TriggerSpec, edge_case_pool, poison_dataset, trigger_examples
-from .errors import ConfigError, DimensionMismatchError, ZeroVectorError
-from .model import ModelSpec, TrainSpec, _epoch_order, _loss_grad_arrays, _stack, local_train
+from .data import TriggerSpec, as_samples, edge_case_pool, poison_dataset, triggered_rows
+from .errors import ConfigError, DimensionMismatchError, EmptySetError, ZeroVectorError
+from .model import ModelSpec, TrainSpec, _epoch_order, _loss_grad_arrays, local_train
 
 
 ATTACK_KINDS = ("none", "data_poison", "model_replacement", "constrain_and_scale", "edge_case_pgd")
@@ -102,6 +101,7 @@ def constrain_and_scale_train(
 ) -> np.ndarray:
     """SGD on (1-alpha) * classification loss + alpha * cosine stealth loss.
 
+    ``poisoned_data`` is a ``Samples`` or a sequence of ``Example``s.
     alpha = 0 reproduces plain poisoned training bit-for-bit; alpha = 1
     descends the stealth term alone.
     """
@@ -110,9 +110,11 @@ def constrain_and_scale_train(
     global_params = np.asarray(global_params, dtype=np.float64)
     if not np.any(global_params):
         raise ZeroVectorError("stealth term undefined against an all-zero global model")
-    poisoned_data = list(poisoned_data)
+    poisoned = as_samples(poisoned_data)
+    if not len(poisoned):
+        raise EmptySetError("cannot train on an empty dataset")
     params = np.array(global_params, copy=True)
-    x, y = _stack(poisoned_data)
+    x, y = poisoned.x, poisoned.y
     n = x.shape[0]
     for epoch in range(tspec.local_epochs):
         order = _epoch_order(tspec.seed, epoch, n)
@@ -130,13 +132,11 @@ def constrain_and_scale_train(
 
 def _edge_source_label(local_data, target_label: int) -> int:
     """Most frequent non-target label in the local data (ties to lowest label)."""
-    counts = collections.Counter(
-        e.label for e in local_data if e.label != target_label
-    )
-    if not counts:
+    labels = as_samples(local_data).y
+    counts = np.bincount(labels[labels != target_label])
+    if not counts.any():
         raise ConfigError("no non-target examples to build an edge-case pool from")
-    best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-    return best[0]
+    return int(np.argmax(counts))
 
 
 def edge_case_pgd_train(
@@ -145,22 +145,24 @@ def edge_case_pgd_train(
     """Backdoor training on local data plus a triggered edge-case tail.
 
     The pool is the far tail of the dominant non-target class in the local
-    data. After every epoch (or every step with ``pgd_per_step``) the params
-    are projected back into the L2 ball of ``pgd_radius`` around the global
-    model, so the returned model always lies within that ball.
+    data (a ``Samples`` or a sequence of ``Example``s); its triggered copies
+    are appended after the local rows. After every epoch (or every step
+    with ``pgd_per_step``) the params are projected back into the L2 ball
+    of ``pgd_radius`` around the global model, so the returned model always
+    lies within that ball.
     """
-    local_data = list(local_data)
+    local = as_samples(local_data)
     if acfg.trigger is None:
         raise ConfigError("edge_case_pgd needs a trigger")
-    source = _edge_source_label(local_data, acfg.trigger.target_label)
-    pool = edge_case_pool(local_data, source, acfg.edge_fraction, tspec.seed)
-    if not pool:
+    source = _edge_source_label(local, acfg.trigger.target_label)
+    pool = edge_case_pool(local, source, acfg.edge_fraction, tspec.seed)
+    if not len(pool):
         raise ConfigError("edge-case pool is empty")
-    train_set = local_data + trigger_examples(pool, acfg.trigger)
+    x = np.concatenate([local.x, triggered_rows(pool.x, pool.y, acfg.trigger)])
+    y = np.concatenate([local.y, np.full(len(pool), acfg.trigger.target_label, dtype=np.intp)])
 
     global_params = np.asarray(global_params, dtype=np.float64)
     params = np.array(global_params, copy=True)
-    x, y = _stack(train_set)
     n = x.shape[0]
     for epoch in range(tspec.local_epochs):
         order = _epoch_order(tspec.seed, epoch, n)
@@ -179,10 +181,11 @@ def malicious_local_train(
 ) -> np.ndarray:
     """Dispatch local training by attack kind.
 
-    ``none`` is byte-identical to honest training. The poisoning kinds train
-    on a seeded poisoned copy of the local data; constrain-and-scale falls
-    back to plain poisoned training when the global model is all zeros (its
-    stealth term is undefined there).
+    ``local_data`` is a ``Samples`` or a sequence of ``Example``s. ``none``
+    is byte-identical to honest training. The poisoning kinds train on a
+    seeded poisoned copy of the local data (``poison_dataset``);
+    constrain-and-scale falls back to plain poisoned training when the
+    global model is all zeros (its stealth term is undefined there).
     """
     if acfg.kind == "none":
         return local_train(global_params, spec, local_data, tspec)
@@ -191,26 +194,25 @@ def malicious_local_train(
 
     # an attacker holding only target-label data has nothing to poison and
     # falls back to its unmodified local set (boost/projection still apply)
-    local_data = list(local_data)
-    eligible = any(e.label != acfg.trigger.target_label for e in local_data)
+    local = as_samples(local_data)
+    eligible = bool(np.any(local.y != acfg.trigger.target_label))
 
     if acfg.kind == "edge_case_pgd":
         if not eligible:
-            params = local_train(global_params, spec, local_data, tspec)
+            params = local_train(global_params, spec, local, tspec)
             return pgd_project(params, np.asarray(global_params, dtype=np.float64), acfg.pgd_radius)
-        return edge_case_pgd_train(global_params, spec, local_data, tspec, acfg)
+        return edge_case_pgd_train(global_params, spec, local, tspec, acfg)
 
+    poisoned = local
     if eligible:
-        poisoned = poison_dataset(local_data, acfg.trigger, acfg.poison_rate, tspec.seed)
-    else:
-        poisoned = local_data
+        poisoned = poison_dataset(local, acfg.trigger, acfg.poison_rate, tspec.seed)
     if acfg.kind == "data_poison":
         return local_train(global_params, spec, poisoned, tspec)
     if acfg.kind == "model_replacement":
         if acfg.boost is None:
             raise ConfigError("attack.boost must be resolved before training")
-        local = local_train(global_params, spec, poisoned, tspec)
-        return model_replacement(local, global_params, acfg.boost)
+        trained = local_train(global_params, spec, poisoned, tspec)
+        return model_replacement(trained, global_params, acfg.boost)
     if acfg.kind == "constrain_and_scale":
         if not np.any(np.asarray(global_params)):
             return local_train(global_params, spec, poisoned, tspec)

@@ -1,17 +1,19 @@
 """Synthetic datasets, non-IID partitioning, and backdoor trigger injection.
 
-Gaussian blob generation stands in for image benchmarks at desk scale;
-an IDX loader is provided for optional experiments on real digit files.
-All generators are pure functions of their seed.
+Gaussian blob generation stands in for image benchmarks at desk scale. A
+dataset is a ``Samples``: a float64 feature matrix and an intp label vector.
+Functions that take a dataset also accept a sequence of ``Example`` objects,
+which ``as_samples`` stacks once at entry. All generators are pure functions
+of their seed.
 """
 
 import math
-import struct
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, DimensionMismatchError
 
 
 @dataclass(frozen=True, eq=False)
@@ -20,6 +22,53 @@ class Example:
 
     features: np.ndarray
     label: int
+
+
+class Samples:
+    """A labelled dataset as two arrays: features ``x`` (n, d) and labels ``y`` (n,).
+
+    ``len`` is the row count. Indexing a row or iterating gives ``Example``
+    objects whose features are views of the rows of ``x``, not copies.
+    """
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.intp)
+        if x.ndim != 2 or y.shape != (x.shape[0],):
+            raise DimensionMismatchError(
+                f"samples need x of shape (n, d) and y of shape (n,), got {x.shape} and {y.shape}"
+            )
+        self.x = x
+        self.y = y
+
+    def __len__(self) -> int:
+        return self.y.shape[0]
+
+    def __getitem__(self, i) -> Example:
+        i = operator.index(i)
+        return Example(self.x[i], int(self.y[i]))
+
+    def __iter__(self):
+        return map(Example, self.x, self.y.tolist())
+
+    def take(self, rows) -> "Samples":
+        """The rows that the index ``rows`` (positions or a boolean mask) selects, as new arrays."""
+        return Samples(self.x[rows], self.y[rows])
+
+
+def as_samples(ds) -> Samples:
+    """``ds`` itself if it is a ``Samples``; otherwise its ``Example``s stacked once."""
+    if isinstance(ds, Samples):
+        return ds
+    ds = list(ds)
+    if not ds:
+        return Samples(np.empty((0, 0)), np.empty(0, dtype=np.intp))
+    return Samples(
+        np.stack([e.features for e in ds], dtype=np.float64),
+        np.array([e.label for e in ds], dtype=np.intp),
+    )
 
 
 @dataclass(frozen=True)
@@ -42,18 +91,19 @@ class TriggerSpec:
             )
 
 
-def gen_blobs(
+def blob_arrays(
     num_classes: int,
     feature_dim: int,
     n_per_class: int,
     class_sep: float,
     seed: int,
-) -> list[Example]:
+) -> Samples:
     """Isotropic unit-variance Gaussian clusters with well-separated centers.
 
     Class centers are drawn once from the seed and rescaled so the minimum
-    pairwise center distance equals ``class_sep``. Output is class-blocked:
-    ``n_per_class`` examples of class 0 first, then class 1, and so on.
+    pairwise center distance equals ``class_sep``; each class's samples are
+    then drawn in class order. Rows are class-blocked: ``n_per_class`` rows
+    of class 0 first, then class 1, and so on.
     """
     if num_classes < 2 or feature_dim < 2 or n_per_class < 1 or class_sep <= 0:
         raise ConfigError(
@@ -68,11 +118,22 @@ def gen_blobs(
     if min_dist < 1e-9:
         raise ConfigError("degenerate class centers; choose another seed")
     centers *= class_sep / min_dist
-    out = []
+    x = np.empty((num_classes * n_per_class, feature_dim))
     for c in range(num_classes):
-        samples = centers[c] + rng.standard_normal(size=(n_per_class, feature_dim))
-        out.extend(Example(samples[i], c) for i in range(n_per_class))
-    return out
+        block = slice(c * n_per_class, (c + 1) * n_per_class)
+        x[block] = centers[c] + rng.standard_normal(size=(n_per_class, feature_dim))
+    return Samples(x, np.repeat(np.arange(num_classes, dtype=np.intp), n_per_class))
+
+
+def gen_blobs(
+    num_classes: int,
+    feature_dim: int,
+    n_per_class: int,
+    class_sep: float,
+    seed: int,
+) -> list[Example]:
+    """``blob_arrays`` as a list of ``Example`` row views, class-blocked."""
+    return list(blob_arrays(num_classes, feature_dim, n_per_class, class_sep, seed))
 
 
 def dirichlet_partition(labels, num_clients: int, q: float, seed: int) -> dict[int, list[int]]:
@@ -89,7 +150,7 @@ def dirichlet_partition(labels, num_clients: int, q: float, seed: int) -> dict[i
         raise ConfigError(f"dirichlet concentration must be positive, got {q}")
     if num_clients < 1:
         raise ConfigError(f"need at least one client, got {num_clients}")
-    labels = np.asarray(list(labels))
+    labels = np.asarray(labels if isinstance(labels, np.ndarray) else list(labels))
     if labels.size < num_clients:
         raise ConfigError(
             f"cannot spread {labels.size} examples over {num_clients} clients"
@@ -126,114 +187,64 @@ def apply_trigger(e: Example, t: TriggerSpec) -> Example:
     return Example(feats, t.target_label)
 
 
-def _stamp(feats: np.ndarray, t: TriggerSpec) -> np.ndarray:
-    """Overwrite the trigger columns of a fresh 2-D feature matrix in place."""
-    _check_positions(t, feats.shape[1])
-    if t.positions:
-        feats[:, list(t.positions)] = t.values
-    return feats
-
-
-def trigger_examples(examples, t: TriggerSpec) -> list[Example]:
-    """``apply_trigger`` over a non-empty sequence, as one write on a stacked copy.
-
-    The triggered examples' features are rows of one new float64 matrix.
-    """
-    feats = _stamp(np.stack([e.features for e in examples], dtype=np.float64), t)
-    return [Example(row, t.target_label) for row in feats]
-
-
 def triggered_rows(x: np.ndarray, y: np.ndarray, t: TriggerSpec) -> np.ndarray:
     """Triggered copies of the rows of ``x`` whose label in ``y`` is not the target.
 
     The rows the attack success rate is measured on, in their original
     order, as one new float64 matrix.
     """
-    return _stamp(np.asarray(x, dtype=np.float64)[np.asarray(y) != t.target_label], t)
+    rows = np.asarray(x, dtype=np.float64)[np.asarray(y) != t.target_label]
+    _check_positions(t, rows.shape[1])
+    if t.positions:
+        rows[:, list(t.positions)] = t.values
+    return rows
 
 
-def poison_dataset(ds, t: TriggerSpec, rate: float, seed: int) -> list[Example]:
-    """Replace a seeded selection of non-target examples with triggered copies.
+def poison_dataset(ds, t: TriggerSpec, rate: float, seed: int) -> Samples:
+    """Trigger a seeded selection of the non-target rows of ``ds``, on a copy.
 
-    Selects ceil(rate * len(ds)) examples among those whose original label
-    differs from the target (capped at the eligible count); the rest pass
-    through unchanged.
+    Selects ceil(rate * len(ds)) rows among those whose label differs from
+    the target (capped at the eligible count), overwrites their trigger
+    columns and relabels them to the target in one write; the other rows
+    are copied unchanged and ``ds`` is left untouched. When every eligible
+    row is selected (always at rate 1) the result does not depend on
+    ``seed``; otherwise the selection is
+    ``default_rng(seed).choice(eligible_count, count, replace=False)`` over
+    the eligible rows in ascending order.
     """
-    ds = list(ds)
+    ds = as_samples(ds)
     if not 0 < rate <= 1:
         raise ConfigError(f"poison rate must be in (0, 1], got {rate}")
-    eligible = [i for i, e in enumerate(ds) if e.label != t.target_label]
-    if not eligible:
+    picked = np.flatnonzero(ds.y != t.target_label)
+    if not picked.size:
         raise ConfigError("no examples eligible for poisoning")
-    count = min(math.ceil(rate * len(ds)), len(eligible))
-    rng = np.random.default_rng(seed)
-    picked = [eligible[j] for j in rng.choice(len(eligible), size=count, replace=False).tolist()]
-    for i, e in zip(picked, trigger_examples([ds[i] for i in picked], t)):
-        ds[i] = e
-    return ds
+    _check_positions(t, ds.x.shape[1])
+    count = min(math.ceil(rate * len(ds)), picked.size)
+    if count < picked.size:
+        picked = picked[np.random.default_rng(seed).choice(picked.size, size=count, replace=False)]
+    x, y = ds.x.copy(), ds.y.copy()
+    if t.positions:
+        x[np.ix_(picked, t.positions)] = t.values
+    y[picked] = t.target_label
+    return Samples(x, y)
 
 
-def edge_case_pool(ds, source_label: int, fraction: float, seed: int) -> list[Example]:
-    """Low-density tail of one class: examples farthest from the class mean.
+def edge_case_pool(ds, source_label: int, fraction: float, seed: int) -> Samples:
+    """Low-density tail of one class: the rows farthest from the class mean.
 
-    Returns the ceil(fraction * n) examples of ``source_label`` with the
-    largest Euclidean distance to that class's empirical mean. Selection is
-    fully deterministic (stable sort, ties to lower index); ``seed`` is kept
-    in the signature for interface symmetry with the other generators.
+    Returns the ceil(fraction * n) rows of ``source_label`` with the
+    largest Euclidean distance to that class's empirical mean, farthest
+    first. Selection is fully deterministic (stable sort, ties to lower
+    row); ``seed`` is kept in the signature for interface symmetry with
+    the other generators.
     """
+    ds = as_samples(ds)
     if not 0 < fraction < 1:
         raise ConfigError(f"edge fraction must be in (0, 1), got {fraction}")
-    members = [e for e in ds if e.label == source_label]
-    if not members:
+    members = ds.take(np.flatnonzero(ds.y == source_label))
+    if not len(members):
         raise ConfigError(f"no examples of label {source_label}")
-    feats = np.stack([e.features for e in members])
-    center = feats.mean(axis=0)
-    dists = np.linalg.norm(feats - center, axis=1)
+    center = members.x.mean(axis=0)
+    dists = np.linalg.norm(members.x - center, axis=1)
     order = np.argsort(-dists, kind="stable")
-    count = math.ceil(fraction * len(members))
-    return [members[i] for i in order[:count]]
-
-
-_IDX_IMAGES_MAGIC = 0x00000803
-_IDX_LABELS_MAGIC = 0x00000801
-
-
-def _read_exact(f, n: int, path: str) -> bytes:
-    offset = f.tell()
-    buf = f.read(n)
-    if len(buf) != n:
-        raise FormatError(f"{path}: truncated at byte {offset + len(buf)}")
-    return buf
-
-
-def load_idx(images_path, labels_path) -> list[Example]:
-    """Parse big-endian IDX3 image + IDX1 label files into examples.
-
-    Pixel bytes are scaled to [0, 1]; image and label counts must match.
-    """
-    with open(images_path, "rb") as f:
-        magic = struct.unpack(">i", _read_exact(f, 4, str(images_path)))[0]
-        if magic != _IDX_IMAGES_MAGIC:
-            raise FormatError(
-                f"{images_path}: bad image magic 0x{magic:08x} at byte 0"
-            )
-        n, rows, cols = struct.unpack(">iii", _read_exact(f, 12, str(images_path)))
-        raw = _read_exact(f, n * rows * cols, str(images_path))
-    pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
-    pixels = pixels.reshape(n, rows * cols)
-
-    with open(labels_path, "rb") as f:
-        magic = struct.unpack(">i", _read_exact(f, 4, str(labels_path)))[0]
-        if magic != _IDX_LABELS_MAGIC:
-            raise FormatError(
-                f"{labels_path}: bad label magic 0x{magic:08x} at byte 0"
-            )
-        (count,) = struct.unpack(">i", _read_exact(f, 4, str(labels_path)))
-        raw = _read_exact(f, count, str(labels_path))
-    labels = np.frombuffer(raw, dtype=np.uint8)
-
-    if count != n:
-        raise FormatError(
-            f"{labels_path}: label count {count} != image count {n} (at byte 4)"
-        )
-    return [Example(pixels[i], int(labels[i])) for i in range(n)]
+    return members.take(order[: math.ceil(fraction * len(members))])

@@ -255,13 +255,14 @@ def pairwise_scores(scaled) -> list[float]:
     runs over every vector including itself (the self term is 0 and never
     affects the ranking).
     """
-    scaled = linalg.as_matrix(scaled)
-    k = len(scaled)
+    rows = list(linalg.as_matrix(scaled))
+    k = len(rows)
     dists = np.zeros((k, k))
     for i in range(k):
         for j in range(i + 1, k):
-            dists[i, j] = dists[j, i] = linalg.cosine_distance(scaled[i], scaled[j])
-    return [float(np.sum(dists[i])) for i in range(k)]
+            dists[i, j] = dists[j, i] = linalg.cosine_distance(rows[i], rows[j])
+    # a row sum along axis 1 adds in the same order as np.sum of the row
+    return dists.sum(axis=1).tolist()
 
 
 def select_core_set(scores, l: int) -> list[int]:

@@ -37,9 +37,5 @@ class NonFiniteUpdateError(FedsimError):
         self.client_id = client_id
 
 
-class FormatError(FedsimError):
-    """Malformed external file (bad magic, truncation, count mismatch)."""
-
-
 class NoEligibleExamplesError(FedsimError):
     """No test examples qualify for the requested metric."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, EmptySetError, NoEligibleExamplesError
-from .data import TriggerSpec, triggered_rows
+from .data import TriggerSpec, as_samples, triggered_rows
 
 
 @dataclass(frozen=True)
@@ -141,12 +141,6 @@ def forward(params: np.ndarray, spec: ModelSpec, features) -> np.ndarray:
     return _softmax(_logits(params, spec, x))[0]
 
 
-def _stack(batch) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.stack([np.asarray(e.features, dtype=np.float64) for e in batch])
-    ys = np.array([e.label for e in batch], dtype=np.intp)
-    return xs, ys
-
-
 def _loss_grad_arrays(params, spec, x, y):
     n = x.shape[0]
     c = spec.num_classes
@@ -183,12 +177,14 @@ def _loss_grad_arrays(params, spec, x, y):
 
 
 def loss_and_grad(params: np.ndarray, spec: ModelSpec, batch) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over ``batch`` and its exact analytic gradient."""
-    batch = list(batch)
-    if not batch:
+    """Mean cross-entropy over ``batch`` and its exact analytic gradient.
+
+    ``batch`` is a ``Samples`` or a sequence of ``Example``s.
+    """
+    batch = as_samples(batch)
+    if not len(batch):
         raise EmptySetError("loss over an empty batch")
-    x, y = _stack(batch)
-    return _loss_grad_arrays(np.asarray(params, dtype=np.float64), spec, x, y)
+    return _loss_grad_arrays(np.asarray(params, dtype=np.float64), spec, batch.x, batch.y)
 
 
 def philox(seed: int, counter: int) -> np.random.Generator:
@@ -207,15 +203,18 @@ def local_train(
 ) -> np.ndarray:
     """Run local mini-batch SGD from ``global_params`` and return the final params.
 
-    Pure function of its arguments: the mini-batch order for each epoch comes
-    from a Philox stream keyed by (tspec.seed, epoch), so distinct clients
-    never share RNG state and repeated calls are bit-identical.
+    ``dataset`` is a ``Samples`` (the simulator passes each client's arrays,
+    cut once per run) or a sequence of ``Example``s, stacked once here; both
+    give the same bits. Pure function of its arguments: the mini-batch order
+    for each epoch comes from a Philox stream keyed by (tspec.seed, epoch),
+    so distinct clients never share RNG state and repeated calls are
+    bit-identical.
     """
-    dataset = list(dataset)
-    if not dataset:
+    data = as_samples(dataset)
+    if not len(data):
         raise EmptySetError("cannot train on an empty dataset")
     params = np.array(global_params, dtype=np.float64, copy=True)
-    x, y = _stack(dataset)
+    x, y = data.x, data.y
     n = x.shape[0]
     for epoch in range(tspec.local_epochs):
         order = _epoch_order(tspec.seed, epoch, n)
@@ -239,11 +238,10 @@ def accuracy(params: np.ndarray, spec: ModelSpec, x: np.ndarray, labels) -> floa
 
 def evaluate_acc(params: np.ndarray, spec: ModelSpec, clean_test) -> float:
     """Fraction of examples whose argmax prediction matches the label."""
-    clean_test = list(clean_test)
-    if not clean_test:
+    test = as_samples(clean_test)
+    if not len(test):
         raise EmptySetError("cannot evaluate on an empty test set")
-    x, y = _stack(clean_test)
-    return accuracy(params, spec, x, y)
+    return accuracy(params, spec, test.x, test.y)
 
 
 def evaluate_asr(
@@ -254,8 +252,7 @@ def evaluate_asr(
     Examples whose true label already equals the target are excluded from
     the denominator.
     """
-    clean_test = list(clean_test)
-    if all(e.label == trigger.target_label for e in clean_test):
+    test = as_samples(clean_test)
+    if not np.any(test.y != trigger.target_label):
         raise NoEligibleExamplesError("no test examples with label != target_label")
-    x, y = _stack(clean_test)
-    return accuracy(params, spec, triggered_rows(x, y, trigger), trigger.target_label)
+    return accuracy(params, spec, triggered_rows(test.x, test.y, trigger), trigger.target_label)

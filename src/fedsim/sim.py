@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .attacks import AttackConfig, malicious_local_train
-from .data import Example, TriggerSpec, dirichlet_partition, gen_blobs, triggered_rows
+from .data import Samples, TriggerSpec, blob_arrays, dirichlet_partition, triggered_rows
 from .defenses import ClientUpdate, DefenseConfig, aggregate
 from .errors import ConfigError, NonFiniteUpdateError
 from .model import ModelSpec, TrainSpec, accuracy, init_params, local_train, philox
@@ -123,6 +123,14 @@ class SimConfig:
             c = self.force_c_per_round
             if c < 0 or c > min(self.clients_per_round, self.malicious_count):
                 raise ConfigError(f"force_c_per_round out of range: {c}")
+            honest = self.total_clients - self.malicious_count
+            if honest < self.clients_per_round - c:
+                raise ConfigError(
+                    f"force_c_per_round {c} leaves {self.clients_per_round - c} of "
+                    f"clients_per_round {self.clients_per_round} to honest clients, but only "
+                    f"{honest} are honest (total_clients {self.total_clients} - "
+                    f"malicious_count {self.malicious_count})"
+                )
             if c >= self.clients_per_round / 2:
                 warnings.warn(
                     "forced malicious count is not an honest majority",
@@ -159,19 +167,29 @@ class RoundRecord:
 class SimState:
     """Everything carried between rounds.
 
-    ``test_x``/``test_y`` stack ``test_set``; ``asr_x`` holds the triggered
-    test rows whose label is not the attack's target. All three are built
-    once by :func:`build_state` and only read afterwards.
+    ``dataset`` holds the training rows and ``test_set`` the held-out rows,
+    each as one feature matrix and one label vector. ``clients[i]`` holds
+    client ``i``'s rows, cut from ``dataset`` once, in the order of
+    ``partition[i]``; every round trains on these arrays. ``asr_x`` holds
+    the triggered test rows whose label is not the attack's target. All of
+    them are built once by :func:`build_state` and only read afterwards.
     """
 
     round: int
     global_params: np.ndarray
-    dataset: list[Example]
-    test_set: list[Example]
+    dataset: Samples
+    test_set: Samples
     partition: dict[int, list[int]]
-    test_x: np.ndarray
-    test_y: np.ndarray
+    clients: list[Samples]
     asr_x: np.ndarray
+
+    @property
+    def test_x(self) -> np.ndarray:
+        return self.test_set.x
+
+    @property
+    def test_y(self) -> np.ndarray:
+        return self.test_set.y
 
 
 def _derive_seed(master_seed: int, tag: int, *parts: int) -> int:
@@ -199,37 +217,35 @@ def _sample_forced(cfg: SimConfig, round_idx: int) -> list[int]:
 def build_state(cfg: SimConfig) -> SimState:
     """Generate data, deal it to clients, and initialize the global model.
 
-    Train and held-out test sets come from a single blob draw (shared class
-    centers) split per class; the test split is never partitioned to clients.
+    Train and held-out test rows are sliced from a single blob draw (shared
+    class centers), the first ``n_per_class`` rows of each class for
+    training; the test rows are never partitioned to clients. Each client's
+    rows are then cut once into arrays of their own.
     """
     cfg.validate()
     d = cfg.data
     per_class = d.n_per_class + d.test_per_class
-    blob_seed = _derive_seed(cfg.master_seed, _TAG_DATA)
-    full = gen_blobs(d.num_classes, d.feature_dim, per_class, d.class_sep, blob_seed)
-    train, test = [], []
-    for c in range(d.num_classes):
-        block = full[c * per_class : (c + 1) * per_class]
-        train.extend(block[: d.n_per_class])
-        test.extend(block[d.n_per_class :])
+    blobs = blob_arrays(
+        d.num_classes, d.feature_dim, per_class, d.class_sep, _derive_seed(cfg.master_seed, _TAG_DATA)
+    )
+    is_train = np.arange(len(blobs)) % per_class < d.n_per_class
+    train = blobs.take(is_train)
+    test = blobs.take(~is_train)
     part = dirichlet_partition(
-        [e.label for e in train],
+        train.y,
         cfg.total_clients,
         d.dirichlet_q,
         _derive_seed(cfg.master_seed, _TAG_PARTITION),
     )
     params = init_params(cfg.model, _derive_seed(cfg.master_seed, _TAG_INIT))
-    test_x = np.stack([e.features for e in test])
-    test_y = np.array([e.label for e in test], dtype=np.intp)
     return SimState(
         round=1,
         global_params=params,
         dataset=train,
         test_set=test,
         partition=part,
-        test_x=test_x,
-        test_y=test_y,
-        asr_x=triggered_rows(test_x, test_y, _resolve_attack(cfg).trigger),
+        clients=[train.take(part[i]) for i in range(cfg.total_clients)],
+        asr_x=triggered_rows(test.x, test.y, _resolve_attack(cfg).trigger),
     )
 
 
@@ -243,7 +259,7 @@ def _resolve_attack(cfg: SimConfig) -> AttackConfig:
 
 
 def _train_one(state: SimState, cfg: SimConfig, acfg: AttackConfig, client_id: int):
-    data = [state.dataset[j] for j in state.partition[client_id]]
+    data = state.clients[client_id]
     seed = _derive_seed(cfg.master_seed, _TAG_CLIENT, state.round, client_id)
     tspec = replace(cfg.train, seed=seed)
     if client_id < cfg.malicious_count and acfg.kind != "none":
@@ -332,6 +348,11 @@ def _round_sig(x: float) -> float:
     return float(_fmt(x))
 
 
+def _json_float(x: float) -> float | None:
+    """``x`` at 9 significant digits, or None (JSON null) when it is undefined (NaN)."""
+    return None if math.isnan(x) else _round_sig(x)
+
+
 def _ids(ids) -> str:
     return ";".join(str(i) for i in ids)
 
@@ -363,7 +384,9 @@ def write_results(records, path, format: str = "csv", config_echo: dict | None =
     """Persist records as CSV (fixed header) or JSON (config echo + summary).
 
     Floats are serialized with 9 significant digits; id lists are
-    semicolon-separated in the CSV. Writes are atomic (temp file + rename).
+    semicolon-separated in the CSV. An undefined value (NaN, such as ``d_t``
+    under a non-filtering defense) is ``nan`` in the CSV and ``null`` in the
+    JSON, which is strict JSON. Writes are atomic (temp file + rename).
     """
     if format == "csv":
         lines = [CSV_HEADER]
@@ -392,22 +415,22 @@ def write_results(records, path, format: str = "csv", config_echo: dict | None =
             "records": [
                 {
                     "round": r.round,
-                    "acc": _round_sig(r.acc),
-                    "asr": _round_sig(r.asr),
-                    "d_t": _round_sig(r.d_t),
-                    "phi_t": _round_sig(r.phi_t),
+                    "acc": _json_float(r.acc),
+                    "asr": _json_float(r.asr),
+                    "d_t": _json_float(r.d_t),
+                    "phi_t": _json_float(r.phi_t),
                     "accepted": list(r.accepted),
                     "malicious_selected": list(r.malicious_selected),
                     "tp": r.tp,
                     "fp": r.fp,
                     "fn": r.fn,
-                    "wall_ms": _round_sig(r.wall_ms),
+                    "wall_ms": _json_float(r.wall_ms),
                 }
                 for r in records
             ],
-            "summary": summarize(records),
+            "summary": {k: _json_float(v) for k, v in summarize(records).items()},
         }
-        payload = json.dumps(doc, indent=2) + "\n"
+        payload = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     else:
         raise ConfigError(f"unknown result format {format!r}")
     atomic_write(path, payload)

@@ -13,7 +13,7 @@ import numpy as np
 
 from fedsim import linalg
 from fedsim.attacks import AttackConfig
-from fedsim.data import Example, TriggerSpec
+from fedsim.data import Example, Samples, TriggerSpec
 from fedsim.defenses import (
     DISPERSION_SENTINEL,
     ClientUpdate,
@@ -27,7 +27,7 @@ from fedsim.defenses import (
     select_core_set,
 )
 from fedsim.errors import DegenerateCentroidError, ZeroVectorError
-from fedsim.model import ModelSpec, TrainSpec
+from fedsim.model import ModelSpec, TrainSpec, loss_and_grad, philox
 from fedsim.sim import DataConfig, SimConfig
 
 # The desk-scale scenario every end-to-end criterion runs on. Seed 18 was
@@ -206,6 +206,32 @@ def poison_dataset_oracle(ds, t: TriggerSpec, rate: float, seed: int) -> list[Ex
             e = Example(feats, t.target_label)
         out.append(e)
     return out
+
+
+def sgd_oracle(global_params, spec: ModelSpec, examples, tspec: TrainSpec) -> np.ndarray:
+    """Local SGD by its documented schedule over a list of ``Example``s.
+
+    Each epoch's order is ``philox(seed, epoch).permutation(n)``; each
+    mini-batch is the list of examples at the next ``batch_size`` positions,
+    and the step is ``params - lr * grad`` with ``loss_and_grad`` on it.
+    """
+    examples = list(examples)
+    params = np.array(global_params, dtype=np.float64, copy=True)
+    for epoch in range(tspec.local_epochs):
+        order = philox(tspec.seed, epoch).permutation(len(examples)).tolist()
+        for start in range(0, len(examples), tspec.batch_size):
+            batch = [examples[i] for i in order[start : start + tspec.batch_size]]
+            params = params - tspec.learning_rate * loss_and_grad(params, spec, batch)[1]
+    return params
+
+
+def stacked(examples):
+    """The arrays of a list of ``Example``s, stacked here rather than by the library."""
+    examples = list(examples)
+    return Samples(
+        np.array([np.asarray(e.features, dtype=np.float64) for e in examples]),
+        np.array([e.label for e in examples]),
+    )
 
 
 def longdouble_cosine(a, b) -> float:

@@ -15,10 +15,10 @@ from fedsim.attacks import (
 )
 from fedsim.data import Example, TriggerSpec, apply_trigger, edge_case_pool, gen_blobs, poison_dataset
 from fedsim.defenses import ClientUpdate, fedavg
-from fedsim.errors import ConfigError, DimensionMismatchError, ZeroVectorError
+from fedsim.errors import ConfigError, DimensionMismatchError, EmptySetError, ZeroVectorError
 from fedsim.model import ModelSpec, TrainSpec, evaluate_asr, init_params, local_train
 
-from helpers import finite_diff_grad, rel_grad_error
+from helpers import finite_diff_grad, rel_grad_error, sgd_oracle, stacked
 
 SPEC = ModelSpec(8, 4)
 TRIGGER = TriggerSpec((5, 6), (4.0, -4.0), 0)
@@ -265,3 +265,69 @@ class TestEdgeCasePgd:
         asr_model = evaluate_asr(out, SPEC, ds_test, TRIGGER)
         asr_global = evaluate_asr(start, SPEC, ds_test, TRIGGER)
         assert abs(asr_model - asr_global) <= 0.01
+
+
+ATTACK_KINDS = ("none", "data_poison", "model_replacement", "constrain_and_scale", "edge_case_pgd")
+
+
+class TestArrayInput:
+    """Attacks give the same bits on a list of Examples and on its arrays."""
+
+    def _target_only(self):
+        rng = np.random.default_rng(20)
+        return [Example(rng.normal(size=8), TRIGGER.target_label) for _ in range(20)]
+
+    @pytest.mark.parametrize("kind", ATTACK_KINDS)
+    @pytest.mark.parametrize("rate", [0.6, 1.0])
+    @pytest.mark.parametrize("all_target", [False, True])
+    def test_malicious_local_train(self, kind, rate, all_target):
+        data = self._target_only() if all_target else _local_data(21)
+        arrays = stacked(data)
+        x0, y0 = arrays.x.copy(), arrays.y.copy()
+        start = init_params(SPEC, 9)
+        acfg = AttackConfig(kind=kind, trigger=TRIGGER, poison_rate=rate, boost=3.0,
+                            alpha=0.4, pgd_radius=1.5, edge_fraction=0.3)
+        got = malicious_local_train(start, SPEC, arrays, _tspec(), acfg)
+        want = malicious_local_train(start, SPEC, data, _tspec(), acfg)
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(arrays.x, x0) and np.array_equal(arrays.y, y0)
+
+    def test_poisoned_training_follows_the_documented_schedule(self):
+        # data_poison at rate 0.6: SGD over the poisoned example list
+        data = _local_data(22)
+        start = init_params(SPEC, 10)
+        acfg = AttackConfig(kind="data_poison", trigger=TRIGGER, poison_rate=0.6)
+        got = malicious_local_train(start, SPEC, stacked(data), _tspec(), acfg)
+        poisoned = list(poison_dataset(data, TRIGGER, 0.6, _tspec().seed))
+        assert got.tobytes() == sgd_oracle(start, SPEC, poisoned, _tspec()).tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_constrain_and_scale_train(self, alpha):
+        data = _local_data(23)
+        start = init_params(SPEC, 11)
+        got = constrain_and_scale_train(start, SPEC, stacked(data), _tspec(), alpha)
+        want = constrain_and_scale_train(start, SPEC, data, _tspec(), alpha)
+        assert got.tobytes() == want.tobytes()
+        if alpha == 0.0:
+            assert got.tobytes() == sgd_oracle(start, SPEC, data, _tspec()).tobytes()
+
+    @pytest.mark.parametrize("per_step", [False, True])
+    def test_edge_case_pgd_train(self, per_step):
+        data = _local_data(24)
+        start = init_params(SPEC, 12)
+        acfg = AttackConfig(kind="edge_case_pgd", trigger=TRIGGER, pgd_radius=0.8,
+                            edge_fraction=0.4, pgd_per_step=per_step)
+        got = edge_case_pgd_train(start, SPEC, stacked(data), _tspec(), acfg)
+        want = edge_case_pgd_train(start, SPEC, data, _tspec(), acfg)
+        assert got.tobytes() == want.tobytes()
+
+    def test_edge_source_label_ties_to_the_lowest_label(self):
+        labels = [3, 1, 0, 3, 1, 2, 0, 0, 0]
+        data = [Example(np.zeros(4), l) for l in labels]
+        assert _edge_source_label(data, 0) == 1
+        assert _edge_source_label(stacked(data), 0) == 1
+        assert _edge_source_label(data, 1) == 0
+
+    def test_empty_data_rejected(self):
+        with pytest.raises(EmptySetError):
+            constrain_and_scale_train(init_params(SPEC, 0), SPEC, [], _tspec(), 0.5)

@@ -244,11 +244,14 @@ class TestValidateConfig:
             ("attack.boost", "nan"),
             ("defense.phi_max", "nan"),
             ("eval_every", "101"),
+            # with 45 of 50 clients malicious, 9 honest slots cannot be filled
+            ("force_c_per_round", "1"),
         ],
     )
     def test_bad_spec_value_exit_2_naming_key(self, key, value, capsys):
+        context = ["--set", "malicious_count=45"] if key == "force_c_per_round" else []
         code = main(["validate-config", "--config", str(REPO_CONFIGS / "standard.cfg"),
-                     "--set", f"{key}={value}"])
+                     *context, "--set", f"{key}={value}"])
         assert code == 2
         err = capsys.readouterr().err
         assert key in err

@@ -1,5 +1,3 @@
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,18 +5,20 @@ from hypothesis import strategies as st
 
 from fedsim.data import (
     Example,
+    Samples,
     TriggerSpec,
     apply_trigger,
+    as_samples,
+    blob_arrays,
     dirichlet_partition,
     edge_case_pool,
     gen_blobs,
-    load_idx,
     poison_dataset,
     triggered_rows,
 )
-from fedsim.errors import ConfigError, FormatError
+from fedsim.errors import ConfigError, DimensionMismatchError
 
-from helpers import poison_dataset_oracle
+from helpers import poison_dataset_oracle, stacked
 
 
 class TestGenBlobs:
@@ -74,6 +74,57 @@ class TestGenBlobs:
             gen_blobs(10, 16, 0, 6.0, 0)
         with pytest.raises(ConfigError):
             gen_blobs(10, 16, 10, 0.0, 0)
+
+
+class TestSamples:
+    def test_rows_and_views(self):
+        x = np.arange(12, dtype=float).reshape(4, 3)
+        ds = Samples(x, [2, 0, 1, 2])
+        assert len(ds) == 4 and ds.x is x and ds.y.dtype == np.intp
+        e = ds[2]
+        assert e.label == 1 and np.shares_memory(e.features, x) and e.features.tolist() == [6, 7, 8]
+        assert [e.label for e in ds] == [2, 0, 1, 2]
+        assert all(np.shares_memory(e.features, x) for e in ds)
+        sub = ds.take([3, 0])
+        assert sub.x.tolist() == [[9, 10, 11], [0, 1, 2]] and sub.y.tolist() == [2, 2]
+        assert not np.shares_memory(sub.x, x)
+        with pytest.raises(TypeError):
+            ds[1:3]
+        with pytest.raises(IndexError):
+            ds[4]
+
+    def test_shape_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            Samples(np.zeros((3, 2)), [0, 1])
+        with pytest.raises(DimensionMismatchError):
+            Samples(np.zeros(3), [0, 1, 2])
+
+    def test_as_samples(self):
+        rng = np.random.default_rng(1)
+        ds = [Example(rng.normal(size=5), int(l)) for l in rng.integers(0, 3, size=7)]
+        arrays = as_samples(ds)
+        assert arrays.x.dtype == np.float64 and arrays.x.shape == (7, 5)
+        assert arrays.x.tobytes() == np.stack([e.features for e in ds]).tobytes()
+        assert arrays.y.tolist() == [e.label for e in ds]
+        assert as_samples(arrays) is arrays
+        assert as_samples(iter(ds)).x.tobytes() == arrays.x.tobytes()
+        assert len(as_samples([])) == 0
+        ints = as_samples([Example(np.array([1, 2]), 0)])
+        assert ints.x.dtype == np.float64 and ints.x.tolist() == [[1.0, 2.0]]
+
+    def test_blob_arrays_are_the_per_class_draws(self):
+        # centers first, then one standard-normal block per class in class order
+        got = blob_arrays(4, 6, 9, 5.0, 21)
+        rng = np.random.default_rng(21)
+        centers = rng.normal(size=(4, 6))
+        d = np.sqrt(((centers[:, None] - centers[None]) ** 2).sum(-1))
+        centers *= 5.0 / d[np.triu_indices(4, k=1)].min()
+        want = np.concatenate([c + rng.standard_normal(size=(9, 6)) for c in centers])
+        assert got.x.tobytes() == want.tobytes()
+        assert got.y.tolist() == [c for c in range(4) for _ in range(9)]
+        listed = gen_blobs(4, 6, 9, 5.0, 21)
+        assert [e.label for e in listed] == got.y.tolist()
+        assert np.stack([e.features for e in listed]).tobytes() == want.tobytes()
 
 
 def _check_partition(part, n, num_clients):
@@ -253,6 +304,20 @@ class TestPoisonDataset:
             with pytest.raises(ConfigError):
                 poison_dataset(ds, TriggerSpec((pos,), (1.0,), 0), 1.0, 0)
 
+    def test_full_rate_does_not_depend_on_the_seed(self):
+        rng = np.random.default_rng(3)
+        ds = [Example(rng.normal(size=4), l) for l in (0, 1, 2, 0, 3, 1)]
+        t = TriggerSpec((1, 3), (9.0, -9.0), 0)
+        a, b = poison_dataset(ds, t, 1.0, 1), poison_dataset(stacked(ds), t, 1.0, 2)
+        assert a.x.tobytes() == b.x.tobytes() and a.y.tolist() == b.y.tolist() == [0] * 6
+
+    def test_array_input_untouched(self):
+        arrays = stacked(self._ds([1, 2, 0]))
+        x0, y0 = arrays.x.copy(), arrays.y.copy()
+        out = poison_dataset(arrays, TriggerSpec((0, 2), (9.0, -9.0), 0), 0.5, 3)
+        assert np.array_equal(arrays.x, x0) and np.array_equal(arrays.y, y0)
+        assert not np.shares_memory(out.x, arrays.x)
+
     def test_input_untouched(self):
         ds = self._ds([1, 2, 3])
         items = list(ds)
@@ -280,12 +345,12 @@ class TestPoisonDataset:
         positions = data.draw(st.lists(st.integers(0, dim - 1), unique=True, max_size=dim))
         values = tuple(rng.normal(size=len(positions)) * 10)
         t = TriggerSpec(tuple(positions), values, target)
-        got = poison_dataset(ds, t, rate, seed)
         want = poison_dataset_oracle(ds, t, rate, seed)
-        assert [e.label for e in got] == [e.label for e in want]
-        for g, w in zip(got, want):
-            assert g.features.dtype == w.features.dtype == np.float64
-            assert g.features.tobytes() == w.features.tobytes()
+        for got in (poison_dataset(ds, t, rate, seed), poison_dataset(stacked(ds), t, rate, seed)):
+            assert [e.label for e in got] == [e.label for e in want]
+            for g, w in zip(got, want):
+                assert g.features.dtype == w.features.dtype == np.float64
+                assert g.features.tobytes() == w.features.tobytes()
 
 
 class TestEdgeCasePool:
@@ -306,11 +371,20 @@ class TestEdgeCasePool:
         pool = edge_case_pool(ds, 3, 0.25, 0)
         members = [e for e in ds if e.label == 3]
         center = np.stack([e.features for e in members]).mean(axis=0)
-        pool_ids = {id(e) for e in pool}
-        sel = [np.linalg.norm(e.features - center) for e in members if id(e) in pool_ids]
-        rest = [np.linalg.norm(e.features - center) for e in members if id(e) not in pool_ids]
+        # the pool holds copies of member rows; the features identify them
+        pooled = {e.features.tobytes() for e in pool}
+        assert len(pooled) == len(pool)
+        sel = [np.linalg.norm(e.features - center) for e in members if e.features.tobytes() in pooled]
+        rest = [np.linalg.norm(e.features - center) for e in members
+                if e.features.tobytes() not in pooled]
+        assert len(sel) == len(pool)
         assert min(sel) >= max(rest) - 1e-12
         assert np.mean(sel) >= np.mean(rest)
+
+    def test_arrays_equal_list(self):
+        ds = self._cluster(6)
+        a, b = edge_case_pool(ds, 3, 0.3, 0), edge_case_pool(stacked(ds), 3, 0.3, 0)
+        assert a.x.tobytes() == b.x.tobytes() and a.y.tolist() == b.y.tolist()
 
     def test_determinism(self):
         ds = self._cluster(9)
@@ -327,51 +401,3 @@ class TestEdgeCasePool:
         ds = self._cluster()
         with pytest.raises(ConfigError):
             edge_case_pool(ds, 3, 1.0, 0)
-
-
-def _write_idx(tmp_path, images, labels, image_magic=0x803, label_magic=0x801,
-               label_count=None, truncate_images=False):
-    n, rows, cols = images.shape
-    img_path = tmp_path / "images.idx3"
-    lbl_path = tmp_path / "labels.idx1"
-    payload = struct.pack(">iiii", image_magic, n, rows, cols) + images.astype(np.uint8).tobytes()
-    if truncate_images:
-        payload = payload[:-3]
-    img_path.write_bytes(payload)
-    count = label_count if label_count is not None else len(labels)
-    lbl_path.write_bytes(struct.pack(">ii", label_magic, count) + bytes(labels[:count]))
-    return img_path, lbl_path
-
-
-class TestLoadIdx:
-    def test_round_trip(self, tmp_path):
-        images = np.arange(2 * 28 * 28, dtype=np.uint64).reshape(2, 28, 28) % 256
-        img, lbl = _write_idx(tmp_path, images, [3, 7])
-        ds = load_idx(img, lbl)
-        assert len(ds) == 2
-        assert ds[0].features.shape == (784,)
-        assert ds[0].label == 3 and ds[1].label == 7
-
-    def test_pixel_scaling(self, tmp_path):
-        images = np.full((1, 2, 2), 255, dtype=np.uint64)
-        img, lbl = _write_idx(tmp_path, images, [1])
-        ds = load_idx(img, lbl)
-        assert np.all(ds[0].features == 1.0)
-
-    def test_count_mismatch(self, tmp_path):
-        images = np.zeros((3, 2, 2), dtype=np.uint64)
-        img, lbl = _write_idx(tmp_path, images, [0, 1, 2, 3], label_count=4)
-        with pytest.raises(FormatError, match="count"):
-            load_idx(img, lbl)
-
-    def test_bad_magic(self, tmp_path):
-        images = np.zeros((1, 2, 2), dtype=np.uint64)
-        img, lbl = _write_idx(tmp_path, images, [0], image_magic=0x123)
-        with pytest.raises(FormatError, match="magic"):
-            load_idx(img, lbl)
-
-    def test_truncated(self, tmp_path):
-        images = np.zeros((2, 3, 3), dtype=np.uint64)
-        img, lbl = _write_idx(tmp_path, images, [0, 1], truncate_images=True)
-        with pytest.raises(FormatError, match="byte"):
-            load_idx(img, lbl)

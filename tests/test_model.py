@@ -17,7 +17,7 @@ from fedsim.model import (
     loss_and_grad,
 )
 
-from helpers import finite_diff_grad, rel_grad_error
+from helpers import finite_diff_grad, rel_grad_error, sgd_oracle, stacked
 
 SOFTMAX = ModelSpec(4, 3)
 MLP = ModelSpec(4, 3, hidden_dim=8)
@@ -222,3 +222,33 @@ class TestEvaluate:
         eligible = y != 1
         x[:, 0] = 6.0
         assert evaluate_asr(params, spec, ds, t) == accuracy(params, spec, x[eligible], 1)
+
+
+class TestArrayInput:
+    """Every routine gives the same bits on a list of Examples and on its arrays."""
+
+    @pytest.mark.parametrize("spec", [SOFTMAX, MLP])
+    @pytest.mark.parametrize("batch_size", [5, 100])
+    def test_local_train(self, spec, batch_size):
+        rng = np.random.default_rng(11)
+        data = _random_batch(rng, spec, 23)
+        arrays = stacked(data)
+        x0, y0 = arrays.x.copy(), arrays.y.copy()
+        start = init_params(spec, 4)
+        tspec = TrainSpec(local_epochs=3, batch_size=batch_size, learning_rate=0.1, seed=9)
+        got = local_train(start, spec, arrays, tspec)
+        assert got.tobytes() == local_train(start, spec, data, tspec).tobytes()
+        assert got.tobytes() == sgd_oracle(start, spec, data, tspec).tobytes()
+        assert np.array_equal(arrays.x, x0) and np.array_equal(arrays.y, y0)
+
+    def test_loss_and_evaluators(self):
+        rng = np.random.default_rng(12)
+        data = _random_batch(rng, MLP, 30)
+        arrays = stacked(data)
+        params = init_params(MLP, 2)
+        loss_l, grad_l = loss_and_grad(params, MLP, data)
+        loss_a, grad_a = loss_and_grad(params, MLP, arrays)
+        assert loss_l == loss_a and grad_l.tobytes() == grad_a.tobytes()
+        assert evaluate_acc(params, MLP, arrays) == evaluate_acc(params, MLP, data)
+        t = TriggerSpec((1,), (3.0,), 2)
+        assert evaluate_asr(params, MLP, arrays, t) == evaluate_asr(params, MLP, data, t)

@@ -3,6 +3,7 @@ import json
 import math
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,44 @@ class TestRunRound:
         state2, _ = run_round(state, cfg)
         assert state2.test_x is state.test_x and state2.asr_x is state.asr_x
 
+    def test_clients_hold_their_rows_in_partition_order(self):
+        cfg = small_config(malicious=3, attack="model_replacement", force_c=1)
+        state = build_state(cfg)
+        assert len(state.clients) == cfg.total_clients == len(state.partition)
+        for cid, rows in state.partition.items():
+            mine = state.clients[cid]
+            want = np.stack([state.dataset[j].features for j in rows])
+            assert mine.x.dtype == np.float64 and mine.x.tobytes() == want.tobytes()
+            assert mine.y.tolist() == [state.dataset[j].label for j in rows]
+        state2, _ = run_round(state, cfg)
+        assert state2.clients is state.clients
+
+    def test_dataset_rows_are_views_of_the_training_matrix(self):
+        cfg = small_config()
+        state = build_state(cfg)
+        assert len(state.dataset) == cfg.data.n_per_class * cfg.data.num_classes
+        rows = list(state.dataset)
+        assert all(np.shares_memory(e.features, state.dataset.x) for e in rows)
+        assert [e.label for e in rows] == state.dataset.y.tolist()
+
+    def test_train_one_passes_each_client_its_arrays(self, monkeypatch):
+        cfg = small_config(malicious=3, attack="model_replacement", force_c=1)
+        state = build_state(cfg)
+        seen = []
+
+        def spy(real):
+            def wrapped(global_params, spec, dataset, tspec, *rest):
+                seen.append((dataset, len(dataset)))
+                return real(global_params, spec, dataset, tspec, *rest)
+            return wrapped
+
+        monkeypatch.setattr(sim, "local_train", spy(sim.local_train))
+        monkeypatch.setattr(sim, "malicious_local_train", spy(sim.malicious_local_train))
+        run_round(state, cfg)
+        ids = sim._sample_forced(cfg, 1)
+        assert [d for d, _ in seen] == [state.clients[i] for i in ids]
+        assert [n for _, n in seen] == [len(state.partition[i]) for i in ids]
+
     def test_conservation_and_self_consistency(self):
         cfg = small_config(defense="faros", malicious=3, attack="data_poison",
                            accept_count=2, core_size=2)
@@ -203,6 +242,23 @@ class TestRunSimulation:
         with pytest.raises(ConfigError):
             run_simulation(cfg)
 
+    def test_forced_sampling_needs_enough_honest_clients(self):
+        # 6 per round with 1 pinned attacker needs 5 honest clients; 10 - 8 = 2 exist
+        cfg = small_config(malicious=8, attack="model_replacement", force_c=1)
+        cfg.total_clients, cfg.clients_per_round = 10, 6
+        with pytest.raises(ConfigError, match="force_c_per_round"):
+            cfg.validate()
+        with pytest.raises(ConfigError, match="force_c_per_round"):
+            run_simulation(cfg)
+        # 4 pinned attackers leave exactly 2 honest slots: every round trains 6
+        cfg.force_c_per_round = 4
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cfg.validate()
+        for r in range(1, 6):
+            ids = sim._sample_forced(cfg, r)
+            assert len(set(ids)) == 6 and sum(i < 8 for i in ids) == 4
+
     def test_replacement_attack_implants_under_plain_averaging(self):
         cfg = standard_config(defense="fedavg", attack="model_replacement",
                               rounds=50, boost=20.0)
@@ -256,6 +312,29 @@ class TestWriteResults:
         assert got["d_t"] == float(f"{recs[0].d_t:.9g}")
         assert got["accepted"] == [1, 2]
         assert "final_acc" in doc["summary"]
+
+    def test_json_is_strict_with_null_for_undefined_values(self, tmp_path):
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        path = tmp_path / "out.json"
+        write_results(_toy_records(), path, "json")
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        assert doc["records"][1]["d_t"] is None and doc["records"][1]["phi_t"] is None
+        assert doc["records"][0]["d_t"] == float(f"{_toy_records()[0].d_t:.9g}")
+        write_results([], path, "json")
+        doc = json.loads(path.read_text(), parse_constant=reject)
+        assert set(doc["summary"].values()) == {None}
+        # the CSV keeps nan
+        write_results(_toy_records(), tmp_path / "out.csv", "csv")
+        assert ",nan,nan," in (tmp_path / "out.csv").read_text()
+
+    def test_json_of_a_fedavg_run_is_strict(self, tmp_path):
+        path = tmp_path / "run.json"
+        write_results(run_simulation(small_config(rounds=2)), path, "json")
+        doc = json.loads(path.read_text(), parse_constant=lambda name: pytest.fail(name))
+        assert [r["d_t"] for r in doc["records"]] == [None, None]
+        assert doc["summary"]["mean_detection_precision"] is None
 
     def test_summary_consistency(self):
         recs = _toy_records()
