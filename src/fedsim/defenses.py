@@ -139,7 +139,7 @@ def _sorted_updates(updates) -> list[ClientUpdate]:
 
 
 def _mean_delta(updates, sample_weighted: bool = False) -> np.ndarray:
-    stack = np.stack([u.delta for u in updates])
+    stack = np.array([u.delta for u in updates])
     if sample_weighted:
         weights = np.array([u.num_samples for u in updates], dtype=np.float64)
         weights /= weights.sum()
@@ -324,7 +324,7 @@ def _scaled_pipeline(updates, prev_global, cfg: DefenseConfig, norm_strategy, ph
     diag = RoundDiagnostics()
 
     normalized, zero = linalg.normalize_rows(
-        np.stack([u.delta for u in updates]), norm_strategy
+        np.array([u.delta for u in updates]), norm_strategy
     )
     live = []
     for u, is_zero in zip(updates, zero.tolist()):

@@ -124,8 +124,10 @@ def cosine_distance(a, b) -> float:
         raise DimensionMismatchError(f"dim mismatch: {a.size} vs {b.size}")
     wa = a.astype(np.longdouble)
     wb = b.astype(np.longdouble)
-    sq_a = np.dot(wa, wa)
-    sq_b = np.dot(wb, wb)
+    # ndarray.dot runs the same sequential long-double loop as np.dot
+    # without its dispatch layer
+    sq_a = wa.dot(wa)
+    sq_b = wb.dot(wb)
     if not math.isfinite(sq_a + sq_b):
         _check_finite(a)
         _check_finite(b)
@@ -133,7 +135,7 @@ def cosine_distance(a, b) -> float:
     nb = np.sqrt(sq_b)
     if na == 0.0 or nb == 0.0:
         raise ZeroVectorError("cosine distance undefined for zero vectors")
-    d = 1.0 - float(np.dot(wa, wb) / (na * nb))
+    d = 1.0 - float(wa.dot(wb) / (na * nb))
     return min(max(d, 0.0), 2.0)
 
 
