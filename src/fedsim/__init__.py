@@ -49,7 +49,7 @@ from .errors import (
     NonFiniteUpdateError,
     ZeroVectorError,
 )
-from .linalg import cosine_distance, dispersion, mean_vector, normalize, scalar_variance
+from .linalg import cosine_distance, dispersion, normalize
 from .model import (
     ModelSpec,
     TrainSpec,

@@ -7,6 +7,7 @@ Attackers collude only through a shared config and trigger; every routine is
 a pure function of its arguments.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,9 @@ class AttackConfig:
             raise ConfigError(f"attack.poison_rate must be in (0, 1], got {self.poison_rate}")
         if not 0 <= self.alpha <= 1:
             raise ConfigError(f"attack.alpha must be in [0, 1], got {self.alpha}")
-        if self.boost is not None and not self.boost >= 1:
-            raise ConfigError(f"attack.boost must be >= 1, got {self.boost}")
+        if self.boost is not None and not 1 <= self.boost < math.inf:
+            raise ConfigError(f"attack.boost must be finite and >= 1, got {self.boost}")
+        # an infinite pgd_radius means no projection
         if not self.pgd_radius > 0:
             raise ConfigError(f"attack.pgd_radius must be > 0, got {self.pgd_radius}")
         if not 0 < self.edge_fraction < 1:

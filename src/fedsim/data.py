@@ -89,6 +89,8 @@ class TriggerSpec:
                 f"trigger.positions and trigger.values must have equal length, got "
                 f"{len(self.positions)} and {len(self.values)}"
             )
+        if not all(map(math.isfinite, self.values)):
+            raise ConfigError(f"trigger.values must be finite, got {self.values}")
 
 
 def blob_arrays(

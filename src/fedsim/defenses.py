@@ -4,8 +4,9 @@ Baselines (plain averaging, Multi-Krum, weak differential privacy, a
 static-power single-seed filter) plus the adaptive two-stage filter that
 combines dispersion-driven power scaling with core-set centroid filtering.
 
-Every rule sorts the incoming updates by ascending client id before doing
-any arithmetic, so results are bit-identical under permutation of the input
+A rule reads only the round's updates and its :class:`DefenseConfig`. Every
+rule sorts the incoming updates by ascending client id before doing any
+arithmetic, so results are bit-identical under permutation of the input
 and reductions have a fixed summation order. All tie-breaks are by ascending
 client id.
 """
@@ -72,18 +73,19 @@ class DefenseConfig:
             raise ConfigError(
                 f"defense.kind must be one of {', '.join(DEFENSE_KINDS)}; got {self.kind!r}"
             )
-        if not self.phi_max > 1:
-            raise ConfigError(f"defense.phi_max must be > 1, got {self.phi_max}")
-        if not self.kappa > 0:
-            raise ConfigError(f"defense.kappa must be > 0, got {self.kappa}")
+        if not 1 < self.phi_max < math.inf:
+            raise ConfigError(f"defense.phi_max must be finite and > 1, got {self.phi_max}")
+        if not 0 < self.kappa < math.inf:
+            raise ConfigError(f"defense.kappa must be finite and > 0, got {self.kappa}")
+        # an infinite clip_norm means no clipping
         if not self.clip_norm > 0:
             raise ConfigError(f"defense.clip_norm must be > 0, got {self.clip_norm}")
-        if not self.noise_std >= 0:
-            raise ConfigError(f"defense.noise_std must be >= 0, got {self.noise_std}")
-        if not self.phi_static >= 1:
-            raise ConfigError(f"defense.phi_static must be >= 1, got {self.phi_static}")
-        if not self.global_lr > 0:
-            raise ConfigError(f"defense.global_lr must be > 0, got {self.global_lr}")
+        if not 0 <= self.noise_std < math.inf:
+            raise ConfigError(f"defense.noise_std must be finite and >= 0, got {self.noise_std}")
+        if not 1 <= self.phi_static < math.inf:
+            raise ConfigError(f"defense.phi_static must be finite and >= 1, got {self.phi_static}")
+        if not 0 < self.global_lr < math.inf:
+            raise ConfigError(f"defense.global_lr must be finite and > 0, got {self.global_lr}")
         if self.norm_strategy not in linalg.NORM_STRATEGIES:
             raise ConfigError(
                 f"defense.norm_strategy must be one of {', '.join(linalg.NORM_STRATEGIES)}; "
@@ -98,8 +100,7 @@ class DefenseConfig:
             raise ConfigError(f"core_size must be in [1, {k}], got {l}")
         if not 1 <= m <= k:
             raise ConfigError(f"accept_count must be in [1, {k}], got {m}")
-        out = DefenseConfig(**{**self.__dict__, "core_size": l, "accept_count": m})
-        return out
+        return DefenseConfig(**{**self.__dict__, "core_size": l, "accept_count": m})
 
 
 @dataclass
@@ -212,7 +213,7 @@ def weak_dp(updates, clip_norm: float, noise_std: float, seed: int) -> DefenseOu
         norm = float(np.linalg.norm(u.delta))
         scale = min(1.0, clip_norm / norm) if norm > 0 else 1.0
         clipped.append(u.delta * scale if scale < 1.0 else u.delta)
-    mean = linalg.mean_vector(clipped)
+    mean = np.mean(np.array(clipped), axis=0)
     if noise_std > 0:
         rng = np.random.default_rng(seed)
         mean = mean + rng.normal(0.0, noise_std, size=mean.shape)
@@ -303,28 +304,23 @@ def _fallback_outcome(updates, diag: RoundDiagnostics, sample_weighted: bool) ->
     return out
 
 
-def _scaled_pipeline(updates, prev_global, cfg: DefenseConfig, norm_strategy, phi_fn, single_core: bool):
+def _scaled_pipeline(updates, cfg: DefenseConfig, single_core: bool) -> DefenseOutcome:
     """Shared two-stage filter behind the adaptive and static-power rules.
 
     Pipeline: normalize each delta -> dispersion -> scaling power ->
     power-scale -> mutual-similarity core set -> centroid filtering ->
-    uniform mean of the accepted raw deltas. The deltas are stacked once and
-    every stage works on rows of that matrix. Zero-delta clients are
-    excluded up front; degenerate rounds fall back to plain averaging over
-    all updates, flagged in the diagnostics.
+    uniform mean of the accepted raw deltas. ``single_core`` selects the
+    static rule: power ``cfg.phi_static`` and a one-client core set. The
+    deltas are stacked once and every stage works on rows of that matrix.
+    Zero-delta clients are excluded up front; degenerate rounds fall back to
+    plain averaging over all updates, flagged in the diagnostics.
     """
     updates = _sorted_updates(updates)
-    if prev_global is not None:
-        prev_global = linalg.as_vector(prev_global)
-        if prev_global.size != updates[0].delta.size:
-            raise DimensionMismatchError(
-                f"global model dim {prev_global.size} != delta dim {updates[0].delta.size}"
-            )
     cfg = cfg.resolved(len(updates))
     diag = RoundDiagnostics()
 
     normalized, zero = linalg.normalize_rows(
-        np.array([u.delta for u in updates]), norm_strategy
+        np.array([u.delta for u in updates]), cfg.norm_strategy
     )
     live = []
     for u, is_zero in zip(updates, zero.tolist()):
@@ -338,20 +334,20 @@ def _scaled_pipeline(updates, prev_global, cfg: DefenseConfig, norm_strategy, ph
         else:
             live.append(u)
 
-    needed = 1 if single_core else cfg.core_size
-    if len(live) < 2 or len(live) < max(needed, cfg.accept_count):
+    core_size = 1 if single_core else cfg.core_size
+    if len(live) < 2 or len(live) < max(core_size, cfg.accept_count):
         return _fallback_outcome(updates, diag, cfg.sample_weighted)
 
     try:
         diag.d_t = linalg.dispersion(normalized)
     except DegenerateCentroidError:
         diag.d_t = DISPERSION_SENTINEL
-    diag.phi_t = phi_fn(diag.d_t)
+    diag.phi_t = cfg.phi_static if single_core else adaptive_phi(diag.d_t, cfg.phi_max, cfg.kappa)
 
     scaled = differential_scale(normalized, diag.phi_t)
     scores = pairwise_scores(scaled)
     diag.scores = {u.client_id: s for u, s in zip(live, scores)}
-    core = select_core_set(scores, 1 if single_core else cfg.core_size)
+    core = select_core_set(scores, core_size)
     diag.core_set = [live[i].client_id for i in core]
 
     try:
@@ -368,9 +364,7 @@ def _scaled_pipeline(updates, prev_global, cfg: DefenseConfig, norm_strategy, ph
     )
 
 
-def faros_aggregate(
-    updates, prev_global, cfg: DefenseConfig, norm_strategy: str | None = None
-) -> DefenseOutcome:
+def faros_aggregate(updates, cfg: DefenseConfig) -> DefenseOutcome:
     """Adaptive two-stage filter: dispersion-driven scaling plus core-set filtering.
 
     The scaling power adapts each round to the dispersion of the normalized
@@ -378,18 +372,10 @@ def faros_aggregate(
     core set rather than any single client. With ``accept_count == k`` the
     result equals :func:`fedavg` element-wise.
     """
-    strategy = norm_strategy if norm_strategy is not None else cfg.norm_strategy
-    return _scaled_pipeline(
-        updates,
-        prev_global,
-        cfg,
-        strategy,
-        phi_fn=lambda d: adaptive_phi(d, cfg.phi_max, cfg.kappa),
-        single_core=False,
-    )
+    return _scaled_pipeline(updates, cfg, single_core=False)
 
 
-def scope_static_aggregate(updates, prev_global, cfg: DefenseConfig) -> DefenseOutcome:
+def scope_static_aggregate(updates, cfg: DefenseConfig) -> DefenseOutcome:
     """Static-power single-seed baseline.
 
     Same pipeline with two deliberate weaknesses: the scaling power is the
@@ -397,21 +383,17 @@ def scope_static_aggregate(updates, prev_global, cfg: DefenseConfig) -> DefenseO
     single most mutually similar client, whose vector alone becomes the
     filtering anchor.
     """
-    return _scaled_pipeline(
-        updates,
-        prev_global,
-        cfg,
-        cfg.norm_strategy,
-        phi_fn=lambda d: cfg.phi_static,
-        single_core=True,
-    )
+    return _scaled_pipeline(updates, cfg, single_core=True)
 
 
-def aggregate(
-    updates, prev_global, cfg: DefenseConfig, seed: int = 0
-) -> DefenseOutcome:
-    """Dispatch to the rule selected by ``cfg.kind``; ``updates`` may be any iterable."""
+def aggregate(updates, cfg: DefenseConfig, seed: int = 0) -> DefenseOutcome:
+    """Dispatch to the rule selected by ``cfg.kind``; ``seed`` keys ``weak_dp``'s noise.
+
+    ``updates`` may be any iterable; an empty one raises :class:`EmptySetError`.
+    """
     updates = list(updates)
+    if not updates:
+        raise EmptySetError("no client updates to aggregate")
     if cfg.kind == "fedavg":
         return fedavg(updates, cfg.sample_weighted)
     if cfg.kind == "multi_krum":
@@ -420,7 +402,7 @@ def aggregate(
     if cfg.kind == "weak_dp":
         return weak_dp(updates, cfg.clip_norm, cfg.noise_std, seed)
     if cfg.kind == "scope_static":
-        return scope_static_aggregate(updates, prev_global, cfg)
+        return scope_static_aggregate(updates, cfg)
     if cfg.kind == "faros":
-        return faros_aggregate(updates, prev_global, cfg)
+        return faros_aggregate(updates, cfg)
     raise ConfigError(f"unknown defense kind {cfg.kind!r}")

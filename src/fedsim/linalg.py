@@ -139,26 +139,6 @@ def cosine_distance(a, b) -> float:
     return min(max(d, 0.0), 2.0)
 
 
-def mean_vector(vs) -> np.ndarray:
-    """Element-wise arithmetic mean of a nonempty sequence of vectors.
-
-    Fixed summation order (the order of ``vs``), so the result is
-    bit-reproducible for a given input ordering.
-    """
-    m = as_matrix(vs)
-    if not m.shape[0]:
-        raise EmptySetError("mean of an empty vector set")
-    return np.mean(m, axis=0)
-
-
-def scalar_variance(xs) -> float:
-    """Population variance (divide by N) of a nonempty sequence of reals."""
-    xs = np.asarray(list(xs), dtype=np.float64)
-    if xs.size == 0:
-        raise EmptySetError("variance of an empty sequence")
-    return float(np.var(xs))
-
-
 def dispersion(vs) -> float:
     """Spread of a round's vectors: variance of cosine distances to their centroid.
 
@@ -179,4 +159,4 @@ def dispersion(vs) -> float:
     if not np.any(centroid):
         raise DegenerateCentroidError("round centroid is the zero vector")
     dists = [cosine_distance(v, centroid) for v in vs]
-    return scalar_variance(dists)
+    return float(np.var(dists))

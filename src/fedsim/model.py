@@ -143,30 +143,23 @@ def forward(params: np.ndarray, spec: ModelSpec, features) -> np.ndarray:
 
 def _loss_grad_arrays(params, spec, x, y):
     n = x.shape[0]
-    c = spec.num_classes
     if spec.hidden_dim == 0:
         w, b = _unpack(params, spec)
         z = x @ w.T + b
-        zs = z - np.max(z, axis=1, keepdims=True)
-        lse = np.log(np.sum(np.exp(zs), axis=1))
-        loss = float(np.mean(lse - zs[np.arange(n), y]))
-        p = np.exp(zs - lse[:, None])
-        g = p
-        g[np.arange(n), y] -= 1.0
-        g /= n
-        return loss, np.concatenate([(g.T @ x).ravel(), g.sum(axis=0)])
-
-    w1, b1, w2, b2 = _unpack(params, spec)
-    pre = x @ w1.T + b1
-    hidden = np.maximum(pre, 0.0)
-    z = hidden @ w2.T + b2
+    else:
+        w1, b1, w2, b2 = _unpack(params, spec)
+        pre = x @ w1.T + b1
+        hidden = np.maximum(pre, 0.0)
+        z = hidden @ w2.T + b2
+    # softmax cross-entropy and its gradient with respect to the logits
     zs = z - np.max(z, axis=1, keepdims=True)
     lse = np.log(np.sum(np.exp(zs), axis=1))
     loss = float(np.mean(lse - zs[np.arange(n), y]))
-    p = np.exp(zs - lse[:, None])
-    g = p
+    g = np.exp(zs - lse[:, None])
     g[np.arange(n), y] -= 1.0
     g /= n
+    if spec.hidden_dim == 0:
+        return loss, np.concatenate([(g.T @ x).ravel(), g.sum(axis=0)])
     gw2 = g.T @ hidden
     gb2 = g.sum(axis=0)
     dh = g @ w2

@@ -12,7 +12,7 @@ import math
 import os
 import time
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -24,8 +24,6 @@ from .model import ModelSpec, TrainSpec, accuracy, init_params, local_train, phi
 
 # Seed-stream tags (see _derive_seed).
 _TAG_DATA, _TAG_PARTITION, _TAG_CLIENT, _TAG_DP_NOISE, _TAG_INIT = range(5)
-
-CSV_HEADER = "round,acc,asr,d_t,phi_t,accepted,malicious_selected,tp,fp,fn,wall_ms"
 
 
 @dataclass
@@ -163,6 +161,9 @@ class RoundRecord:
     wall_ms: float
 
 
+CSV_HEADER = ",".join(f.name for f in fields(RoundRecord))
+
+
 @dataclass
 class SimState:
     """Everything carried between rounds.
@@ -291,10 +292,7 @@ def run_round(state: SimState, cfg: SimConfig) -> tuple[SimState, RoundRecord]:
     updates = [_train_one(state, cfg, acfg, i) for i in ids]
 
     outcome = aggregate(
-        updates,
-        state.global_params,
-        cfg.defense,
-        seed=_derive_seed(cfg.master_seed, _TAG_DP_NOISE, r),
+        updates, cfg.defense, seed=_derive_seed(cfg.master_seed, _TAG_DP_NOISE, r)
     )
     new_params = state.global_params + cfg.defense.global_lr * outcome.aggregated_delta
 
@@ -357,6 +355,15 @@ def _ids(ids) -> str:
     return ";".join(str(i) for i in ids)
 
 
+# Per annotation of a RoundRecord field: how the CSV and the JSON write it.
+_CSV_FORMAT = {int: str, float: _fmt, list[int]: _ids}
+_JSON_FORMAT = {int: int, float: _json_float, list[int]: list}
+
+
+def _row(record: RoundRecord, formats: dict) -> dict:
+    return {f.name: formats[f.type](getattr(record, f.name)) for f in fields(RoundRecord)}
+
+
 def summarize(records) -> dict:
     """Final metrics plus mean detection precision/recall over defined rounds."""
     if not records:
@@ -383,51 +390,20 @@ def summarize(records) -> dict:
 def write_results(records, path, format: str = "csv", config_echo: dict | None = None):
     """Persist records as CSV (fixed header) or JSON (config echo + summary).
 
-    Floats are serialized with 9 significant digits; id lists are
-    semicolon-separated in the CSV. An undefined value (NaN, such as ``d_t``
-    under a non-filtering defense) is ``nan`` in the CSV and ``null`` in the
-    JSON, which is strict JSON. Writes are atomic (temp file + rename).
+    The CSV columns and the JSON record keys are the fields of
+    :class:`RoundRecord` in order, each written by its annotation: floats
+    with 9 significant digits, id lists semicolon-separated in the CSV, ints
+    as they are. An undefined float (NaN, such as ``d_t`` under a
+    non-filtering defense) is ``nan`` in the CSV and ``null`` in the JSON,
+    which is strict JSON. Writes are atomic (temp file + rename).
     """
     if format == "csv":
-        lines = [CSV_HEADER]
-        for r in records:
-            lines.append(
-                ",".join(
-                    [
-                        str(r.round),
-                        _fmt(r.acc),
-                        _fmt(r.asr),
-                        _fmt(r.d_t),
-                        _fmt(r.phi_t),
-                        _ids(r.accepted),
-                        _ids(r.malicious_selected),
-                        str(r.tp),
-                        str(r.fp),
-                        str(r.fn),
-                        _fmt(r.wall_ms),
-                    ]
-                )
-            )
+        lines = [CSV_HEADER, *(",".join(_row(r, _CSV_FORMAT).values()) for r in records)]
         payload = "\n".join(lines) + "\n"
     elif format == "json":
         doc = {
             "config": config_echo or {},
-            "records": [
-                {
-                    "round": r.round,
-                    "acc": _json_float(r.acc),
-                    "asr": _json_float(r.asr),
-                    "d_t": _json_float(r.d_t),
-                    "phi_t": _json_float(r.phi_t),
-                    "accepted": list(r.accepted),
-                    "malicious_selected": list(r.malicious_selected),
-                    "tp": r.tp,
-                    "fp": r.fp,
-                    "fn": r.fn,
-                    "wall_ms": _json_float(r.wall_ms),
-                }
-                for r in records
-            ],
+            "records": [_row(r, _JSON_FORMAT) for r in records],
             "summary": {k: _json_float(v) for k, v in summarize(records).items()},
         }
         payload = json.dumps(doc, indent=2, allow_nan=False) + "\n"

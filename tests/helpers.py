@@ -252,7 +252,7 @@ def _list_mean(updates, sample_weighted: bool) -> np.ndarray:
         weights = np.array([u.num_samples for u in updates], dtype=np.float64)
         weights /= weights.sum()
         return weights @ np.stack([u.delta for u in updates])
-    return linalg.mean_vector([u.delta.tolist() for u in updates])
+    return np.mean(np.array([u.delta.tolist() for u in updates]), axis=0)
 
 
 def scaled_filter_oracle(updates, cfg: DefenseConfig, single_core: bool) -> DefenseOutcome:

@@ -146,7 +146,7 @@ def test_criterion_04_fedavg_equivalence():
         dim = int(rng.integers(2, 50))
         ups = [ClientUpdate(i, rng.normal(size=dim)) for i in range(k)]
         cfg = DefenseConfig(kind="faros", core_size=int(rng.integers(1, k + 1)), accept_count=k)
-        out = faros_aggregate(ups, None, cfg)
+        out = faros_aggregate(ups, cfg)
         ref = fedavg(ups)
         assert np.array_equal(out.aggregated_delta, ref.aggregated_delta), f"case {case}"
     report(4, "fedavg equivalence at m=k", "100 fuzzed sets, 0 ulp")
@@ -229,8 +229,8 @@ def test_criterion_09_rcc_vs_single_seed():
     scope_bad = faros_bad = 0
     for seed in range(100):
         ups = make_duplicated_malicious_instance(seed)
-        scope = scope_static_aggregate(ups, None, cfg)
-        far = faros_aggregate(ups, None, cfg)
+        scope = scope_static_aggregate(ups, cfg)
+        far = faros_aggregate(ups, cfg)
         scope_bad += any(i < 5 for i in scope.accepted)
         faros_bad += any(i < 5 for i in far.accepted)
     assert scope_bad >= 50

@@ -243,6 +243,13 @@ class TestValidateConfig:
             ("data.n_per_class", "4"),
             ("attack.boost", "nan"),
             ("defense.phi_max", "nan"),
+            ("defense.global_lr", "inf"),
+            ("trigger.values", "nan,1.5,1.5"),
+            ("attack.boost", "inf"),
+            ("defense.noise_std", "inf"),
+            ("defense.phi_max", "inf"),
+            ("defense.phi_static", "inf"),
+            ("defense.kappa", "inf"),
             ("eval_every", "101"),
             # with 45 of 50 clients malicious, 9 honest slots cannot be filled
             ("force_c_per_round", "1"),

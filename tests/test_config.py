@@ -222,6 +222,19 @@ MALFORMED = {
     "compare.defenses": "fedavg,median",
 }
 
+# A second rejected value for the float keys whose checks must also refuse
+# non-finite input (an infinite clip_norm or pgd_radius is allowed: it means
+# no clipping or no projection).
+NON_FINITE = {
+    "trigger.values": "nan,1.5,1.5",
+    "attack.boost": "inf",
+    "defense.phi_max": "inf",
+    "defense.kappa": "inf",
+    "defense.noise_std": "inf",
+    "defense.phi_static": "inf",
+    "defense.global_lr": "inf",
+}
+
 
 def _flat(obj, prefix=""):
     out = {}
@@ -279,9 +292,10 @@ def test_malformed_table_covers_every_key():
 
 @pytest.mark.parametrize("key", KEYS)
 def test_malformed_value_exit_2_naming_key(key, capsys):
-    code = main(["validate-config", "--config", str(REPO_CONFIGS / "standard.cfg"),
-                 "--set", f"{key}={MALFORMED[key]}"])
-    err = capsys.readouterr().err
-    assert code == 2, err
-    assert key in err
-    assert "Traceback" not in err
+    for value in filter(None, (MALFORMED[key], NON_FINITE.get(key))):
+        code = main(["validate-config", "--config", str(REPO_CONFIGS / "standard.cfg"),
+                     "--set", f"{key}={value}"])
+        err = capsys.readouterr().err
+        assert code == 2, (value, err)
+        assert key in err
+        assert "Traceback" not in err

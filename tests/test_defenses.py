@@ -284,7 +284,7 @@ class TestFarosAggregate:
     def test_identical_clients(self):
         delta = np.array([0.5, -0.25, 1.0, 0.0])  # dyadic values average exactly
         ups = _updates([delta] * 8)
-        out = faros_aggregate(ups, None, _cfg(core_size=3, accept_count=5))
+        out = faros_aggregate(ups, _cfg(core_size=3, accept_count=5))
         assert out.accepted == [0, 1, 2, 3, 4]
         assert np.array_equal(out.aggregated_delta, delta)
         assert out.diagnostics.phi_t == 3.0  # zero dispersion
@@ -295,7 +295,7 @@ class TestFarosAggregate:
             k = int(rng.integers(2, 10))
             dim = int(rng.integers(2, 30))
             ups = _random_updates(rng, k, dim)
-            out = faros_aggregate(ups, None, _cfg(core_size=min(4, k), accept_count=k))
+            out = faros_aggregate(ups, _cfg(core_size=min(4, k), accept_count=k))
             ref = fedavg(ups)
             assert np.array_equal(out.aggregated_delta, ref.aggregated_delta)
             assert out.accepted == ref.accepted
@@ -310,16 +310,16 @@ class TestFarosAggregate:
                 plain_cosine(a, b) for i, a in enumerate(honest) for b in honest[i + 1:]
             ) <= 0.1
             assert min(plain_cosine(m, h) for m in mal for h in honest) >= 1.5
-            out = faros_aggregate(ups, None, _cfg())
+            out = faros_aggregate(ups, _cfg())
             assert out.accepted == [0, 1, 2, 3, 4, 5], seed
 
     def test_selection_invariant_under_single_client_rescale(self):
         rng = np.random.default_rng(9)
         ups = _random_updates(rng, 8, 10)
-        base = faros_aggregate(ups, None, _cfg(core_size=3, accept_count=5))
+        base = faros_aggregate(ups, _cfg(core_size=3, accept_count=5))
         scaled = [ClientUpdate(u.client_id, u.delta * (7.0 if u.client_id == 2 else 1.0))
                   for u in ups]
-        out = faros_aggregate(scaled, None, _cfg(core_size=3, accept_count=5))
+        out = faros_aggregate(scaled, _cfg(core_size=3, accept_count=5))
         assert out.accepted == base.accepted
         assert out.diagnostics.core_set == base.diagnostics.core_set
         assert np.allclose(
@@ -331,9 +331,9 @@ class TestFarosAggregate:
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(10)
         vs = [rng.normal(size=6) for _ in range(7)]
-        a = faros_aggregate(_updates(vs), None, _cfg(core_size=3, accept_count=4))
+        a = faros_aggregate(_updates(vs), _cfg(core_size=3, accept_count=4))
         perm = [6, 2, 0, 4, 1, 5, 3]
-        b = faros_aggregate(_updates([vs[i] for i in perm], ids=perm), None,
+        b = faros_aggregate(_updates([vs[i] for i in perm], ids=perm),
                             _cfg(core_size=3, accept_count=4))
         assert a.accepted == b.accepted
         assert np.array_equal(a.aggregated_delta, b.aggregated_delta)
@@ -343,7 +343,7 @@ class TestFarosAggregate:
         vs = [rng.normal(size=5) for _ in range(6)]
         ups = _updates(vs) + [ClientUpdate(6, np.zeros(5))]
         with pytest.warns(RuntimeWarning, match="all-zero"):
-            out = faros_aggregate(ups, None, _cfg(core_size=3, accept_count=5))
+            out = faros_aggregate(ups, _cfg(core_size=3, accept_count=5))
         assert 6 not in out.accepted
         assert out.diagnostics.excluded == [6]
         assert not out.diagnostics.fallback
@@ -351,7 +351,7 @@ class TestFarosAggregate:
     def test_fallback_when_too_few_survive(self):
         ups = _updates([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
         with pytest.warns(RuntimeWarning):
-            out = faros_aggregate(ups, None, _cfg(core_size=2, accept_count=3))
+            out = faros_aggregate(ups, _cfg(core_size=2, accept_count=3))
         assert out.diagnostics.fallback
         ref = fedavg(ups)
         assert np.array_equal(out.aggregated_delta, ref.aggregated_delta)
@@ -360,23 +360,16 @@ class TestFarosAggregate:
     def test_degenerate_dispersion_uses_sentinel(self):
         # two exactly opposite clients zero out the round centroid
         ups = _updates([[1.0, 0.0], [-1.0, 0.0]])
-        out = faros_aggregate(ups, None, _cfg(core_size=1, accept_count=2))
+        out = faros_aggregate(ups, _cfg(core_size=1, accept_count=2))
         assert out.diagnostics.d_t == DISPERSION_SENTINEL
         assert out.diagnostics.phi_t == 1.0
-
-    def test_dim_check_against_global(self):
-        from fedsim.errors import DimensionMismatchError
-
-        ups = _updates([[1.0, 2.0], [2.0, 1.0]])
-        with pytest.raises(DimensionMismatchError):
-            faros_aggregate(ups, np.zeros(3), _cfg(core_size=1, accept_count=2))
 
 
 class TestScopeStatic:
     def test_phi_is_static(self):
         rng = np.random.default_rng(12)
         ups = _random_updates(rng, 6, 8)
-        out = scope_static_aggregate(ups, None, _cfg(phi_static=1.5))
+        out = scope_static_aggregate(ups, _cfg(phi_static=1.5))
         assert out.diagnostics.phi_t == 1.5
         assert len(out.diagnostics.core_set) == 1
 
@@ -384,9 +377,9 @@ class TestScopeStatic:
         # force l = 1 and set the static power to the adaptive value
         rng = np.random.default_rng(13)
         ups = _random_updates(rng, 7, 9)
-        probe = faros_aggregate(ups, None, _cfg(core_size=1, accept_count=5))
+        probe = faros_aggregate(ups, _cfg(core_size=1, accept_count=5))
         static = scope_static_aggregate(
-            ups, None, _cfg(core_size=1, accept_count=5, phi_static=probe.diagnostics.phi_t)
+            ups, _cfg(core_size=1, accept_count=5, phi_static=probe.diagnostics.phi_t)
         )
         assert static.accepted == probe.accepted
         assert np.array_equal(static.aggregated_delta, probe.aggregated_delta)
@@ -399,8 +392,8 @@ class TestScopeStatic:
         for seed in range(20):
             ups = make_duplicated_malicious_instance(seed)
             cfg = _cfg()
-            scope = scope_static_aggregate(ups, None, cfg)
-            faros = faros_aggregate(ups, None, cfg)
+            scope = scope_static_aggregate(ups, cfg)
+            faros = faros_aggregate(ups, cfg)
             if any(i < 5 for i in scope.accepted) and not any(i < 5 for i in faros.accepted):
                 found += 1
         assert found >= 8  # the capture shows on roughly half the seeds
@@ -410,10 +403,9 @@ class TestAggregateDispatch:
     def test_all_kinds_run(self):
         rng = np.random.default_rng(14)
         ups = _random_updates(rng, 6, 8)
-        prev = np.zeros(8)
         for kind in ("fedavg", "multi_krum", "weak_dp", "scope_static", "faros"):
             cfg = DefenseConfig(kind=kind, core_size=3, accept_count=4, krum_f=1)
-            out = aggregate(ups, prev, cfg, seed=5)
+            out = aggregate(ups, cfg, seed=5)
             assert out.aggregated_delta.shape == (8,)
             assert len(out.accepted) >= 1
 
@@ -422,18 +414,23 @@ class TestAggregateDispatch:
         ups = _random_updates(rng, 7, 8)
         for kind in DEFENSE_KINDS:
             cfg = DefenseConfig(kind=kind, krum_f=1, noise_std=0.1)
-            a = aggregate(ups, np.zeros(8), cfg, seed=5)
-            b = aggregate((u for u in ups), np.zeros(8), cfg, seed=5)
+            a = aggregate(ups, cfg, seed=5)
+            b = aggregate((u for u in ups), cfg, seed=5)
             assert np.array_equal(a.aggregated_delta, b.aggregated_delta), kind
             assert a.accepted == b.accepted, kind
+
+    @pytest.mark.parametrize("kind", DEFENSE_KINDS)
+    def test_empty_input_raises_empty_set_error(self, kind):
+        with pytest.raises(EmptySetError):
+            aggregate([], DefenseConfig(kind=kind))
 
     def test_deterministic(self):
         rng = np.random.default_rng(15)
         ups = _random_updates(rng, 6, 8)
         for kind in ("fedavg", "multi_krum", "weak_dp", "scope_static", "faros"):
             cfg = DefenseConfig(kind=kind, core_size=3, accept_count=4, krum_f=1)
-            a = aggregate(ups, np.zeros(8), cfg, seed=5)
-            b = aggregate(ups, np.zeros(8), cfg, seed=5)
+            a = aggregate(ups, cfg, seed=5)
+            b = aggregate(ups, cfg, seed=5)
             assert np.array_equal(a.aggregated_delta, b.aggregated_delta), kind
 
 
@@ -476,10 +473,10 @@ def _run_with_warnings(fn, *args):
 
 
 def _assert_matches_oracle(ups, cfg):
-    faros, faros_warned = _run_with_warnings(faros_aggregate, ups, None, cfg)
+    faros, faros_warned = _run_with_warnings(faros_aggregate, ups, cfg)
     oracle, oracle_warned = _run_with_warnings(scaled_filter_oracle, ups, cfg, False)
     assert faros == oracle and faros_warned == oracle_warned
-    static, static_warned = _run_with_warnings(scope_static_aggregate, ups, None, cfg)
+    static, static_warned = _run_with_warnings(scope_static_aggregate, ups, cfg)
     oracle, oracle_warned = _run_with_warnings(scaled_filter_oracle, ups, cfg, True)
     assert static == oracle and static_warned == oracle_warned
 
@@ -508,7 +505,7 @@ class TestFilterMatchesPerVectorOracle:
         cfg = DefenseConfig(kind="faros", core_size=2, accept_count=3, norm_strategy=strategy)
         _assert_matches_oracle(_updates(vs), cfg)
         (_, _, _, _, _, _, _, excluded, fallback), warned = _run_with_warnings(
-            faros_aggregate, _updates(vs), None, cfg
+            faros_aggregate, _updates(vs), cfg
         )
         assert excluded == [1, 4] and not fallback
         assert [w.split(" sent")[0] for w in warned] == ["client 1", "client 4"]
@@ -518,14 +515,14 @@ class TestFilterMatchesPerVectorOracle:
         v = np.array([0.5, -2.0, 1.0])
         cfg = DefenseConfig(kind="faros", core_size=2, accept_count=1, norm_strategy=strategy)
         _assert_matches_oracle(_updates([v, -v]), cfg)
-        out = faros_aggregate(_updates([v, -v]), None, cfg)
+        out = faros_aggregate(_updates([v, -v]), cfg)
         assert out.diagnostics.fallback and out.diagnostics.d_t == DISPERSION_SENTINEL
         assert out.accepted == [0, 1]
 
     def test_too_few_live_clients_fall_back(self):
         ups = _updates([np.zeros(3), np.ones(3), np.zeros(3)])
         _assert_matches_oracle(ups, DefenseConfig(kind="faros"))
-        (*_, fallback), warned = _run_with_warnings(faros_aggregate, ups, None, DefenseConfig(kind="faros"))
+        (*_, fallback), warned = _run_with_warnings(faros_aggregate, ups, DefenseConfig(kind="faros"))
         assert fallback and len(warned) == 2
 
 

@@ -185,42 +185,6 @@ class TestMatrixInputs:
             linalg.normalize_rows(m, "l1")
 
 
-class TestMeanVector:
-    def test_examples(self):
-        assert np.allclose(linalg.mean_vector([[1, 1], [3, 3]]), [2, 2])
-        assert np.allclose(linalg.mean_vector([[5, -5]]), [5, -5])
-        sym = [[1, 0], [0, 1], [-1, 0], [0, -1]]
-        assert np.allclose(linalg.mean_vector(sym), [0, 0])
-
-    def test_empty(self):
-        with pytest.raises(EmptySetError):
-            linalg.mean_vector([])
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            linalg.mean_vector([[1, 2], [1, 2, 3]])
-
-
-class TestScalarVariance:
-    def test_singleton(self):
-        assert linalg.scalar_variance([3]) == 0.0
-
-    def test_pair(self):
-        assert linalg.scalar_variance([0, 2]) == 1.0
-
-    def test_direct_formula(self):
-        # independent arithmetic: mean 2.5, squared deviations sum to 5
-        xs = [1, 2, 3, 4]
-        mean = sum(xs) / 4
-        expected = sum((x - mean) ** 2 for x in xs) / 4
-        assert expected == 1.25
-        assert np.isclose(linalg.scalar_variance(xs), expected)
-
-    def test_empty(self):
-        with pytest.raises(EmptySetError):
-            linalg.scalar_variance([])
-
-
 class TestDispersion:
     def test_identical_copies(self):
         vs = [np.array([2.0, -1.0, 3.0])] * 5

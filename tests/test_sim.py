@@ -291,6 +291,18 @@ class TestWriteResults:
         assert first[0] == "1"
         assert first[5] == "1;2" and first[6] == "3"
 
+    def test_header_and_json_record_keys_are_pinned(self, tmp_path):
+        header = "round,acc,asr,d_t,phi_t,accepted,malicious_selected,tp,fp,fn,wall_ms"
+        write_results(_toy_records(), tmp_path / "out.csv", "csv")
+        assert (tmp_path / "out.csv").read_text() == (
+            f"{header}\n"
+            "1,0.5,0.25,0.0123456789,2.3456789,1;2,3,1,0,0,12.5\n"
+            "2,0.75,0.125,nan,nan,0,,0,1,0,8.25\n"
+        )
+        write_results(_toy_records(), tmp_path / "out.json", "json")
+        for record in json.loads((tmp_path / "out.json").read_text())["records"]:
+            assert list(record) == header.split(",")
+
     def test_csv_line_count_matches_eval_cadence(self, tmp_path):
         cfg = small_config(rounds=12)
         cfg.eval_every = 3
