@@ -55,7 +55,6 @@ from .model import (
     TrainSpec,
     evaluate_acc,
     evaluate_asr,
-    forward,
     init_params,
     local_train,
     loss_and_grad,

@@ -35,7 +35,6 @@ class AttackConfig:
     alpha: float = 0.5
     pgd_radius: float = 2.0
     edge_fraction: float = 0.2
-    pgd_per_step: bool = False
 
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
@@ -148,16 +147,15 @@ def edge_case_pgd_train(
 
     The pool is the far tail of the dominant non-target class in the local
     data (a ``Samples`` or a sequence of ``Example``s); its triggered copies
-    are appended after the local rows. After every epoch (or every step
-    with ``pgd_per_step``) the params are projected back into the L2 ball
-    of ``pgd_radius`` around the global model, so the returned model always
-    lies within that ball.
+    are appended after the local rows. After every epoch the params are
+    projected back into the L2 ball of ``pgd_radius`` around the global
+    model, so the returned model always lies within that ball.
     """
     local = as_samples(local_data)
     if acfg.trigger is None:
         raise ConfigError("edge_case_pgd needs a trigger")
     source = _edge_source_label(local, acfg.trigger.target_label)
-    pool = edge_case_pool(local, source, acfg.edge_fraction, tspec.seed)
+    pool = edge_case_pool(local, source, acfg.edge_fraction)
     if not len(pool):
         raise ConfigError("edge-case pool is empty")
     x = np.concatenate([local.x, triggered_rows(pool.x, pool.y, acfg.trigger)])
@@ -172,8 +170,6 @@ def edge_case_pgd_train(
             idx = order[start : start + tspec.batch_size]
             _, grad = _loss_grad_arrays(params, spec, x[idx], y[idx])
             params = params - tspec.learning_rate * grad
-            if acfg.pgd_per_step:
-                params = pgd_project(params, global_params, acfg.pgd_radius)
         params = pgd_project(params, global_params, acfg.pgd_radius)
     return params
 

@@ -231,14 +231,13 @@ def poison_dataset(ds, t: TriggerSpec, rate: float, seed: int) -> Samples:
     return Samples(x, y)
 
 
-def edge_case_pool(ds, source_label: int, fraction: float, seed: int) -> Samples:
+def edge_case_pool(ds, source_label: int, fraction: float) -> Samples:
     """Low-density tail of one class: the rows farthest from the class mean.
 
     Returns the ceil(fraction * n) rows of ``source_label`` with the
     largest Euclidean distance to that class's empirical mean, farthest
-    first. Selection is fully deterministic (stable sort, ties to lower
-    row); ``seed`` is kept in the signature for interface symmetry with
-    the other generators.
+    first. Selection is deterministic and draws no random numbers (stable
+    sort, ties to lower row).
     """
     ds = as_samples(ds)
     if not 0 < fraction < 1:

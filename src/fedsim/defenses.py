@@ -39,20 +39,20 @@ class ClientUpdate:
 
     client_id: int
     delta: np.ndarray
-    num_samples: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "delta", linalg.as_vector(self.delta))
-        if self.num_samples < 1:
-            raise ConfigError(f"num_samples must be >= 1, got {self.num_samples}")
 
 
 @dataclass
 class DefenseConfig:
-    """Knobs for all aggregation rules; only the fields for ``kind`` matter.
+    """Settings of the aggregation rules; only the fields for ``kind`` matter.
 
     ``core_size`` (l) and ``accept_count`` (m) default to None, meaning
     "half the round's clients, rounded up" -- the honest-majority default.
+    Set counts must be at least 1 (``krum_f`` at least 0); the upper bound
+    is the round's client count, checked by ``SimConfig.validate`` against
+    ``clients_per_round`` and by :meth:`resolved` against a given k.
     """
 
     kind: str = "fedavg"
@@ -64,9 +64,6 @@ class DefenseConfig:
     clip_norm: float = 5.0
     noise_std: float = 0.0
     phi_static: float = 1.5
-    global_lr: float = 1.0
-    norm_strategy: str = "maxabs"
-    sample_weighted: bool = False
 
     def __post_init__(self):
         if self.kind not in DEFENSE_KINDS:
@@ -84,13 +81,13 @@ class DefenseConfig:
             raise ConfigError(f"defense.noise_std must be finite and >= 0, got {self.noise_std}")
         if not 1 <= self.phi_static < math.inf:
             raise ConfigError(f"defense.phi_static must be finite and >= 1, got {self.phi_static}")
-        if not 0 < self.global_lr < math.inf:
-            raise ConfigError(f"defense.global_lr must be finite and > 0, got {self.global_lr}")
-        if self.norm_strategy not in linalg.NORM_STRATEGIES:
-            raise ConfigError(
-                f"defense.norm_strategy must be one of {', '.join(linalg.NORM_STRATEGIES)}; "
-                f"got {self.norm_strategy!r}"
-            )
+        for key, count, low in (
+            ("defense.core_size", self.core_size, 1),
+            ("defense.accept_count", self.accept_count, 1),
+            ("defense.krum_f", self.krum_f, 0),
+        ):
+            if count is not None and count < low:
+                raise ConfigError(f"{key} must be >= {low}, got {count}")
 
     def resolved(self, k: int) -> "DefenseConfig":
         """Fill the per-round defaults l = m = ceil(k/2) and validate against k."""
@@ -139,20 +136,15 @@ def _sorted_updates(updates) -> list[ClientUpdate]:
     return updates
 
 
-def _mean_delta(updates, sample_weighted: bool = False) -> np.ndarray:
-    stack = np.array([u.delta for u in updates])
-    if sample_weighted:
-        weights = np.array([u.num_samples for u in updates], dtype=np.float64)
-        weights /= weights.sum()
-        return weights @ stack
-    return np.mean(stack, axis=0)
+def _mean_delta(updates) -> np.ndarray:
+    return np.mean(np.array([u.delta for u in updates]), axis=0)
 
 
-def fedavg(updates, sample_weighted: bool = False) -> DefenseOutcome:
+def fedavg(updates) -> DefenseOutcome:
     """Plain averaging: accept everyone, mean the deltas in client-id order."""
     updates = _sorted_updates(updates)
     return DefenseOutcome(
-        aggregated_delta=_mean_delta(updates, sample_weighted),
+        aggregated_delta=_mean_delta(updates),
         accepted=[u.client_id for u in updates],
     )
 
@@ -297,9 +289,9 @@ def rcc_filter(scaled, core, m: int):
     return centroid, sorted(order[:m]), dists
 
 
-def _fallback_outcome(updates, diag: RoundDiagnostics, sample_weighted: bool) -> DefenseOutcome:
+def _fallback_outcome(updates, diag: RoundDiagnostics) -> DefenseOutcome:
     diag.fallback = True
-    out = fedavg(updates, sample_weighted)
+    out = fedavg(updates)
     out.diagnostics = diag
     return out
 
@@ -319,9 +311,7 @@ def _scaled_pipeline(updates, cfg: DefenseConfig, single_core: bool) -> DefenseO
     cfg = cfg.resolved(len(updates))
     diag = RoundDiagnostics()
 
-    normalized, zero = linalg.normalize_rows(
-        np.array([u.delta for u in updates]), cfg.norm_strategy
-    )
+    normalized, zero = linalg.normalize_rows(np.array([u.delta for u in updates]))
     live = []
     for u, is_zero in zip(updates, zero.tolist()):
         if is_zero:
@@ -336,7 +326,7 @@ def _scaled_pipeline(updates, cfg: DefenseConfig, single_core: bool) -> DefenseO
 
     core_size = 1 if single_core else cfg.core_size
     if len(live) < 2 or len(live) < max(core_size, cfg.accept_count):
-        return _fallback_outcome(updates, diag, cfg.sample_weighted)
+        return _fallback_outcome(updates, diag)
 
     try:
         diag.d_t = linalg.dispersion(normalized)
@@ -353,12 +343,12 @@ def _scaled_pipeline(updates, cfg: DefenseConfig, single_core: bool) -> DefenseO
     try:
         _, accepted_pos, dists = rcc_filter(scaled, core, cfg.accept_count)
     except DegenerateCentroidError:
-        return _fallback_outcome(updates, diag, cfg.sample_weighted)
+        return _fallback_outcome(updates, diag)
     diag.distances = {u.client_id: d for u, d in zip(live, dists)}
 
     accepted = [live[i] for i in accepted_pos]
     return DefenseOutcome(
-        aggregated_delta=_mean_delta(accepted, cfg.sample_weighted),
+        aggregated_delta=_mean_delta(accepted),
         accepted=[u.client_id for u in accepted],
         diagnostics=diag,
     )
@@ -395,7 +385,7 @@ def aggregate(updates, cfg: DefenseConfig, seed: int = 0) -> DefenseOutcome:
     if not updates:
         raise EmptySetError("no client updates to aggregate")
     if cfg.kind == "fedavg":
-        return fedavg(updates, cfg.sample_weighted)
+        return fedavg(updates)
     if cfg.kind == "multi_krum":
         resolved = cfg.resolved(len(updates))
         return multi_krum(updates, cfg.krum_f, resolved.accept_count)

@@ -17,8 +17,6 @@ from .errors import (
     ZeroVectorError,
 )
 
-NORM_STRATEGIES = ("maxabs", "l2")
-
 
 def _flat(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
@@ -58,41 +56,36 @@ def as_matrix(vs) -> np.ndarray:
     return np.stack(rows)
 
 
-def _row_scales(m: np.ndarray, strategy: str) -> np.ndarray:
-    if strategy == "maxabs":
-        return np.max(np.abs(m), axis=1, initial=0.0)
-    if strategy == "l2":
-        # one 1-D norm per row: a norm along axis 1 sums in another order
-        return np.array([np.linalg.norm(row) for row in m])
-    raise ValueError(f"unknown normalization strategy {strategy!r}")
+def _row_scales(m: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(m), axis=1, initial=0.0)
 
 
-def normalize(v, strategy: str = "maxabs") -> np.ndarray:
+def normalize(v) -> np.ndarray:
     """Rescale a vector so its dominant coordinates have unit magnitude.
 
-    The default ``maxabs`` strategy divides by the L-inf norm, leaving every
-    entry in [-1, 1] with at least one entry of magnitude exactly 1; this is
-    what the power-scaling step expects. The ``l2`` strategy divides by the
-    Euclidean norm instead.
+    Divides by the L-inf norm, leaving every entry in [-1, 1] with at least
+    one entry of magnitude exactly 1; this is what the power-scaling step
+    expects.
 
     Raises:
         ZeroVectorError: if ``v`` is all zeros.
     """
     v = as_vector(v)
-    scale = float(_row_scales(v[None, :], strategy)[0])
+    scale = float(_row_scales(v[None, :])[0])
     if scale == 0.0:
         raise ZeroVectorError("cannot normalize an all-zero vector")
     return v / scale
 
 
-def normalize_rows(m, strategy: str = "maxabs") -> tuple[np.ndarray, np.ndarray]:
+def normalize_rows(m) -> tuple[np.ndarray, np.ndarray]:
     """:func:`normalize` applied to every row of a matrix that is not all zeros.
 
     Returns the normalized nonzero rows, in order, and a boolean mask of the
-    all-zero rows. Each row gets the same bits as :func:`normalize` gives it.
+    all-zero rows. Each row is divided by its own L-inf norm and gets the
+    same bits as :func:`normalize` gives it.
     """
     m = as_matrix(m)
-    scales = _row_scales(m, strategy)
+    scales = _row_scales(m)
     zero = scales == 0.0
     live = ~zero
     return m[live] / scales[live, None], zero

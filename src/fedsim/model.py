@@ -31,7 +31,6 @@ class ModelSpec:
     input_dim: int
     num_classes: int
     hidden_dim: int = 0
-    activation: str = "relu"
 
     def __post_init__(self):
         # messages name the config key each field is built from
@@ -45,8 +44,6 @@ class ModelSpec:
             )
         if self.hidden_dim < 0:
             raise ConfigError(f"model.hidden_dim must be >= 0, got {self.hidden_dim}")
-        if self.activation != "relu":
-            raise ConfigError(f"model.activation must be one of relu; got {self.activation!r}")
 
     def param_count(self) -> int:
         d, c, h = self.input_dim, self.num_classes, self.hidden_dim
@@ -123,22 +120,6 @@ def _logits(params: np.ndarray, spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     w1, b1, w2, b2 = _unpack(params, spec)
     hidden = np.maximum(x @ w1.T + b1, 0.0)
     return hidden @ w2.T + b2
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - np.max(z, axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=1, keepdims=True)
-
-
-def forward(params: np.ndarray, spec: ModelSpec, features) -> np.ndarray:
-    """Class probabilities for a single example; stabilized by max-subtraction."""
-    x = np.asarray(features, dtype=np.float64).reshape(1, -1)
-    if x.shape[1] != spec.input_dim:
-        raise DimensionMismatchError(
-            f"features have dim {x.shape[1]}, spec needs {spec.input_dim}"
-        )
-    return _softmax(_logits(params, spec, x))[0]
 
 
 def _loss_grad_arrays(params, spec, x, y):

@@ -100,6 +100,17 @@ class SimConfig:
                 f"model input_dim {self.model.input_dim} != feature_dim "
                 f"{self.data.feature_dim}"
             )
+        if self.model.num_classes != self.data.num_classes:
+            raise ConfigError(
+                f"model num_classes {self.model.num_classes} != data.num_classes "
+                f"{self.data.num_classes}"
+            )
+        for name in ("core_size", "accept_count"):
+            count = getattr(self.defense, name)
+            if count is not None and count > self.clients_per_round:
+                raise ConfigError(
+                    f"defense.{name} {count} exceeds clients_per_round {self.clients_per_round}"
+                )
         d = self.data
         if d.n_per_class * d.num_classes < self.total_clients:
             raise ConfigError(
@@ -270,7 +281,7 @@ def _train_one(state: SimState, cfg: SimConfig, acfg: AttackConfig, client_id: i
     delta = params - state.global_params
     if not np.isfinite(delta).all():
         raise NonFiniteUpdateError(state.round, client_id)
-    return ClientUpdate(client_id, delta, len(data))
+    return ClientUpdate(client_id, delta)
 
 
 def run_round(state: SimState, cfg: SimConfig) -> tuple[SimState, RoundRecord]:
@@ -278,9 +289,9 @@ def run_round(state: SimState, cfg: SimConfig) -> tuple[SimState, RoundRecord]:
 
     Sampled clients train one after another in ascending id order. Roster
     members (ids below malicious_count) train maliciously, everyone else
-    honestly; the configured defense aggregates the deltas and
-    the global model moves by global_lr times the aggregated delta. ACC/ASR
-    are evaluated on rounds divisible by eval_every (NaN otherwise).
+    honestly; the configured defense aggregates the deltas and the
+    aggregated delta is added to the global model. ACC/ASR are evaluated on
+    rounds divisible by eval_every (NaN otherwise).
     """
     t0 = time.perf_counter()
     r = state.round
@@ -294,7 +305,7 @@ def run_round(state: SimState, cfg: SimConfig) -> tuple[SimState, RoundRecord]:
     outcome = aggregate(
         updates, cfg.defense, seed=_derive_seed(cfg.master_seed, _TAG_DP_NOISE, r)
     )
-    new_params = state.global_params + cfg.defense.global_lr * outcome.aggregated_delta
+    new_params = state.global_params + outcome.aggregated_delta
 
     malicious = [i for i in ids if i < cfg.malicious_count]
     accepted = set(outcome.accepted)

@@ -8,11 +8,11 @@ plain-formula cosine arithmetic for the filter constructions.
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 
-from fedsim import linalg
-from fedsim.attacks import AttackConfig
+from fedsim import config, linalg
 from fedsim.data import Example, Samples, TriggerSpec
 from fedsim.defenses import (
     DISPERSION_SENTINEL,
@@ -28,13 +28,14 @@ from fedsim.defenses import (
 )
 from fedsim.errors import DegenerateCentroidError, ZeroVectorError
 from fedsim.model import ModelSpec, TrainSpec, loss_and_grad, philox
-from fedsim.sim import DataConfig, SimConfig
+from fedsim.sim import SimConfig
 
 # The desk-scale scenario every end-to-end criterion runs on. Seed 18 was
 # chosen once for roster health (no malicious client with target-dominated
 # or tiny local data) and then frozen; see the acceptance suite.
 STANDARD_SEED = 18
 STANDARD_TRIGGER = TriggerSpec((13, 14, 15), (1.5, -1.5, 1.5), 0)
+REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def standard_config(
@@ -56,42 +57,35 @@ def standard_config(
     boost=10.0,
     n_per_class=500,
 ) -> SimConfig:
-    cfg = SimConfig(
-        total_clients=50,
-        clients_per_round=10,
-        malicious_count=malicious,
-        rounds=rounds,
-        eval_every=1,
-        master_seed=seed,
-        force_c_per_round=force_c if (malicious and attack != "none") else None,
-        model=ModelSpec(16, 10),
-        train=TrainSpec(epochs, 4000, lr, 0),
-        data=DataConfig(
-            num_classes=10,
-            feature_dim=16,
-            n_per_class=n_per_class,
-            test_per_class=40,
-            class_sep=6.0,
-            dirichlet_q=0.4,
-            trigger=trigger,
-        ),
-        attack=AttackConfig(
-            kind=attack,
-            trigger=trigger,
-            poison_rate=1.0,
-            boost=boost,
-            alpha=alpha,
-            pgd_radius=pgd_radius,
-            edge_fraction=edge_fraction,
-        ),
-        defense=DefenseConfig(
-            kind=defense,
-            accept_count=accept_count,
-            core_size=core_size,
-            kappa=kappa,
-        ),
-    )
-    return cfg
+    """``configs/replacement_vs_faros.cfg`` with the given values set over it.
+
+    Attackers are pinned into every round (``force_c``) only when there are
+    attackers that attack.
+    """
+    overrides = {
+        "defense.kind": defense,
+        "attack.kind": attack,
+        "master_seed": seed,
+        "malicious_count": malicious,
+        "force_c_per_round": force_c if (malicious and attack != "none") else None,
+        "rounds": rounds,
+        "trigger.positions": ",".join(map(str, trigger.positions)),
+        "trigger.values": ",".join(map(repr, trigger.values)),
+        "trigger.target_label": trigger.target_label,
+        "train.local_epochs": epochs,
+        "train.learning_rate": repr(lr),
+        "defense.accept_count": accept_count,
+        "defense.core_size": core_size,
+        "defense.kappa": repr(kappa),
+        "attack.alpha": repr(alpha),
+        "attack.edge_fraction": repr(edge_fraction),
+        "attack.pgd_radius": repr(pgd_radius),
+        "attack.boost": repr(boost),
+        "data.n_per_class": n_per_class,
+    }
+    raw = config.load_config_file(REPO_CONFIGS / "replacement_vs_faros.cfg")
+    raw.update({key: str(value) for key, value in overrides.items()})
+    return config.build_config(raw).sim
 
 
 def finite_diff_grad(f, x, h=1e-5) -> np.ndarray:
@@ -247,11 +241,7 @@ def longdouble_cosine(a, b) -> float:
     return min(max(d, 0.0), 2.0)
 
 
-def _list_mean(updates, sample_weighted: bool) -> np.ndarray:
-    if sample_weighted:
-        weights = np.array([u.num_samples for u in updates], dtype=np.float64)
-        weights /= weights.sum()
-        return weights @ np.stack([u.delta for u in updates])
+def _list_mean(updates) -> np.ndarray:
     return np.mean(np.array([u.delta.tolist() for u in updates]), axis=0)
 
 
@@ -270,14 +260,12 @@ def scaled_filter_oracle(updates, cfg: DefenseConfig, single_core: bool) -> Defe
 
     def fallback():
         diag.fallback = True
-        return DefenseOutcome(
-            _list_mean(updates, cfg.sample_weighted), [u.client_id for u in updates], diag
-        )
+        return DefenseOutcome(_list_mean(updates), [u.client_id for u in updates], diag)
 
     live, normalized = [], []
     for u in updates:
         try:
-            normalized.append(linalg.normalize(u.delta.tolist(), cfg.norm_strategy).tolist())
+            normalized.append(linalg.normalize(u.delta.tolist()).tolist())
             live.append(u)
         except ZeroVectorError:
             diag.excluded.append(u.client_id)
@@ -304,9 +292,7 @@ def scaled_filter_oracle(updates, cfg: DefenseConfig, single_core: bool) -> Defe
         return fallback()
     diag.distances = {u.client_id: d for u, d in zip(live, dists)}
     accepted = [live[i] for i in accepted_pos]
-    return DefenseOutcome(
-        _list_mean(accepted, cfg.sample_weighted), [u.client_id for u in accepted], diag
-    )
+    return DefenseOutcome(_list_mean(accepted), [u.client_id for u in accepted], diag)
 
 
 def outcome_bytes(out: DefenseOutcome) -> tuple:

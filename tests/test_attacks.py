@@ -241,7 +241,7 @@ class TestEdgeCasePgd:
                             pgd_radius=math.inf, edge_fraction=0.3)
         out = edge_case_pgd_train(start, SPEC, data, _tspec(), acfg)
         source = _edge_source_label(data, TRIGGER.target_label)
-        pool = edge_case_pool(data, source, 0.3, _tspec().seed)
+        pool = edge_case_pool(data, source, 0.3)
         augmented = list(data) + [apply_trigger(e, TRIGGER) for e in pool]
         expected = local_train(start, SPEC, augmented, _tspec())
         assert np.array_equal(out, expected)
@@ -311,12 +311,11 @@ class TestArrayInput:
         if alpha == 0.0:
             assert got.tobytes() == sgd_oracle(start, SPEC, data, _tspec()).tobytes()
 
-    @pytest.mark.parametrize("per_step", [False, True])
-    def test_edge_case_pgd_train(self, per_step):
+    def test_edge_case_pgd_train(self):
         data = _local_data(24)
         start = init_params(SPEC, 12)
         acfg = AttackConfig(kind="edge_case_pgd", trigger=TRIGGER, pgd_radius=0.8,
-                            edge_fraction=0.4, pgd_per_step=per_step)
+                            edge_fraction=0.4)
         got = edge_case_pgd_train(start, SPEC, stacked(data), _tspec(), acfg)
         want = edge_case_pgd_train(start, SPEC, data, _tspec(), acfg)
         assert got.tobytes() == want.tobytes()

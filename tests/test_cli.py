@@ -243,7 +243,6 @@ class TestValidateConfig:
             ("data.n_per_class", "4"),
             ("attack.boost", "nan"),
             ("defense.phi_max", "nan"),
-            ("defense.global_lr", "inf"),
             ("trigger.values", "nan,1.5,1.5"),
             ("attack.boost", "inf"),
             ("defense.noise_std", "inf"),
@@ -251,6 +250,11 @@ class TestValidateConfig:
             ("defense.phi_static", "inf"),
             ("defense.kappa", "inf"),
             ("eval_every", "101"),
+            ("defense.core_size", "0"),
+            ("defense.core_size", "20"),
+            ("defense.accept_count", "0"),
+            ("defense.accept_count", "11"),
+            ("defense.krum_f", "-1"),
             # with 45 of 50 clients malicious, 9 honest slots cannot be filled
             ("force_c_per_round", "1"),
         ],

@@ -33,7 +33,6 @@ KEYS = [
     "trigger.values",
     "trigger.target_label",
     "model.hidden_dim",
-    "model.activation",
     "train.local_epochs",
     "train.batch_size",
     "train.learning_rate",
@@ -43,7 +42,6 @@ KEYS = [
     "attack.alpha",
     "attack.pgd_radius",
     "attack.edge_fraction",
-    "attack.pgd_per_step",
     "defense.kind",
     "defense.phi_max",
     "defense.kappa",
@@ -53,9 +51,6 @@ KEYS = [
     "defense.clip_norm",
     "defense.noise_std",
     "defense.phi_static",
-    "defense.global_lr",
-    "defense.norm_strategy",
-    "defense.sample_weighted",
     "compare.attacks",
     "compare.defenses",
 ]
@@ -73,7 +68,6 @@ DEFAULT = {
     "model.input_dim": 16,
     "model.num_classes": 10,
     "model.hidden_dim": 0,
-    "model.activation": "relu",
     "train.local_epochs": 2,
     "train.batch_size": 32,
     "train.learning_rate": 0.25,
@@ -96,7 +90,6 @@ DEFAULT = {
     "attack.alpha": 0.5,
     "attack.pgd_radius": 2.0,
     "attack.edge_fraction": 0.2,
-    "attack.pgd_per_step": False,
     "defense.kind": "fedavg",
     "defense.phi_max": 3.0,
     "defense.kappa": 50.0,
@@ -106,9 +99,6 @@ DEFAULT = {
     "defense.clip_norm": 5.0,
     "defense.noise_std": 0.0,
     "defense.phi_static": 1.5,
-    "defense.global_lr": 1.0,
-    "defense.norm_strategy": "maxabs",
-    "defense.sample_weighted": False,
     "compare.attacks": (),
     "compare.defenses": (),
 }
@@ -195,7 +185,6 @@ MALFORMED = {
     "trigger.values": "1.5,up,1.5",
     "trigger.target_label": "zero",
     "model.hidden_dim": "none",
-    "model.activation": "tanh",
     "train.local_epochs": "two",
     "train.batch_size": "big",
     "train.learning_rate": "fast",
@@ -205,7 +194,6 @@ MALFORMED = {
     "attack.alpha": "a",
     "attack.pgd_radius": "r",
     "attack.edge_fraction": "f",
-    "attack.pgd_per_step": "sometimes",
     "defense.kind": "median",
     "defense.phi_max": "p",
     "defense.kappa": "k",
@@ -215,9 +203,6 @@ MALFORMED = {
     "defense.clip_norm": "c",
     "defense.noise_std": "n",
     "defense.phi_static": "s",
-    "defense.global_lr": "g",
-    "defense.norm_strategy": "l1",
-    "defense.sample_weighted": "perhaps",
     "compare.attacks": "none,bogus",
     "compare.defenses": "fedavg,median",
 }
@@ -232,7 +217,6 @@ NON_FINITE = {
     "defense.kappa": "inf",
     "defense.noise_std": "inf",
     "defense.phi_static": "inf",
-    "defense.global_lr": "inf",
 }
 
 
@@ -298,4 +282,28 @@ def test_malformed_value_exit_2_naming_key(key, capsys):
         err = capsys.readouterr().err
         assert code == 2, (value, err)
         assert key in err
+        assert "Traceback" not in err
+
+
+# Keys that older configs may still name. Naming one must stop the run with
+# the key named, not be ignored, since the value it held is no longer applied.
+DELETED = [
+    "defense.norm_strategy",
+    "defense.sample_weighted",
+    "defense.global_lr",
+    "attack.pgd_per_step",
+    "model.activation",
+]
+
+
+@pytest.mark.parametrize("key", DELETED)
+def test_deleted_key_exit_2_naming_key(key, tmp_path, capsys):
+    old = tmp_path / "old.cfg"
+    old.write_text((REPO_CONFIGS / "standard.cfg").read_text() + f"\n{key} = 1\n")
+    for argv in (["--config", str(old)],
+                 ["--config", str(REPO_CONFIGS / "standard.cfg"), "--set", f"{key}=1"]):
+        code = main(["validate-config", *argv])
+        err = capsys.readouterr().err
+        assert code == 2, (argv, err)
+        assert f"unknown config key {key!r}" in err
         assert "Traceback" not in err

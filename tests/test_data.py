@@ -362,13 +362,13 @@ class TestEdgeCasePool:
 
     def test_count(self):
         ds = self._cluster()
-        pool = edge_case_pool(ds, 3, 0.1, 0)
+        pool = edge_case_pool(ds, 3, 0.1)
         assert len(pool) == 10
         assert all(e.label == 3 for e in pool)
 
     def test_selection_criterion(self):
         ds = self._cluster(4)
-        pool = edge_case_pool(ds, 3, 0.25, 0)
+        pool = edge_case_pool(ds, 3, 0.25)
         members = [e for e in ds if e.label == 3]
         center = np.stack([e.features for e in members]).mean(axis=0)
         # the pool holds copies of member rows; the features identify them
@@ -383,21 +383,21 @@ class TestEdgeCasePool:
 
     def test_arrays_equal_list(self):
         ds = self._cluster(6)
-        a, b = edge_case_pool(ds, 3, 0.3, 0), edge_case_pool(stacked(ds), 3, 0.3, 0)
+        a, b = edge_case_pool(ds, 3, 0.3), edge_case_pool(stacked(ds), 3, 0.3)
         assert a.x.tobytes() == b.x.tobytes() and a.y.tolist() == b.y.tolist()
 
     def test_determinism(self):
         ds = self._cluster(9)
-        a = edge_case_pool(ds, 3, 0.2, 5)
-        b = edge_case_pool(ds, 3, 0.2, 5)
+        a = edge_case_pool(ds, 3, 0.2)
+        b = edge_case_pool(ds, 3, 0.2)
         assert all(np.array_equal(x.features, y.features) for x, y in zip(a, b))
 
     def test_missing_label(self):
         ds = self._cluster()
         with pytest.raises(ConfigError):
-            edge_case_pool(ds, 7, 0.2, 0)
+            edge_case_pool(ds, 7, 0.2)
 
     def test_bad_fraction(self):
         ds = self._cluster()
         with pytest.raises(ConfigError):
-            edge_case_pool(ds, 3, 1.0, 0)
+            edge_case_pool(ds, 3, 1.0)

@@ -33,15 +33,6 @@ class TestNormalize:
         with pytest.raises(ZeroVectorError):
             linalg.normalize([0.0, 0.0])
 
-    def test_l2_strategy(self):
-        out = linalg.normalize([3.0, 4.0], strategy="l2")
-        assert np.allclose(out, [0.6, 0.8])
-        assert np.isclose(np.linalg.norm(out), 1.0)
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            linalg.normalize([1.0], strategy="l1")
-
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             linalg.normalize([1.0, np.nan])
@@ -169,20 +160,16 @@ class TestMatrixInputs:
         with pytest.raises(DimensionMismatchError):
             linalg.as_matrix([[1.0, 2.0], [3.0]])
 
-    @pytest.mark.parametrize("strategy", linalg.NORM_STRATEGIES)
-    def test_normalize_rows_equals_normalize(self, strategy):
+    def test_normalize_rows_equals_normalize(self):
         rng = np.random.default_rng(9)
         m = rng.normal(size=(40, 170)) * rng.uniform(0.01, 100.0, size=(40, 1))
         m[2] = 0.0
-        rows, zero = linalg.normalize_rows(m, strategy)
+        rows, zero = linalg.normalize_rows(m)
         assert np.flatnonzero(zero).tolist() == [2]
-        # reference scales: the L-inf norm, or numpy's 1-D Euclidean norm of each row
-        scale = {"maxabs": lambda v: np.max(np.abs(v)), "l2": np.linalg.norm}[strategy]
-        want = np.stack([v / float(scale(v)) for i, v in enumerate(m) if i != 2])
+        # reference scale: the L-inf norm of each row
+        want = np.stack([v / float(np.max(np.abs(v))) for i, v in enumerate(m) if i != 2])
         assert rows.tobytes() == want.tobytes()
-        assert np.stack([linalg.normalize(v, strategy) for v in m[3:]]).tobytes() == want[2:].tobytes()
-        with pytest.raises(ValueError):
-            linalg.normalize_rows(m, "l1")
+        assert np.stack([linalg.normalize(v) for v in m[3:]]).tobytes() == want[2:].tobytes()
 
 
 class TestDispersion:

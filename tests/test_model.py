@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from fedsim.data import Example, TriggerSpec, gen_blobs
-from fedsim.errors import DimensionMismatchError, EmptySetError, NoEligibleExamplesError
+from fedsim.errors import EmptySetError, NoEligibleExamplesError
 from fedsim.model import (
     ModelSpec,
     TrainSpec,
+    _logits,
     accuracy,
     evaluate_acc,
     evaluate_asr,
-    forward,
     init_params,
     local_train,
     loss_and_grad,
@@ -56,38 +56,6 @@ class TestInitParams:
         b = p[12:]
         assert np.all(b == 0.0)
         assert np.all(np.abs(w) <= 1 / math.sqrt(4))
-
-
-class TestForward:
-    def test_zero_params_uniform(self):
-        p = np.zeros(SOFTMAX.param_count())
-        out = forward(p, SOFTMAX, [1.0, -2.0, 0.5, 3.0])
-        assert np.allclose(out, 1 / 3)
-
-    def test_extreme_logits_stable(self):
-        spec = ModelSpec(1, 2)
-        params = np.array([1000.0, 0.0, 0.0, 0.0])  # W=[[1000],[0]], b=0
-        out = forward(params, spec, [1.0])
-        assert np.all(np.isfinite(out))
-        assert np.isclose(out[0], 1.0) and out[1] < 1e-300
-
-    def test_simplex_and_argmax(self):
-        rng = np.random.default_rng(5)
-        for spec in (SOFTMAX, MLP):
-            for _ in range(25):
-                p = rng.normal(size=spec.param_count())
-                x = rng.normal(size=spec.input_dim) * 10
-                probs = forward(p, spec, x)
-                assert np.all(probs > 0)
-                assert np.isclose(probs.sum(), 1.0, atol=1e-9)
-                from fedsim.model import _logits
-
-                logits = _logits(p, spec, x.reshape(1, -1))[0]
-                assert np.argmax(probs) == np.argmax(logits)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            forward(np.zeros(15), SOFTMAX, [1.0, 2.0])
 
 
 class TestLossAndGrad:
@@ -216,7 +184,7 @@ class TestEvaluate:
         params = init_params(spec, 2)
         x = np.stack([e.features for e in ds])
         y = np.array([e.label for e in ds])
-        preds = np.array([np.argmax(forward(params, spec, row)) for row in x])
+        preds = np.array([np.argmax(_logits(params, spec, row[None])) for row in x])
         assert evaluate_acc(params, spec, ds) == accuracy(params, spec, x, y) == np.mean(preds == y)
         t = TriggerSpec((0,), (6.0,), 1)
         eligible = y != 1

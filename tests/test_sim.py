@@ -242,6 +242,13 @@ class TestRunSimulation:
         with pytest.raises(ConfigError):
             run_simulation(cfg)
 
+    @pytest.mark.parametrize("num_classes", [5, 12])
+    def test_model_classes_must_match_the_data(self, num_classes):
+        cfg = sim.SimConfig(rounds=1, model=ModelSpec(16, num_classes),
+                            data=sim.DataConfig(num_classes=10))
+        with pytest.raises(ConfigError, match="data.num_classes"):
+            run_simulation(cfg)
+
     def test_forced_sampling_needs_enough_honest_clients(self):
         # 6 per round with 1 pinned attacker needs 5 honest clients; 10 - 8 = 2 exist
         cfg = small_config(malicious=8, attack="model_replacement", force_c=1)
