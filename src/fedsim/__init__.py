@@ -15,7 +15,6 @@ from .data import (
     Samples,
     TriggerSpec,
     apply_trigger,
-    as_samples,
     blob_arrays,
     dirichlet_partition,
     edge_case_pool,

@@ -3,8 +3,10 @@
 Four attack kinds on top of honest training: plain data poisoning,
 model replacement (boosted updates), constrain-and-scale (stealth-regularized
 training), and edge-case PGD (tail-data backdoor with norm-ball projection).
-Attackers collude only through a shared config and trigger; every routine is
-a pure function of its arguments.
+Every trainer here runs ``model.sgd`` on a ``data.Samples``: constrain-and-scale
+mixes a stealth gradient into each step, edge-case PGD projects after each
+epoch. Attackers collude only through a shared config and trigger; every
+routine is a pure function of its arguments.
 """
 
 import math
@@ -12,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TriggerSpec, as_samples, edge_case_pool, poison_dataset, triggered_rows
-from .errors import ConfigError, DimensionMismatchError, EmptySetError, ZeroVectorError
-from .model import ModelSpec, TrainSpec, _epoch_order, _loss_grad_arrays, local_train
+from .data import Samples, TriggerSpec, edge_case_pool, poison_dataset, triggered_rows
+from .errors import ConfigError, DimensionMismatchError, ZeroVectorError
+from .model import ModelSpec, TrainSpec, local_train, sgd
 
 
 ATTACK_KINDS = ("none", "data_poison", "model_replacement", "constrain_and_scale", "edge_case_pgd")
@@ -98,11 +100,10 @@ def cosine_loss_and_grad(params, global_params) -> tuple[float, np.ndarray]:
 
 
 def constrain_and_scale_train(
-    global_params, spec: ModelSpec, poisoned_data, tspec: TrainSpec, alpha: float
+    global_params, spec: ModelSpec, poisoned_data: Samples, tspec: TrainSpec, alpha: float
 ) -> np.ndarray:
     """SGD on (1-alpha) * classification loss + alpha * cosine stealth loss.
 
-    ``poisoned_data`` is a ``Samples`` or a sequence of ``Example``s.
     alpha = 0 reproduces plain poisoned training bit-for-bit; alpha = 1
     descends the stealth term alone.
     """
@@ -111,29 +112,18 @@ def constrain_and_scale_train(
     global_params = np.asarray(global_params, dtype=np.float64)
     if not np.any(global_params):
         raise ZeroVectorError("stealth term undefined against an all-zero global model")
-    poisoned = as_samples(poisoned_data)
-    if not len(poisoned):
-        raise EmptySetError("cannot train on an empty dataset")
-    params = np.array(global_params, copy=True)
-    x, y = poisoned.x, poisoned.y
-    n = x.shape[0]
-    for epoch in range(tspec.local_epochs):
-        order = _epoch_order(tspec.seed, epoch, n)
-        for start in range(0, n, tspec.batch_size):
-            idx = order[start : start + tspec.batch_size]
-            _, g_class = _loss_grad_arrays(params, spec, x[idx], y[idx])
-            if alpha == 0.0:
-                grad = g_class
-            else:
-                _, g_cos = cosine_loss_and_grad(params, global_params)
-                grad = (1.0 - alpha) * g_class + alpha * g_cos
-            params = params - tspec.learning_rate * grad
-    return params
+
+    def stealth(params, g_class):
+        _, g_cos = cosine_loss_and_grad(params, global_params)
+        return (1.0 - alpha) * g_class + alpha * g_cos
+
+    return sgd(global_params, spec, poisoned_data.x, poisoned_data.y, tspec,
+               step=None if alpha == 0.0 else stealth)
 
 
-def _edge_source_label(local_data, target_label: int) -> int:
+def _edge_source_label(local_data: Samples, target_label: int) -> int:
     """Most frequent non-target label in the local data (ties to lowest label)."""
-    labels = as_samples(local_data).y
+    labels = local_data.y
     counts = np.bincount(labels[labels != target_label])
     if not counts.any():
         raise ConfigError("no non-target examples to build an edge-case pool from")
@@ -141,47 +131,37 @@ def _edge_source_label(local_data, target_label: int) -> int:
 
 
 def edge_case_pgd_train(
-    global_params, spec: ModelSpec, local_data, tspec: TrainSpec, acfg: AttackConfig
+    global_params, spec: ModelSpec, local_data: Samples, tspec: TrainSpec, acfg: AttackConfig
 ) -> np.ndarray:
     """Backdoor training on local data plus a triggered edge-case tail.
 
     The pool is the far tail of the dominant non-target class in the local
-    data (a ``Samples`` or a sequence of ``Example``s); its triggered copies
-    are appended after the local rows. After every epoch the params are
-    projected back into the L2 ball of ``pgd_radius`` around the global
-    model, so the returned model always lies within that ball.
+    data; its triggered copies are appended after the local rows. After
+    every epoch the params are projected back into the L2 ball of
+    ``pgd_radius`` around the global model, so the returned model always
+    lies within that ball.
     """
-    local = as_samples(local_data)
     if acfg.trigger is None:
         raise ConfigError("edge_case_pgd needs a trigger")
-    source = _edge_source_label(local, acfg.trigger.target_label)
-    pool = edge_case_pool(local, source, acfg.edge_fraction)
+    source = _edge_source_label(local_data, acfg.trigger.target_label)
+    pool = edge_case_pool(local_data, source, acfg.edge_fraction)
     if not len(pool):
         raise ConfigError("edge-case pool is empty")
-    x = np.concatenate([local.x, triggered_rows(pool.x, pool.y, acfg.trigger)])
-    y = np.concatenate([local.y, np.full(len(pool), acfg.trigger.target_label, dtype=np.intp)])
-
+    x = np.concatenate([local_data.x, triggered_rows(pool.x, pool.y, acfg.trigger)])
+    target = np.full(len(pool), acfg.trigger.target_label, dtype=np.intp)
+    y = np.concatenate([local_data.y, target])
     global_params = np.asarray(global_params, dtype=np.float64)
-    params = np.array(global_params, copy=True)
-    n = x.shape[0]
-    for epoch in range(tspec.local_epochs):
-        order = _epoch_order(tspec.seed, epoch, n)
-        for start in range(0, n, tspec.batch_size):
-            idx = order[start : start + tspec.batch_size]
-            _, grad = _loss_grad_arrays(params, spec, x[idx], y[idx])
-            params = params - tspec.learning_rate * grad
-        params = pgd_project(params, global_params, acfg.pgd_radius)
-    return params
+    return sgd(global_params, spec, x, y, tspec,
+               end_epoch=lambda params: pgd_project(params, global_params, acfg.pgd_radius))
 
 
 def malicious_local_train(
-    global_params, spec: ModelSpec, local_data, tspec: TrainSpec, acfg: AttackConfig
+    global_params, spec: ModelSpec, local_data: Samples, tspec: TrainSpec, acfg: AttackConfig
 ) -> np.ndarray:
     """Dispatch local training by attack kind.
 
-    ``local_data`` is a ``Samples`` or a sequence of ``Example``s. ``none``
-    is byte-identical to honest training. The poisoning kinds train on a
-    seeded poisoned copy of the local data (``poison_dataset``);
+    ``none`` is byte-identical to honest training. The poisoning kinds
+    train on a seeded poisoned copy of the local data (``poison_dataset``);
     constrain-and-scale falls back to plain poisoned training when the
     global model is all zeros (its stealth term is undefined there).
     """
@@ -192,18 +172,17 @@ def malicious_local_train(
 
     # an attacker holding only target-label data has nothing to poison and
     # falls back to its unmodified local set (boost/projection still apply)
-    local = as_samples(local_data)
-    eligible = bool(np.any(local.y != acfg.trigger.target_label))
+    eligible = bool(np.any(local_data.y != acfg.trigger.target_label))
 
     if acfg.kind == "edge_case_pgd":
         if not eligible:
-            params = local_train(global_params, spec, local, tspec)
+            params = local_train(global_params, spec, local_data, tspec)
             return pgd_project(params, np.asarray(global_params, dtype=np.float64), acfg.pgd_radius)
-        return edge_case_pgd_train(global_params, spec, local, tspec, acfg)
+        return edge_case_pgd_train(global_params, spec, local_data, tspec, acfg)
 
-    poisoned = local
+    poisoned = local_data
     if eligible:
-        poisoned = poison_dataset(local, acfg.trigger, acfg.poison_rate, tspec.seed)
+        poisoned = poison_dataset(local_data, acfg.trigger, acfg.poison_rate, tspec.seed)
     if acfg.kind == "data_poison":
         return local_train(global_params, spec, poisoned, tspec)
     if acfg.kind == "model_replacement":

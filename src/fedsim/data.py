@@ -2,9 +2,8 @@
 
 Gaussian blob generation stands in for image benchmarks at desk scale. A
 dataset is a ``Samples``: a float64 feature matrix and an intp label vector.
-Functions that take a dataset also accept a sequence of ``Example`` objects,
-which ``as_samples`` stacks once at entry. All generators are pure functions
-of their seed.
+Every function that takes a dataset takes a ``Samples``; ``Example`` is only
+the row view it yields. All generators are pure functions of their seed.
 """
 
 import math
@@ -56,19 +55,6 @@ class Samples:
     def take(self, rows) -> "Samples":
         """The rows that the index ``rows`` (positions or a boolean mask) selects, as new arrays."""
         return Samples(self.x[rows], self.y[rows])
-
-
-def as_samples(ds) -> Samples:
-    """``ds`` itself if it is a ``Samples``; otherwise its ``Example``s stacked once."""
-    if isinstance(ds, Samples):
-        return ds
-    ds = list(ds)
-    if not ds:
-        return Samples(np.empty((0, 0)), np.empty(0, dtype=np.intp))
-    return Samples(
-        np.stack([e.features for e in ds], dtype=np.float64),
-        np.array([e.label for e in ds], dtype=np.intp),
-    )
 
 
 @dataclass(frozen=True)
@@ -202,7 +188,7 @@ def triggered_rows(x: np.ndarray, y: np.ndarray, t: TriggerSpec) -> np.ndarray:
     return rows
 
 
-def poison_dataset(ds, t: TriggerSpec, rate: float, seed: int) -> Samples:
+def poison_dataset(ds: Samples, t: TriggerSpec, rate: float, seed: int) -> Samples:
     """Trigger a seeded selection of the non-target rows of ``ds``, on a copy.
 
     Selects ceil(rate * len(ds)) rows among those whose label differs from
@@ -214,7 +200,6 @@ def poison_dataset(ds, t: TriggerSpec, rate: float, seed: int) -> Samples:
     ``default_rng(seed).choice(eligible_count, count, replace=False)`` over
     the eligible rows in ascending order.
     """
-    ds = as_samples(ds)
     if not 0 < rate <= 1:
         raise ConfigError(f"poison rate must be in (0, 1], got {rate}")
     picked = np.flatnonzero(ds.y != t.target_label)
@@ -231,7 +216,7 @@ def poison_dataset(ds, t: TriggerSpec, rate: float, seed: int) -> Samples:
     return Samples(x, y)
 
 
-def edge_case_pool(ds, source_label: int, fraction: float) -> Samples:
+def edge_case_pool(ds: Samples, source_label: int, fraction: float) -> Samples:
     """Low-density tail of one class: the rows farthest from the class mean.
 
     Returns the ceil(fraction * n) rows of ``source_label`` with the
@@ -239,7 +224,6 @@ def edge_case_pool(ds, source_label: int, fraction: float) -> Samples:
     first. Selection is deterministic and draws no random numbers (stable
     sort, ties to lower row).
     """
-    ds = as_samples(ds)
     if not 0 < fraction < 1:
         raise ConfigError(f"edge fraction must be in (0, 1), got {fraction}")
     members = ds.take(np.flatnonzero(ds.y == source_label))

@@ -2,7 +2,10 @@
 
 Two shapes are supported: softmax regression (hidden_dim == 0) and a
 one-hidden-layer ReLU MLP. Parameters live in a single flat float64 vector
-so the aggregation rules can treat every model uniformly.
+so the aggregation rules can treat every model uniformly. Datasets are
+``data.Samples``, and every client, honest or malicious, trains through
+``sgd``: the attacks change only its per-batch gradient or its per-epoch
+params, through two hooks.
 
 Flattening order is part of the public contract: layers first-to-last, and
 within each layer the weight matrix in C (row-major) order followed by its
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError, EmptySetError, NoEligibleExamplesError
-from .data import TriggerSpec, as_samples, triggered_rows
+from .data import Samples, TriggerSpec, triggered_rows
 
 
 @dataclass(frozen=True)
@@ -150,12 +153,8 @@ def _loss_grad_arrays(params, spec, x, y):
     return loss, np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
 
 
-def loss_and_grad(params: np.ndarray, spec: ModelSpec, batch) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over ``batch`` and its exact analytic gradient.
-
-    ``batch`` is a ``Samples`` or a sequence of ``Example``s.
-    """
-    batch = as_samples(batch)
+def loss_and_grad(params: np.ndarray, spec: ModelSpec, batch: Samples) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy over the rows of ``batch`` and its exact analytic gradient."""
     if not len(batch):
         raise EmptySetError("loss over an empty batch")
     return _loss_grad_arrays(np.asarray(params, dtype=np.float64), spec, batch.x, batch.y)
@@ -167,36 +166,38 @@ def philox(seed: int, counter: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
-    """Per-epoch shuffle from a counter-based stream keyed by (seed, epoch)."""
-    return philox(seed, epoch).permutation(n)
+def sgd(params, spec: ModelSpec, x, y, tspec: TrainSpec, step=None, end_epoch=None) -> np.ndarray:
+    """Mini-batch SGD on the rows ``x``, labels ``y`` from ``params``; the final params.
 
-
-def local_train(
-    global_params: np.ndarray, spec: ModelSpec, dataset, tspec: TrainSpec
-) -> np.ndarray:
-    """Run local mini-batch SGD from ``global_params`` and return the final params.
-
-    ``dataset`` is a ``Samples`` (the simulator passes each client's arrays,
-    cut once per run) or a sequence of ``Example``s, stacked once here; both
-    give the same bits. Pure function of its arguments: the mini-batch order
-    for each epoch comes from a Philox stream keyed by (tspec.seed, epoch),
-    so distinct clients never share RNG state and repeated calls are
-    bit-identical.
+    Epoch ``e`` walks ``philox(tspec.seed, e).permutation(n)`` ``batch_size``
+    rows at a time and steps ``params - learning_rate * grad``, with ``grad``
+    the cross-entropy gradient on those rows. ``step(params, grad)``, if
+    given, replaces each batch's gradient before the step; ``end_epoch(params)``,
+    if given, maps the params after each epoch. Distinct seeds never share
+    RNG state and repeated calls are bit-identical.
     """
-    data = as_samples(dataset)
-    if not len(data):
-        raise EmptySetError("cannot train on an empty dataset")
-    params = np.array(global_params, dtype=np.float64, copy=True)
-    x, y = data.x, data.y
     n = x.shape[0]
+    if not n:
+        raise EmptySetError("cannot train on an empty dataset")
+    params = np.array(params, dtype=np.float64, copy=True)
     for epoch in range(tspec.local_epochs):
-        order = _epoch_order(tspec.seed, epoch, n)
+        order = philox(tspec.seed, epoch).permutation(n)
         for start in range(0, n, tspec.batch_size):
             idx = order[start : start + tspec.batch_size]
             _, grad = _loss_grad_arrays(params, spec, x[idx], y[idx])
+            if step is not None:
+                grad = step(params, grad)
             params = params - tspec.learning_rate * grad
+        if end_epoch is not None:
+            params = end_epoch(params)
     return params
+
+
+def local_train(
+    global_params: np.ndarray, spec: ModelSpec, dataset: Samples, tspec: TrainSpec
+) -> np.ndarray:
+    """Honest local training: ``sgd`` on ``dataset`` from ``global_params``."""
+    return sgd(global_params, spec, dataset.x, dataset.y, tspec)
 
 
 def accuracy(params: np.ndarray, spec: ModelSpec, x: np.ndarray, labels) -> float:
@@ -210,23 +211,22 @@ def accuracy(params: np.ndarray, spec: ModelSpec, x: np.ndarray, labels) -> floa
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
-def evaluate_acc(params: np.ndarray, spec: ModelSpec, clean_test) -> float:
-    """Fraction of examples whose argmax prediction matches the label."""
-    test = as_samples(clean_test)
-    if not len(test):
+def evaluate_acc(params: np.ndarray, spec: ModelSpec, clean_test: Samples) -> float:
+    """Fraction of the rows of ``clean_test`` whose argmax prediction matches the label."""
+    if not len(clean_test):
         raise EmptySetError("cannot evaluate on an empty test set")
-    return accuracy(params, spec, test.x, test.y)
+    return accuracy(params, spec, clean_test.x, clean_test.y)
 
 
 def evaluate_asr(
-    params: np.ndarray, spec: ModelSpec, clean_test, trigger: TriggerSpec
+    params: np.ndarray, spec: ModelSpec, clean_test: Samples, trigger: TriggerSpec
 ) -> float:
-    """Attack success rate: triggered non-target examples classified as the target.
+    """Attack success rate: triggered non-target rows of ``clean_test`` classified as the target.
 
-    Examples whose true label already equals the target are excluded from
-    the denominator.
+    Rows whose true label already equals the target are excluded from the
+    denominator.
     """
-    test = as_samples(clean_test)
-    if not np.any(test.y != trigger.target_label):
+    if not np.any(clean_test.y != trigger.target_label):
         raise NoEligibleExamplesError("no test examples with label != target_label")
-    return accuracy(params, spec, triggered_rows(test.x, test.y, trigger), trigger.target_label)
+    rows = triggered_rows(clean_test.x, clean_test.y, trigger)
+    return accuracy(params, spec, rows, trigger.target_label)

@@ -80,17 +80,19 @@ class SimConfig:
     defense: DefenseConfig = field(default_factory=DefenseConfig)
 
     def validate(self):
+        for name in ("total_clients", "clients_per_round", "rounds", "eval_every"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # every per-purpose seed is a SeedSequence entropy word, which is non-negative
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.clients_per_round > self.total_clients:
             raise ConfigError(
                 f"clients_per_round {self.clients_per_round} exceeds "
                 f"total_clients {self.total_clients}"
             )
-        if self.clients_per_round < 1 or self.total_clients < 1:
-            raise ConfigError("client counts must be positive")
         if self.malicious_count < 0 or self.malicious_count > self.total_clients:
             raise ConfigError(f"malicious_count out of range: {self.malicious_count}")
-        if self.rounds < 1 or self.eval_every < 1:
-            raise ConfigError("rounds and eval_every must be positive")
         if self.eval_every > self.rounds:
             raise ConfigError(
                 f"eval_every {self.eval_every} exceeds rounds {self.rounds}: no round would be evaluated"
@@ -194,14 +196,6 @@ class SimState:
     partition: dict[int, list[int]]
     clients: list[Samples]
     asr_x: np.ndarray
-
-    @property
-    def test_x(self) -> np.ndarray:
-        return self.test_set.x
-
-    @property
-    def test_y(self) -> np.ndarray:
-        return self.test_set.y
 
 
 def _derive_seed(master_seed: int, tag: int, *parts: int) -> int:
@@ -315,7 +309,7 @@ def run_round(state: SimState, cfg: SimConfig) -> tuple[SimState, RoundRecord]:
 
     acc = asr = float("nan")
     if r % cfg.eval_every == 0:
-        acc = accuracy(new_params, cfg.model, state.test_x, state.test_y)
+        acc = accuracy(new_params, cfg.model, state.test_set.x, state.test_set.y)
         asr = accuracy(new_params, cfg.model, state.asr_x, acfg.trigger.target_label)
 
     diag = outcome.diagnostics

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from fedsim import config, linalg
+from fedsim.attacks import cosine_loss_and_grad
 from fedsim.data import Example, Samples, TriggerSpec
 from fedsim.defenses import (
     DISPERSION_SENTINEL,
@@ -202,20 +203,34 @@ def poison_dataset_oracle(ds, t: TriggerSpec, rate: float, seed: int) -> list[Ex
     return out
 
 
-def sgd_oracle(global_params, spec: ModelSpec, examples, tspec: TrainSpec) -> np.ndarray:
-    """Local SGD by its documented schedule over a list of ``Example``s.
+def sgd_oracle(
+    global_params, spec: ModelSpec, examples, tspec: TrainSpec, alpha=0.0, radius=math.inf
+) -> np.ndarray:
+    """Local SGD by its documented schedule over a sequence of ``Example``s.
 
     Each epoch's order is ``philox(seed, epoch).permutation(n)``; each
-    mini-batch is the list of examples at the next ``batch_size`` positions,
-    and the step is ``params - lr * grad`` with ``loss_and_grad`` on it.
+    mini-batch is the examples at the next ``batch_size`` positions, stacked
+    here, and the step is ``params - lr * grad`` with ``loss_and_grad`` on it.
+    A nonzero ``alpha`` mixes the cosine stealth gradient against
+    ``global_params`` into every step's gradient, before the step; a finite
+    ``radius`` projects the params onto the L2 ball of that radius around
+    ``global_params`` after every epoch.
     """
     examples = list(examples)
-    params = np.array(global_params, dtype=np.float64, copy=True)
+    center = np.array(global_params, dtype=np.float64, copy=True)
+    params = center
     for epoch in range(tspec.local_epochs):
         order = philox(tspec.seed, epoch).permutation(len(examples)).tolist()
         for start in range(0, len(examples), tspec.batch_size):
-            batch = [examples[i] for i in order[start : start + tspec.batch_size]]
-            params = params - tspec.learning_rate * loss_and_grad(params, spec, batch)[1]
+            batch = stacked([examples[i] for i in order[start : start + tspec.batch_size]])
+            grad = loss_and_grad(params, spec, batch)[1]
+            if alpha:
+                grad = (1.0 - alpha) * grad + alpha * cosine_loss_and_grad(params, center)[1]
+            params = params - tspec.learning_rate * grad
+        diff = params - center
+        norm = float(np.linalg.norm(diff))
+        if norm > radius:
+            params = center + (radius / norm) * diff
     return params
 
 

@@ -36,6 +36,7 @@ from helpers import (
     finite_diff_grad,
     make_duplicated_malicious_instance,
     rel_grad_error,
+    stacked,
     standard_config,
 )
 
@@ -68,10 +69,10 @@ def test_criterion_01_gradient_correctness():
     for i in range(80):
         spec = specs[i % 2]
         params = rng.normal(scale=0.6, size=spec.param_count())
-        batch = [
+        batch = stacked([
             Example(rng.normal(size=spec.input_dim), int(rng.integers(spec.num_classes)))
             for _ in range(int(rng.integers(1, 6)))
-        ]
+        ])
         _, grad = loss_and_grad(params, spec, batch)
         fd = finite_diff_grad(lambda p: loss_and_grad(p, spec, batch)[0], params)
         worst = max(worst, rel_grad_error(grad, fd))

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,15 @@ from fedsim.attacks import (
     pgd_project,
     _edge_source_label,
 )
-from fedsim.data import Example, TriggerSpec, apply_trigger, edge_case_pool, gen_blobs, poison_dataset
+from fedsim.data import (
+    Example,
+    Samples,
+    TriggerSpec,
+    apply_trigger,
+    blob_arrays,
+    edge_case_pool,
+    poison_dataset,
+)
 from fedsim.defenses import ClientUpdate, fedavg
 from fedsim.errors import ConfigError, DimensionMismatchError, EmptySetError, ZeroVectorError
 from fedsim.model import ModelSpec, TrainSpec, evaluate_asr, init_params, local_train
@@ -26,9 +35,13 @@ TRIGGER = TriggerSpec((5, 6), (4.0, -4.0), 0)
 
 def _local_data(seed=0, n=60, classes=4, dim=8):
     rng = np.random.default_rng(seed)
-    ds = gen_blobs(classes, dim, n // classes, 6.0, seed)
-    rng.shuffle(ds)
-    return ds
+    ds = blob_arrays(classes, dim, n // classes, 6.0, seed)
+    return ds.take(rng.permutation(len(ds)))
+
+
+def _target_only():
+    rng = np.random.default_rng(20)
+    return stacked([Example(rng.normal(size=8), TRIGGER.target_label) for _ in range(20)])
 
 
 def _tspec(**kw):
@@ -73,8 +86,7 @@ class TestDispatch:
 
     def test_all_target_data_degrades_to_honest_behavior(self):
         # nothing to poison: the attacker trains on its data as-is
-        rng = np.random.default_rng(20)
-        data = [Example(rng.normal(size=8), TRIGGER.target_label) for _ in range(20)]
+        data = _target_only()
         start = init_params(SPEC, 8)
         acfg = AttackConfig(kind="data_poison", trigger=TRIGGER)
         out = malicious_local_train(start, SPEC, data, _tspec(), acfg)
@@ -206,7 +218,7 @@ class TestConstrainAndScale:
 
         dists = {0.1: [], 0.9: []}
         for seed in range(20):
-            data_pool = gen_blobs(4, 8, 80, 6.0, seed)
+            data_pool = blob_arrays(4, 8, 80, 6.0, seed)
             rng = np.random.default_rng(seed)
             global_p = init_params(SPEC, seed)
             # a short warm-up so the global model is informative
@@ -214,11 +226,11 @@ class TestConstrainAndScale:
             global_p = local_train(global_p, SPEC, data_pool, warm)
             honest_deltas = []
             for i in range(6):
-                sl = data_pool[i * 40 : (i + 1) * 40]
+                sl = data_pool.take(slice(i * 40, (i + 1) * 40))
                 tspec = TrainSpec(10, 400, 0.05, 1000 + i)
                 honest_deltas.append(local_train(global_p, SPEC, sl, tspec) - global_p)
             mean_honest = np.mean(honest_deltas, axis=0)
-            mal_data = poison_dataset(data_pool[240:], TRIGGER, 1.0, seed)
+            mal_data = poison_dataset(data_pool.take(slice(240, None)), TRIGGER, 1.0, seed)
             for alpha in (0.1, 0.9):
                 tspec = TrainSpec(10, 400, 0.05, 77)
                 mal = constrain_and_scale_train(global_p, SPEC, mal_data, tspec, alpha)
@@ -228,11 +240,11 @@ class TestConstrainAndScale:
 
 class TestEdgeCasePgd:
     def test_source_label_is_modal_non_target(self):
-        data = [Example(np.zeros(4), l) for l in (0, 1, 1, 1, 2, 2)]
+        data = Samples(np.zeros((6, 4)), [0, 1, 1, 1, 2, 2])
         assert _edge_source_label(data, 0) == 1
         assert _edge_source_label(data, 1) == 2
         with pytest.raises(ConfigError):
-            _edge_source_label([Example(np.zeros(4), 0)], 0)
+            _edge_source_label(Samples(np.zeros((1, 4)), [0]), 0)
 
     def test_infinite_radius_equals_plain_training_on_augmented_set(self):
         data = _local_data(12)
@@ -242,7 +254,7 @@ class TestEdgeCasePgd:
         out = edge_case_pgd_train(start, SPEC, data, _tspec(), acfg)
         source = _edge_source_label(data, TRIGGER.target_label)
         pool = edge_case_pool(data, source, 0.3)
-        augmented = list(data) + [apply_trigger(e, TRIGGER) for e in pool]
+        augmented = stacked([*data, *(apply_trigger(e, TRIGGER) for e in pool)])
         expected = local_train(start, SPEC, augmented, _tspec())
         assert np.array_equal(out, expected)
 
@@ -271,25 +283,18 @@ ATTACK_KINDS = ("none", "data_poison", "model_replacement", "constrain_and_scale
 
 
 class TestArrayInput:
-    """Attacks give the same bits on a list of Examples and on its arrays."""
-
-    def _target_only(self):
-        rng = np.random.default_rng(20)
-        return [Example(rng.normal(size=8), TRIGGER.target_label) for _ in range(20)]
+    """Attacks follow the documented schedule and leave their input arrays untouched."""
 
     @pytest.mark.parametrize("kind", ATTACK_KINDS)
     @pytest.mark.parametrize("rate", [0.6, 1.0])
     @pytest.mark.parametrize("all_target", [False, True])
     def test_malicious_local_train(self, kind, rate, all_target):
-        data = self._target_only() if all_target else _local_data(21)
-        arrays = stacked(data)
+        arrays = _target_only() if all_target else _local_data(21)
         x0, y0 = arrays.x.copy(), arrays.y.copy()
         start = init_params(SPEC, 9)
         acfg = AttackConfig(kind=kind, trigger=TRIGGER, poison_rate=rate, boost=3.0,
                             alpha=0.4, pgd_radius=1.5, edge_fraction=0.3)
-        got = malicious_local_train(start, SPEC, arrays, _tspec(), acfg)
-        want = malicious_local_train(start, SPEC, data, _tspec(), acfg)
-        assert got.tobytes() == want.tobytes()
+        malicious_local_train(start, SPEC, arrays, _tspec(), acfg)
         assert np.array_equal(arrays.x, x0) and np.array_equal(arrays.y, y0)
 
     def test_poisoned_training_follows_the_documented_schedule(self):
@@ -297,36 +302,42 @@ class TestArrayInput:
         data = _local_data(22)
         start = init_params(SPEC, 10)
         acfg = AttackConfig(kind="data_poison", trigger=TRIGGER, poison_rate=0.6)
-        got = malicious_local_train(start, SPEC, stacked(data), _tspec(), acfg)
+        got = malicious_local_train(start, SPEC, data, _tspec(), acfg)
         poisoned = list(poison_dataset(data, TRIGGER, 0.6, _tspec().seed))
         assert got.tobytes() == sgd_oracle(start, SPEC, poisoned, _tspec()).tobytes()
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_constrain_and_scale_train(self, alpha):
+        # the stealth gradient is mixed into every step, before the step
         data = _local_data(23)
         start = init_params(SPEC, 11)
-        got = constrain_and_scale_train(start, SPEC, stacked(data), _tspec(), alpha)
-        want = constrain_and_scale_train(start, SPEC, data, _tspec(), alpha)
-        assert got.tobytes() == want.tobytes()
-        if alpha == 0.0:
-            assert got.tobytes() == sgd_oracle(start, SPEC, data, _tspec()).tobytes()
+        tspec = _tspec()
+        assert tspec.local_epochs >= 2
+        got = constrain_and_scale_train(start, SPEC, data, tspec, alpha)
+        assert got.tobytes() == sgd_oracle(start, SPEC, data, tspec, alpha=alpha).tobytes()
 
     def test_edge_case_pgd_train(self):
+        # the edge-case rows follow the local rows; the projection runs after every epoch
         data = _local_data(24)
         start = init_params(SPEC, 12)
-        acfg = AttackConfig(kind="edge_case_pgd", trigger=TRIGGER, pgd_radius=0.8,
+        radius = 0.8
+        acfg = AttackConfig(kind="edge_case_pgd", trigger=TRIGGER, pgd_radius=radius,
                             edge_fraction=0.4)
-        got = edge_case_pgd_train(start, SPEC, stacked(data), _tspec(), acfg)
-        want = edge_case_pgd_train(start, SPEC, data, _tspec(), acfg)
-        assert got.tobytes() == want.tobytes()
+        tspec = _tspec(learning_rate=0.3)
+        assert tspec.local_epochs >= 2
+        got = edge_case_pgd_train(start, SPEC, data, tspec, acfg)
+        pool = edge_case_pool(data, _edge_source_label(data, TRIGGER.target_label), 0.4)
+        augmented = [*data, *(apply_trigger(e, TRIGGER) for e in pool)]
+        first_epoch = sgd_oracle(start, SPEC, augmented, replace(tspec, local_epochs=1))
+        assert np.linalg.norm(first_epoch - start) > radius  # the radius binds from epoch 1
+        assert got.tobytes() == sgd_oracle(start, SPEC, augmented, tspec, radius=radius).tobytes()
 
     def test_edge_source_label_ties_to_the_lowest_label(self):
-        labels = [3, 1, 0, 3, 1, 2, 0, 0, 0]
-        data = [Example(np.zeros(4), l) for l in labels]
+        data = Samples(np.zeros((9, 4)), [3, 1, 0, 3, 1, 2, 0, 0, 0])
         assert _edge_source_label(data, 0) == 1
-        assert _edge_source_label(stacked(data), 0) == 1
         assert _edge_source_label(data, 1) == 0
 
     def test_empty_data_rejected(self):
+        empty = Samples(np.empty((0, SPEC.input_dim)), np.empty(0))
         with pytest.raises(EmptySetError):
-            constrain_and_scale_train(init_params(SPEC, 0), SPEC, [], _tspec(), 0.5)
+            constrain_and_scale_train(init_params(SPEC, 0), SPEC, empty, _tspec(), 0.5)

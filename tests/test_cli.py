@@ -92,6 +92,13 @@ class TestRun:
         assert main(["run", "--config", str(tiny_cfg), "--format", "csv"]) == 0
         assert (env_dir / "results.csv").exists()
 
+    def test_negative_seed_exit_2_naming_key(self, tiny_cfg, tmp_path, capsys):
+        code = main(["run", "--config", str(tiny_cfg), "--out", str(tmp_path), "--seed", "-1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "master_seed" in err
+        assert "Traceback" not in err
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
 
@@ -221,6 +228,10 @@ class TestValidateConfig:
     @pytest.mark.parametrize(
         "key,value",
         [
+            ("master_seed", "-1"),
+            ("clients_per_round", "0"),
+            ("rounds", "0"),
+            ("eval_every", "0"),
             ("train.batch_size", "0"),
             ("train.local_epochs", "0"),
             ("train.learning_rate", "-0.5"),

@@ -8,7 +8,6 @@ from fedsim.data import (
     Samples,
     TriggerSpec,
     apply_trigger,
-    as_samples,
     blob_arrays,
     dirichlet_partition,
     edge_case_pool,
@@ -98,19 +97,6 @@ class TestSamples:
             Samples(np.zeros((3, 2)), [0, 1])
         with pytest.raises(DimensionMismatchError):
             Samples(np.zeros(3), [0, 1, 2])
-
-    def test_as_samples(self):
-        rng = np.random.default_rng(1)
-        ds = [Example(rng.normal(size=5), int(l)) for l in rng.integers(0, 3, size=7)]
-        arrays = as_samples(ds)
-        assert arrays.x.dtype == np.float64 and arrays.x.shape == (7, 5)
-        assert arrays.x.tobytes() == np.stack([e.features for e in ds]).tobytes()
-        assert arrays.y.tolist() == [e.label for e in ds]
-        assert as_samples(arrays) is arrays
-        assert as_samples(iter(ds)).x.tobytes() == arrays.x.tobytes()
-        assert len(as_samples([])) == 0
-        ints = as_samples([Example(np.array([1, 2]), 0)])
-        assert ints.x.dtype == np.float64 and ints.x.tolist() == [[1.0, 2.0]]
 
     def test_blob_arrays_are_the_per_class_draws(self):
         # centers first, then one standard-normal block per class in class order
@@ -252,7 +238,7 @@ class TestTrigger:
 
 class TestPoisonDataset:
     def _ds(self, labels):
-        return [Example(np.full(4, float(i)), l) for i, l in enumerate(labels)]
+        return Samples(np.repeat(np.arange(len(labels), dtype=float), 4).reshape(-1, 4), labels)
 
     def test_full_rate_on_target_free_set(self):
         ds = self._ds([1, 2, 3, 4, 5])
@@ -306,25 +292,26 @@ class TestPoisonDataset:
 
     def test_full_rate_does_not_depend_on_the_seed(self):
         rng = np.random.default_rng(3)
-        ds = [Example(rng.normal(size=4), l) for l in (0, 1, 2, 0, 3, 1)]
+        ds = stacked([Example(rng.normal(size=4), l) for l in (0, 1, 2, 0, 3, 1)])
         t = TriggerSpec((1, 3), (9.0, -9.0), 0)
-        a, b = poison_dataset(ds, t, 1.0, 1), poison_dataset(stacked(ds), t, 1.0, 2)
+        a, b = poison_dataset(ds, t, 1.0, 1), poison_dataset(ds, t, 1.0, 2)
         assert a.x.tobytes() == b.x.tobytes() and a.y.tolist() == b.y.tolist() == [0] * 6
 
     def test_array_input_untouched(self):
-        arrays = stacked(self._ds([1, 2, 0]))
+        arrays = self._ds([1, 2, 0])
         x0, y0 = arrays.x.copy(), arrays.y.copy()
         out = poison_dataset(arrays, TriggerSpec((0, 2), (9.0, -9.0), 0), 0.5, 3)
         assert np.array_equal(arrays.x, x0) and np.array_equal(arrays.y, y0)
         assert not np.shares_memory(out.x, arrays.x)
 
     def test_input_untouched(self):
+        # at rate 1 every row is triggered, on the copy only
         ds = self._ds([1, 2, 3])
-        items = list(ds)
-        before = [e.features.copy() for e in ds]
+        x, y = ds.x, ds.y
+        x0, y0 = x.copy(), y.copy()
         poison_dataset(ds, TriggerSpec((0, 2), (9.0, -9.0), 0), 1.0, 0)
-        assert all(a is b for a, b in zip(ds, items))
-        assert all(np.array_equal(e.features, b) for e, b in zip(ds, before))
+        assert ds.x is x and ds.y is y
+        assert np.array_equal(x, x0) and np.array_equal(y, y0)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -341,24 +328,24 @@ class TestPoisonDataset:
         target = data.draw(st.integers(0, n_classes - 1))
         if all(l == target for l in labels):
             labels[0] = (target + 1) % n_classes
-        ds = [Example(rng.normal(size=dim), l) for l in labels]
+        ds = stacked([Example(rng.normal(size=dim), l) for l in labels])
         positions = data.draw(st.lists(st.integers(0, dim - 1), unique=True, max_size=dim))
         values = tuple(rng.normal(size=len(positions)) * 10)
         t = TriggerSpec(tuple(positions), values, target)
         want = poison_dataset_oracle(ds, t, rate, seed)
-        for got in (poison_dataset(ds, t, rate, seed), poison_dataset(stacked(ds), t, rate, seed)):
-            assert [e.label for e in got] == [e.label for e in want]
-            for g, w in zip(got, want):
-                assert g.features.dtype == w.features.dtype == np.float64
-                assert g.features.tobytes() == w.features.tobytes()
+        got = poison_dataset(ds, t, rate, seed)
+        assert [e.label for e in got] == [e.label for e in want]
+        for g, w in zip(got, want):
+            assert g.features.dtype == w.features.dtype == np.float64
+            assert g.features.tobytes() == w.features.tobytes()
 
 
 class TestEdgeCasePool:
     def _cluster(self, seed=0):
         rng = np.random.default_rng(seed)
-        return [Example(rng.normal(size=6), 3) for _ in range(100)] + [
+        return stacked([Example(rng.normal(size=6), 3) for _ in range(100)] + [
             Example(rng.normal(size=6), 1) for _ in range(40)
-        ]
+        ])
 
     def test_count(self):
         ds = self._cluster()
@@ -380,11 +367,6 @@ class TestEdgeCasePool:
         assert len(sel) == len(pool)
         assert min(sel) >= max(rest) - 1e-12
         assert np.mean(sel) >= np.mean(rest)
-
-    def test_arrays_equal_list(self):
-        ds = self._cluster(6)
-        a, b = edge_case_pool(ds, 3, 0.3), edge_case_pool(stacked(ds), 3, 0.3)
-        assert a.x.tobytes() == b.x.tobytes() and a.y.tolist() == b.y.tolist()
 
     def test_determinism(self):
         ds = self._cluster(9)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fedsim.data import Example, TriggerSpec, gen_blobs
+from fedsim.data import Example, Samples, TriggerSpec, blob_arrays
 from fedsim.errors import EmptySetError, NoEligibleExamplesError
 from fedsim.model import (
     ModelSpec,
@@ -24,10 +24,14 @@ MLP = ModelSpec(4, 3, hidden_dim=8)
 
 
 def _random_batch(rng, spec, n):
-    return [
+    return stacked([
         Example(rng.normal(size=spec.input_dim), int(rng.integers(spec.num_classes)))
         for _ in range(n)
-    ]
+    ])
+
+
+def _empty(spec):
+    return Samples(np.empty((0, spec.input_dim)), np.empty(0))
 
 
 class TestInitParams:
@@ -80,13 +84,13 @@ class TestLossAndGrad:
         batch = _random_batch(rng, SOFTMAX, 5)
         params = rng.normal(size=SOFTMAX.param_count())
         l1, g1 = loss_and_grad(params, SOFTMAX, batch)
-        l2, g2 = loss_and_grad(params, SOFTMAX, batch + batch)
+        l2, g2 = loss_and_grad(params, SOFTMAX, stacked([*batch, *batch]))
         assert np.isclose(l1, l2, rtol=1e-12, atol=1e-14)
         assert np.allclose(g1, g2, rtol=1e-10, atol=1e-13)
 
     def test_empty_batch(self):
         with pytest.raises(EmptySetError):
-            loss_and_grad(np.zeros(15), SOFTMAX, [])
+            loss_and_grad(np.zeros(15), SOFTMAX, _empty(SOFTMAX))
 
 
 class TestLocalTrain:
@@ -123,31 +127,31 @@ class TestLocalTrain:
 
     def test_empty_dataset(self):
         with pytest.raises(EmptySetError):
-            local_train(np.zeros(15), SOFTMAX, [], self._tspec())
+            local_train(np.zeros(15), SOFTMAX, _empty(SOFTMAX), self._tspec())
 
 
 class TestEvaluate:
     def test_zero_params_acc_is_class0_frequency(self):
         labels = [0, 0, 1, 2, 0, 1]
-        test = [Example(np.ones(4), l) for l in labels]
+        test = stacked([Example(np.ones(4), l) for l in labels])
         acc = evaluate_acc(np.zeros(SOFTMAX.param_count()), SOFTMAX, test)
         assert np.isclose(acc, labels.count(0) / len(labels))
 
     def test_single_correct(self):
         spec = ModelSpec(2, 2)
         params = np.array([5.0, 0.0, -5.0, 0.0, 0.0, 0.0])  # strong class-0 weight
-        test = [Example(np.array([1.0, 0.0]), 0)]
+        test = stacked([Example(np.array([1.0, 0.0]), 0)])
         assert evaluate_acc(params, spec, test) == 1.0
 
     def test_converged_blobs_accuracy(self):
-        ds = gen_blobs(4, 8, 60, 8.0, 2)
+        ds = blob_arrays(4, 8, 60, 8.0, 2)
         spec = ModelSpec(8, 4)
         tspec = TrainSpec(local_epochs=30, batch_size=240, learning_rate=0.05, seed=0)
         params = local_train(init_params(spec, 0), spec, ds, tspec)
         assert evaluate_acc(params, spec, ds) >= 0.95
 
     def test_asr_degenerate_predictor(self):
-        test = [Example(np.ones(4), l) for l in (1, 2, 1)]
+        test = stacked([Example(np.ones(4), l) for l in (1, 2, 1)])
         trig = TriggerSpec((0,), (3.0,), 0)
         asr = evaluate_asr(np.zeros(SOFTMAX.param_count()), SOFTMAX, test, trig)
         assert asr == 1.0  # uniform probs tie-break to class 0 = target
@@ -156,16 +160,15 @@ class TestEvaluate:
         spec = ModelSpec(2, 2)
         # model that always predicts class 1; trigger targets class 1
         params = np.array([0.0, 0.0, 5.0, 5.0, 0.0, 1.0])
-        test = [Example(np.array([1.0, 1.0]), 1) for _ in range(5)]
-        test.append(Example(np.array([1.0, 1.0]), 0))
+        test = stacked([Example(np.array([1.0, 1.0]), l) for l in (1, 1, 1, 1, 1, 0)])
         trig = TriggerSpec((0,), (1.0,), 1)
         # only the single label-0 example counts; it is classified 1 = target
         assert evaluate_asr(params, spec, test, trig) == 1.0
         with pytest.raises(NoEligibleExamplesError):
-            evaluate_asr(params, spec, test[:5], trig)
+            evaluate_asr(params, spec, test.take(slice(5)), trig)
 
     def test_clean_model_low_asr_control(self):
-        ds = gen_blobs(10, 16, 80, 8.0, 3)
+        ds = blob_arrays(10, 16, 80, 8.0, 3)
         spec = ModelSpec(16, 10)
         tspec = TrainSpec(local_epochs=20, batch_size=800, learning_rate=0.05, seed=1)
         params = local_train(init_params(spec, 1), spec, ds, tspec)
@@ -176,10 +179,10 @@ class TestEvaluate:
 
     def test_empty_test_set(self):
         with pytest.raises(EmptySetError):
-            evaluate_acc(np.zeros(15), SOFTMAX, [])
+            evaluate_acc(np.zeros(15), SOFTMAX, _empty(SOFTMAX))
 
-    def test_list_evaluators_equal_the_array_core(self):
-        ds = gen_blobs(4, 8, 30, 4.0, 6)
+    def test_evaluators_equal_the_array_core(self):
+        ds = blob_arrays(4, 8, 30, 4.0, 6)
         spec = ModelSpec(8, 4, hidden_dim=5)
         params = init_params(spec, 2)
         x = np.stack([e.features for e in ds])
@@ -193,30 +196,16 @@ class TestEvaluate:
 
 
 class TestArrayInput:
-    """Every routine gives the same bits on a list of Examples and on its arrays."""
+    """local_train follows the documented schedule and leaves its arrays untouched."""
 
     @pytest.mark.parametrize("spec", [SOFTMAX, MLP])
     @pytest.mark.parametrize("batch_size", [5, 100])
     def test_local_train(self, spec, batch_size):
         rng = np.random.default_rng(11)
-        data = _random_batch(rng, spec, 23)
-        arrays = stacked(data)
+        arrays = _random_batch(rng, spec, 23)
         x0, y0 = arrays.x.copy(), arrays.y.copy()
         start = init_params(spec, 4)
         tspec = TrainSpec(local_epochs=3, batch_size=batch_size, learning_rate=0.1, seed=9)
         got = local_train(start, spec, arrays, tspec)
-        assert got.tobytes() == local_train(start, spec, data, tspec).tobytes()
-        assert got.tobytes() == sgd_oracle(start, spec, data, tspec).tobytes()
+        assert got.tobytes() == sgd_oracle(start, spec, arrays, tspec).tobytes()
         assert np.array_equal(arrays.x, x0) and np.array_equal(arrays.y, y0)
-
-    def test_loss_and_evaluators(self):
-        rng = np.random.default_rng(12)
-        data = _random_batch(rng, MLP, 30)
-        arrays = stacked(data)
-        params = init_params(MLP, 2)
-        loss_l, grad_l = loss_and_grad(params, MLP, data)
-        loss_a, grad_a = loss_and_grad(params, MLP, arrays)
-        assert loss_l == loss_a and grad_l.tobytes() == grad_a.tobytes()
-        assert evaluate_acc(params, MLP, arrays) == evaluate_acc(params, MLP, data)
-        t = TriggerSpec((1,), (3.0,), 2)
-        assert evaluate_asr(params, MLP, arrays, t) == evaluate_asr(params, MLP, data, t)

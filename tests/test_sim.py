@@ -125,13 +125,11 @@ class TestRunRound:
         cfg = small_config(malicious=3, attack="model_replacement", force_c=1)
         state = build_state(cfg)
         t = cfg.attack.trigger
-        assert np.array_equal(state.test_x, np.stack([e.features for e in state.test_set]))
-        assert state.test_y.tolist() == [e.label for e in state.test_set]
         eligible = [e.features for e in state.test_set if e.label != t.target_label]
         assert len(state.asr_x) == len(eligible)
         assert np.array_equal(state.asr_x[:, list(t.positions)], np.tile(t.values, (len(eligible), 1)))
         state2, _ = run_round(state, cfg)
-        assert state2.test_x is state.test_x and state2.asr_x is state.asr_x
+        assert state2.test_set is state.test_set and state2.asr_x is state.asr_x
 
     def test_clients_hold_their_rows_in_partition_order(self):
         cfg = small_config(malicious=3, attack="model_replacement", force_c=1)
