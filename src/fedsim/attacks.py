@@ -10,7 +10,7 @@ routine is a pure function of its arguments.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,12 +26,14 @@ ATTACK_KINDS = ("none", "data_poison", "model_replacement", "constrain_and_scale
 class AttackConfig:
     """Knobs for the malicious side; only the fields relevant to ``kind`` matter.
 
+    ``trigger`` is the run's one backdoor trigger: attackers stamp it, and
+    the attack success rate is measured with it, in clean runs too.
     ``boost=None`` means "resolve to the per-round client count" (the value
     that makes a single boosted update dominate a plain average).
     """
 
     kind: str = "none"
-    trigger: TriggerSpec | None = None
+    trigger: TriggerSpec = field(default_factory=TriggerSpec)
     poison_rate: float = 0.5
     boost: float | None = None
     alpha: float = 0.5
@@ -104,21 +106,20 @@ def constrain_and_scale_train(
 ) -> np.ndarray:
     """SGD on (1-alpha) * classification loss + alpha * cosine stealth loss.
 
-    alpha = 0 reproduces plain poisoned training bit-for-bit; alpha = 1
+    alpha = 0 and an all-zero global model (where the stealth term is
+    undefined) give plain poisoned training bit-for-bit; alpha = 1
     descends the stealth term alone.
     """
     if not 0 <= alpha <= 1:
         raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
     global_params = np.asarray(global_params, dtype=np.float64)
-    if not np.any(global_params):
-        raise ZeroVectorError("stealth term undefined against an all-zero global model")
 
     def stealth(params, g_class):
         _, g_cos = cosine_loss_and_grad(params, global_params)
         return (1.0 - alpha) * g_class + alpha * g_cos
 
     return sgd(global_params, spec, poisoned_data.x, poisoned_data.y, tspec,
-               step=None if alpha == 0.0 else stealth)
+               step=stealth if alpha and np.any(global_params) else None)
 
 
 def _edge_source_label(local_data: Samples, target_label: int) -> int:
@@ -141,12 +142,8 @@ def edge_case_pgd_train(
     ``pgd_radius`` around the global model, so the returned model always
     lies within that ball.
     """
-    if acfg.trigger is None:
-        raise ConfigError("edge_case_pgd needs a trigger")
     source = _edge_source_label(local_data, acfg.trigger.target_label)
     pool = edge_case_pool(local_data, source, acfg.edge_fraction)
-    if not len(pool):
-        raise ConfigError("edge-case pool is empty")
     x = np.concatenate([local_data.x, triggered_rows(pool.x, pool.y, acfg.trigger)])
     target = np.full(len(pool), acfg.trigger.target_label, dtype=np.intp)
     y = np.concatenate([local_data.y, target])
@@ -161,14 +158,10 @@ def malicious_local_train(
     """Dispatch local training by attack kind.
 
     ``none`` is byte-identical to honest training. The poisoning kinds
-    train on a seeded poisoned copy of the local data (``poison_dataset``);
-    constrain-and-scale falls back to plain poisoned training when the
-    global model is all zeros (its stealth term is undefined there).
+    train on a seeded poisoned copy of the local data (``poison_dataset``).
     """
     if acfg.kind == "none":
         return local_train(global_params, spec, local_data, tspec)
-    if acfg.trigger is None:
-        raise ConfigError(f"attack kind {acfg.kind!r} needs a trigger")
 
     # an attacker holding only target-label data has nothing to poison and
     # falls back to its unmodified local set (boost/projection still apply)
@@ -191,7 +184,5 @@ def malicious_local_train(
         trained = local_train(global_params, spec, poisoned, tspec)
         return model_replacement(trained, global_params, acfg.boost)
     if acfg.kind == "constrain_and_scale":
-        if not np.any(np.asarray(global_params)):
-            return local_train(global_params, spec, poisoned, tspec)
         return constrain_and_scale_train(global_params, spec, poisoned, tspec, acfg.alpha)
     raise ConfigError(f"unknown attack kind {acfg.kind!r}")

@@ -28,8 +28,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_config=True):
-        p.add_argument("--config", required=needs_config, help="path to a config file")
+    def command(name, summary, out=True, fmt=False):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", required=True, help="path to a config file")
         p.add_argument(
             "--set",
             dest="overrides",
@@ -38,29 +39,27 @@ def _build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config key (dot-path); repeatable, last wins",
         )
-        p.add_argument("--out", default=None, help="output directory")
+        if out:
+            p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument(
-            "--format",
-            choices=("csv", "json", "both"),
-            default="both",
-            help="result file format(s) for run outputs",
-        )
+        if fmt:
+            p.add_argument(
+                "--format",
+                choices=("csv", "json", "both"),
+                default="both",
+                help="result file format(s) for run outputs",
+            )
+        return p
 
-    run = sub.add_parser("run", help="run one simulation")
-    common(run)
-    sweep = sub.add_parser("sweep", help="run one simulation per axis value")
-    common(sweep)
-    sweep.add_argument(
+    command("run", "run one simulation", fmt=True)
+    command("sweep", "run one simulation per axis value", fmt=True).add_argument(
         "--axis",
         required=True,
         metavar="KEY=V1,V2,...",
         help="config key and comma-separated values to sweep",
     )
-    compare = sub.add_parser("compare", help="run an attack x defense matrix")
-    common(compare)
-    validate = sub.add_parser("validate-config", help="parse and validate a config")
-    common(validate)
+    command("compare", "run an attack x defense matrix")
+    command("validate-config", "parse and validate a config", out=False)
     return parser
 
 

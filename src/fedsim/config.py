@@ -9,11 +9,11 @@ sections is ``<section>.<field>``: ``data.`` (DataConfig), ``trigger.``
 (TriggerSpec), ``model.`` (ModelSpec), ``train.`` (TrainSpec), ``attack.``
 (AttackConfig) and ``defense.`` (DefenseConfig). A value is parsed by the
 field's annotation, and a key that is not set takes the field's default,
-which is the only place a default is written. Four fields are filled by the
-simulator and are not keys: ``model.input_dim`` and ``model.num_classes``
-(from ``data``), ``train.seed`` (per client and round) and
-``attack.trigger`` (the ``trigger`` section). Values are checked by the
-dataclasses themselves, each message naming the key.
+which is the only place a default is written. Three fields are filled by
+the simulator and are not keys: ``model.input_dim`` and ``model.num_classes``
+(from ``data``) and ``train.seed`` (per client and round). The ``trigger``
+section builds ``attack.trigger``, the run's one trigger. Values are checked
+by the dataclasses themselves, each message naming the key.
 
 The ``compare.attacks`` / ``compare.defenses`` keys configure the comparison
 matrix and are not part of the single-run config.
@@ -40,7 +40,7 @@ _SECTIONS = {
     "attack": AttackConfig,
     "defense": DefenseConfig,
 }
-_FILLED_BY_SIMULATOR = ("model.input_dim", "model.num_classes", "train.seed", "attack.trigger")
+_FILLED_BY_SIMULATOR = ("model.input_dim", "model.num_classes", "train.seed")
 
 
 def _parse_bool(s: str) -> bool:
@@ -166,14 +166,13 @@ def build_config(raw: dict) -> ExperimentConfig:
     for key, value in parse_values(raw).items():
         section, _, name = key.rpartition(".")
         given[section][name] = value
-    trigger = TriggerSpec(**given["trigger"])
-    data = DataConfig(**given["data"], trigger=trigger)
+    data = DataConfig(**given["data"])
     sim = SimConfig(
         **given[""],
         model=ModelSpec(data.feature_dim, data.num_classes, **given["model"]),
         train=TrainSpec(**given["train"]),
         data=data,
-        attack=AttackConfig(**given["attack"], trigger=trigger),
+        attack=AttackConfig(**given["attack"], trigger=TriggerSpec(**given["trigger"])),
         defense=DefenseConfig(**given["defense"]),
     )
     sim.validate()

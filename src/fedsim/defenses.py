@@ -149,20 +149,19 @@ def fedavg(updates) -> DefenseOutcome:
     )
 
 
-def multi_krum(updates, f: int, select: int) -> DefenseOutcome:
+def multi_krum(updates, cfg: DefenseConfig) -> DefenseOutcome:
     """Score clients by summed squared distance to nearest neighbors, keep the best.
 
-    score_i sums the squared L2 distances from client i to its k - f - 2
-    nearest neighbors; the ``select`` lowest-scoring clients are averaged.
-    The k >= 2f + 3 requirement is warned about but not enforced, so its
+    With f = ``cfg.krum_f``, score_i sums the squared L2 distances from
+    client i to its k - f - 2 nearest neighbors; the ``cfg.accept_count``
+    lowest-scoring clients (resolved against k) are averaged. The
+    k >= 2f + 3 requirement is warned about but not enforced, so its
     failure mode can be studied.
     """
     updates = _sorted_updates(updates)
     k = len(updates)
-    if f < 0:
-        raise ConfigError(f"krum f must be >= 0, got {f}")
-    if select < 1 or select > k:
-        raise ConfigError(f"multi-krum select must be in [1, {k}], got {select}")
+    f = cfg.krum_f
+    select = cfg.resolved(k).accept_count
     if k < 2 * f + 3:
         warnings.warn(
             f"multi-krum has k={k} < 2f+3={2 * f + 3}; scores are not Byzantine-safe",
@@ -195,20 +194,18 @@ def multi_krum(updates, f: int, select: int) -> DefenseOutcome:
     )
 
 
-def weak_dp(updates, clip_norm: float, noise_std: float, seed: int) -> DefenseOutcome:
-    """Norm-clip every delta, average, and add seeded Gaussian noise to the mean."""
-    if clip_norm <= 0:
-        raise ConfigError(f"clip_norm must be > 0, got {clip_norm}")
+def weak_dp(updates, cfg: DefenseConfig, seed: int) -> DefenseOutcome:
+    """Clip each delta to norm ``cfg.clip_norm``, average, add seeded ``cfg.noise_std`` noise."""
     updates = _sorted_updates(updates)
     clipped = []
     for u in updates:
         norm = float(np.linalg.norm(u.delta))
-        scale = min(1.0, clip_norm / norm) if norm > 0 else 1.0
+        scale = min(1.0, cfg.clip_norm / norm) if norm > 0 else 1.0
         clipped.append(u.delta * scale if scale < 1.0 else u.delta)
     mean = np.mean(np.array(clipped), axis=0)
-    if noise_std > 0:
+    if cfg.noise_std > 0:
         rng = np.random.default_rng(seed)
-        mean = mean + rng.normal(0.0, noise_std, size=mean.shape)
+        mean = mean + rng.normal(0.0, cfg.noise_std, size=mean.shape)
     return DefenseOutcome(
         aggregated_delta=mean, accepted=[u.client_id for u in updates]
     )
@@ -381,16 +378,12 @@ def aggregate(updates, cfg: DefenseConfig, seed: int = 0) -> DefenseOutcome:
 
     ``updates`` may be any iterable; an empty one raises :class:`EmptySetError`.
     """
-    updates = list(updates)
-    if not updates:
-        raise EmptySetError("no client updates to aggregate")
     if cfg.kind == "fedavg":
         return fedavg(updates)
     if cfg.kind == "multi_krum":
-        resolved = cfg.resolved(len(updates))
-        return multi_krum(updates, cfg.krum_f, resolved.accept_count)
+        return multi_krum(updates, cfg)
     if cfg.kind == "weak_dp":
-        return weak_dp(updates, cfg.clip_norm, cfg.noise_std, seed)
+        return weak_dp(updates, cfg, seed)
     if cfg.kind == "scope_static":
         return scope_static_aggregate(updates, cfg)
     if cfg.kind == "faros":

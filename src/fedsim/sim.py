@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .attacks import AttackConfig, malicious_local_train
-from .data import Samples, TriggerSpec, blob_arrays, dirichlet_partition, triggered_rows
+from .data import Samples, blob_arrays, dirichlet_partition, triggered_rows
 from .defenses import ClientUpdate, DefenseConfig, aggregate
 from .errors import ConfigError, NonFiniteUpdateError
 from .model import ModelSpec, TrainSpec, accuracy, init_params, local_train, philox
@@ -28,7 +28,7 @@ _TAG_DATA, _TAG_PARTITION, _TAG_CLIENT, _TAG_DP_NOISE, _TAG_INIT = range(5)
 
 @dataclass
 class DataConfig:
-    """Synthetic dataset shape plus the heterogeneity and trigger settings."""
+    """Synthetic dataset shape plus the heterogeneity setting."""
 
     num_classes: int = 10
     feature_dim: int = 16
@@ -36,7 +36,6 @@ class DataConfig:
     test_per_class: int = 40
     class_sep: float = 6.0
     dirichlet_q: float = 0.4
-    trigger: TriggerSpec = field(default_factory=TriggerSpec)
 
     def __post_init__(self):
         if self.num_classes < 2:
@@ -119,17 +118,17 @@ class SimConfig:
                 f"data.n_per_class * data.num_classes = {d.n_per_class * d.num_classes} "
                 f"training examples cannot cover total_clients {self.total_clients}"
             )
-        for t in filter(None, (d.trigger, self.attack.trigger)):
-            if not 0 <= t.target_label < d.num_classes:
-                raise ConfigError(
-                    f"trigger.target_label must be in [0, {d.num_classes}) for "
-                    f"data.num_classes {d.num_classes}, got {t.target_label}"
-                )
-            if any(not 0 <= p < d.feature_dim for p in t.positions):
-                raise ConfigError(
-                    f"trigger.positions must be in [0, {d.feature_dim}) for "
-                    f"data.feature_dim {d.feature_dim}, got {t.positions}"
-                )
+        t = self.attack.trigger
+        if not 0 <= t.target_label < d.num_classes:
+            raise ConfigError(
+                f"trigger.target_label must be in [0, {d.num_classes}) for "
+                f"data.num_classes {d.num_classes}, got {t.target_label}"
+            )
+        if any(not 0 <= p < d.feature_dim for p in t.positions):
+            raise ConfigError(
+                f"trigger.positions must be in [0, {d.feature_dim}) for "
+                f"data.feature_dim {d.feature_dim}, got {t.positions}"
+            )
         if self.force_c_per_round is not None:
             c = self.force_c_per_round
             if c < 0 or c > min(self.clients_per_round, self.malicious_count):
@@ -142,18 +141,21 @@ class SimConfig:
                     f"{honest} are honest (total_clients {self.total_clients} - "
                     f"malicious_count {self.malicious_count})"
                 )
+            # both warnings are filed under this file's lines, not the caller's:
+            # build_config and build_state both validate, and the default
+            # filter then shows each warning once per process
             if c >= self.clients_per_round / 2:
                 warnings.warn(
                     "forced malicious count is not an honest majority",
                     RuntimeWarning,
-                    stacklevel=2,
+                    stacklevel=1,
                 )
         expected = self.clients_per_round * self.malicious_count / self.total_clients
         if expected >= self.clients_per_round / 2:
             warnings.warn(
                 "expected malicious share per round is not an honest majority",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=1,
             )
 
 
@@ -251,14 +253,12 @@ def build_state(cfg: SimConfig) -> SimState:
         test_set=test,
         partition=part,
         clients=[train.take(part[i]) for i in range(cfg.total_clients)],
-        asr_x=triggered_rows(test.x, test.y, _resolve_attack(cfg).trigger),
+        asr_x=triggered_rows(test.x, test.y, cfg.attack.trigger),
     )
 
 
 def _resolve_attack(cfg: SimConfig) -> AttackConfig:
     acfg = cfg.attack
-    if acfg.trigger is None:
-        acfg = replace(acfg, trigger=cfg.data.trigger)
     if acfg.boost is None:
         acfg = replace(acfg, boost=float(cfg.clients_per_round))
     return acfg

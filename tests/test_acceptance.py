@@ -112,7 +112,7 @@ def test_criterion_02_unit_law_suite():
     assert np.allclose(pgd_project(np.array([3.0, 4.0]), np.zeros(2), 1.0), [0.6, 0.8])
     # multi-krum outlier case
     ups = [ClientUpdate(i, np.array([v])) for i, v in enumerate([0.0, 0.0, 0.0, 10.0])]
-    assert multi_krum(ups, f=0, select=2).accepted == [0, 1]
+    assert multi_krum(ups, DefenseConfig(krum_f=0, accept_count=2)).accepted == [0, 1]
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     report(2, "unit-law suite", f"{elapsed:.2f}s")
@@ -129,7 +129,7 @@ def test_criterion_03_multi_krum_oracle():
         ups = [ClientUpdate(i, rng.normal(size=dim)) for i in range(k)]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            out = multi_krum(ups, f=f, select=select)
+            out = multi_krum(ups, DefenseConfig(krum_f=f, accept_count=select))
         oracle = brute_force_multi_krum(ups, f)
         got = [out.diagnostics.scores[i] for i in range(k)]
         assert got == oracle, f"case {case}"

@@ -24,7 +24,7 @@ from fedsim.data import (
     poison_dataset,
 )
 from fedsim.defenses import ClientUpdate, fedavg
-from fedsim.errors import ConfigError, DimensionMismatchError, EmptySetError, ZeroVectorError
+from fedsim.errors import ConfigError, DimensionMismatchError, EmptySetError
 from fedsim.model import ModelSpec, TrainSpec, evaluate_asr, init_params, local_train
 
 from helpers import finite_diff_grad, rel_grad_error, sgd_oracle, stacked
@@ -76,13 +76,6 @@ class TestDispatch:
             a = malicious_local_train(start, SPEC, data, _tspec(), acfg)
             b = malicious_local_train(start, SPEC, data, _tspec(), acfg)
             assert np.array_equal(a, b), kind
-
-    def test_missing_trigger(self):
-        with pytest.raises(ConfigError):
-            malicious_local_train(
-                init_params(SPEC, 0), SPEC, _local_data(), _tspec(),
-                AttackConfig(kind="data_poison"),
-            )
 
     def test_all_target_data_degrades_to_honest_behavior(self):
         # nothing to poison: the attacker trains on its data as-is
@@ -198,11 +191,11 @@ class TestConstrainAndScale:
             assert cur <= prev + 1e-6
             prev = cur
 
-    def test_zero_global_rejected(self):
-        with pytest.raises(ZeroVectorError):
-            constrain_and_scale_train(
-                np.zeros(SPEC.param_count()), SPEC, _local_data(), _tspec(), 0.5
-            )
+    def test_zero_global_trains_without_stealth(self):
+        zero = np.zeros(SPEC.param_count())
+        data = _local_data()
+        out = constrain_and_scale_train(zero, SPEC, data, _tspec(), 0.5)
+        assert np.array_equal(out, local_train(zero, SPEC, data, _tspec()))
 
     def test_dispatch_falls_back_on_zero_global(self):
         data = _local_data(2)

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -203,6 +204,30 @@ class TestCompare:
         cfg = tmp_path / "nolists.cfg"
         cfg.write_text("rounds = 2\ndata.n_per_class = 30\n")
         assert main(["compare", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "command,option",
+    [("compare", ["--format", "json"]), ("validate-config", ["--out", "x"]),
+     ("validate-config", ["--format", "json"])],
+)
+def test_option_a_command_does_not_read_is_rejected(command, option, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", str(REPO_CONFIGS / "compare_small.cfg"), *option])
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_honest_majority_warning_prints_once_per_run(tiny_cfg, tmp_path):
+    # 6 of 12 clients malicious: 2 of every 4 sampled are expected to be
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        code = main(["run", "--config", str(tiny_cfg), "--out", str(tmp_path),
+                     "--set", "malicious_count=6", "--set", "rounds=1"])
+    assert code == 0
+    assert [str(w.message) for w in caught] == [
+        "expected malicious share per round is not an honest majority"
+    ]
 
 
 class TestValidateConfig:

@@ -78,9 +78,6 @@ DEFAULT = {
     "data.test_per_class": 40,
     "data.class_sep": 6.0,
     "data.dirichlet_q": 0.4,
-    "data.trigger.positions": (13, 14, 15),
-    "data.trigger.values": (8.0, -8.0, 8.0),
-    "data.trigger.target_label": 0,
     "attack.kind": "none",
     "attack.trigger.positions": (13, 14, 15),
     "attack.trigger.values": (8.0, -8.0, 8.0),
@@ -104,16 +101,12 @@ DEFAULT = {
 }
 
 
-def _trigger_values(*values):
-    return {"data.trigger.values": values, "attack.trigger.values": values}
-
-
 # Each shipped config's built values that differ from DEFAULT.
 SHIPPED = {
     "standard.cfg": {
         "master_seed": 18,
         "data.n_per_class": 500,
-        **_trigger_values(1.5, -1.5, 1.5),
+        "attack.trigger.values": (1.5, -1.5, 1.5),
         "train.batch_size": 4000,
         "train.learning_rate": 0.02,
         "attack.poison_rate": 1.0,
@@ -125,7 +118,7 @@ SHIPPED = {
         "master_seed": 18,
         "force_c_per_round": 2,
         "data.n_per_class": 500,
-        **_trigger_values(1.5, -1.5, 1.5),
+        "attack.trigger.values": (1.5, -1.5, 1.5),
         "train.batch_size": 4000,
         "train.learning_rate": 0.02,
         "attack.kind": "model_replacement",
@@ -137,7 +130,7 @@ SHIPPED = {
         "master_seed": 18,
         "force_c_per_round": 2,
         "data.n_per_class": 500,
-        **_trigger_values(5.0, -5.0, 5.0),
+        "attack.trigger.values": (5.0, -5.0, 5.0),
         "train.batch_size": 4000,
         "train.learning_rate": 0.02,
         "attack.kind": "edge_case_pgd",
@@ -155,7 +148,7 @@ SHIPPED = {
         "force_c_per_round": 2,
         "data.n_per_class": 200,
         "data.test_per_class": 20,
-        **_trigger_values(1.5, -1.5, 1.5),
+        "attack.trigger.values": (1.5, -1.5, 1.5),
         "train.batch_size": 2000,
         "train.learning_rate": 0.02,
         "attack.boost": 8.0,

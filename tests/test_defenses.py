@@ -69,9 +69,13 @@ class TestFedavg:
             fedavg([])
 
 
+def _krum(f, select):
+    return DefenseConfig(kind="multi_krum", krum_f=f, accept_count=select)
+
+
 class TestMultiKrum:
     def test_outlier_excluded(self):
-        out = multi_krum(_updates([[0.0], [0.0], [0.0], [10.0]]), f=0, select=2)
+        out = multi_krum(_updates([[0.0], [0.0], [0.0], [10.0]]), _krum(0, 2))
         assert out.accepted == [0, 1]
         assert np.array_equal(out.aggregated_delta, [0.0])
 
@@ -85,7 +89,7 @@ class TestMultiKrum:
             select = int(rng.integers(1, k + 1))
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                out = multi_krum(ups, f=f, select=select)
+                out = multi_krum(ups, _krum(f, select))
             oracle = brute_force_multi_krum(ups, f)
             got = [out.diagnostics.scores[u.client_id] for u in ups]
             assert got == oracle, f"case {case}: scores differ"
@@ -95,9 +99,9 @@ class TestMultiKrum:
     def test_permutation_changes_only_labels(self):
         rng = np.random.default_rng(2)
         vs = [rng.normal(size=5) for _ in range(6)]
-        a = multi_krum(_updates(vs), f=1, select=3)
+        a = multi_krum(_updates(vs), _krum(1, 3))
         perm = [5, 3, 1, 0, 2, 4]
-        b = multi_krum(_updates([vs[i] for i in perm], ids=perm), f=1, select=3)
+        b = multi_krum(_updates([vs[i] for i in perm], ids=perm), _krum(1, 3))
         accepted_a = sorted(tuple(vs[i]) for i in a.accepted)
         accepted_b = sorted(tuple(vs[i]) for i in b.accepted)
         assert accepted_a == accepted_b
@@ -105,32 +109,33 @@ class TestMultiKrum:
     def test_warns_below_byzantine_bound(self):
         ups = _updates([[0.0], [1.0], [2.0], [3.0]])
         with pytest.warns(RuntimeWarning, match="2f"):
-            multi_krum(ups, f=2, select=2)
+            multi_krum(ups, _krum(2, 2))
 
     def test_bad_select(self):
-        with pytest.raises(ConfigError):
-            multi_krum(_updates([[1.0], [2.0]]), f=0, select=3)
+        with pytest.raises(ConfigError, match="accept_count"):
+            multi_krum(_updates([[1.0], [2.0]]), _krum(0, 3))
 
 
 class TestWeakDp:
     def test_noop_equals_fedavg_bitwise(self):
         rng = np.random.default_rng(3)
         ups = _random_updates(rng, 5, 6)
-        out = weak_dp(ups, clip_norm=1e9, noise_std=0.0, seed=0)
+        out = weak_dp(ups, DefenseConfig(clip_norm=1e9, noise_std=0.0), seed=0)
         ref = fedavg(ups)
         assert np.array_equal(out.aggregated_delta, ref.aggregated_delta)
 
     def test_three_four_five_clipping(self):
         ups = _updates([[30.0, 40.0]])
-        out = weak_dp(ups, clip_norm=5.0, noise_std=0.0, seed=0)
+        out = weak_dp(ups, DefenseConfig(clip_norm=5.0, noise_std=0.0), seed=0)
         assert np.allclose(out.aggregated_delta, [3.0, 4.0])
 
     def test_seeded_noise_reproducible(self):
         rng = np.random.default_rng(4)
         ups = _random_updates(rng, 4, 7)
-        a = weak_dp(ups, 5.0, 0.3, seed=11)
-        b = weak_dp(ups, 5.0, 0.3, seed=11)
-        c = weak_dp(ups, 5.0, 0.3, seed=12)
+        cfg = DefenseConfig(clip_norm=5.0, noise_std=0.3)
+        a = weak_dp(ups, cfg, seed=11)
+        b = weak_dp(ups, cfg, seed=11)
+        c = weak_dp(ups, cfg, seed=12)
         assert np.array_equal(a.aggregated_delta, b.aggregated_delta)
         assert not np.array_equal(a.aggregated_delta, c.aggregated_delta)
 
@@ -412,6 +417,21 @@ class TestAggregateDispatch:
             b = aggregate((u for u in ups), cfg, seed=5)
             assert np.array_equal(a.aggregated_delta, b.aggregated_delta), kind
             assert a.accepted == b.accepted, kind
+
+    def test_passes_the_config_through_unchanged(self):
+        rng = np.random.default_rng(17)
+        ups = _random_updates(rng, 7, 8)
+
+        def as_bytes(out):
+            return out.aggregated_delta.tobytes(), out.accepted, repr(out.diagnostics)
+
+        # accept_count stays unset, so multi_krum resolves ceil(7/2) = 4 itself
+        krum = DefenseConfig(kind="multi_krum", krum_f=1)
+        direct = multi_krum(ups, krum)
+        assert len(direct.accepted) == 4
+        assert as_bytes(aggregate(ups, krum, seed=5)) == as_bytes(direct)
+        dp = DefenseConfig(kind="weak_dp", clip_norm=0.5, noise_std=0.1)
+        assert as_bytes(aggregate(ups, dp, seed=5)) == as_bytes(weak_dp(ups, dp, 5))
 
     @pytest.mark.parametrize("kind", DEFENSE_KINDS)
     def test_empty_input_raises_empty_set_error(self, kind):

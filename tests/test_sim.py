@@ -107,13 +107,9 @@ class TestRunRound:
     def test_metrics_equal_the_list_evaluators(self, attack, hidden_dim):
         cfg = small_config(defense="faros", malicious=3, attack=attack, force_c=1)
         cfg.model = ModelSpec(16, 10, hidden_dim=hidden_dim)
-        # ASR is measured with the attack's trigger, or the data trigger if it names none
+        # ASR is measured with the attack's trigger, in clean runs too
         trigger = TriggerSpec((2, 9), (4.0, -4.0), 3)
-        if attack == "none":
-            cfg.data.trigger = trigger
-            cfg.attack = dataclasses.replace(cfg.attack, trigger=None)
-        else:
-            cfg.attack = dataclasses.replace(cfg.attack, trigger=trigger)
+        cfg.attack = dataclasses.replace(cfg.attack, trigger=trigger)
         state = build_state(cfg)
         for _ in range(3):
             new, rec = run_round(state, cfg)
