@@ -245,7 +245,8 @@ def pairwise_scores(scaled) -> list[float]:
     runs over every vector including itself (the self term is 0 and never
     affects the ranking).
     """
-    rows = list(linalg.as_matrix(scaled))
+    # widened once, not on each cosine_distance call
+    rows = list(linalg.as_matrix(scaled).astype(np.longdouble))
     k = len(rows)
     dists = np.zeros((k, k))
     for i in range(k):
@@ -281,7 +282,9 @@ def rcc_filter(scaled, core, m: int):
     centroid = np.mean(scaled[core], axis=0)
     if not np.any(centroid):
         raise DegenerateCentroidError("core-set centroid is the zero vector")
-    dists = [linalg.cosine_distance(v, centroid) for v in scaled]
+    # widened once, not on each cosine_distance call
+    wide_centroid = centroid.astype(np.longdouble)
+    dists = [linalg.cosine_distance(v, wide_centroid) for v in scaled.astype(np.longdouble)]
     order = sorted(range(len(scaled)), key=lambda i: (dists[i], i))
     return centroid, sorted(order[:m]), dists
 

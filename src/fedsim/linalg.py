@@ -18,8 +18,8 @@ from .errors import (
 )
 
 
-def _flat(values) -> np.ndarray:
-    v = np.asarray(values, dtype=np.float64)
+def _flat(values, dtype=np.float64) -> np.ndarray:
+    v = np.asarray(values, dtype=dtype)
     return v if v.ndim == 1 else v.reshape(-1)
 
 
@@ -94,8 +94,14 @@ def normalize_rows(m) -> tuple[np.ndarray, np.ndarray]:
 def cosine_distance(a, b) -> float:
     """Return ``1 - <a,b> / (|a|*|b|)``, clamped into [0, 2].
 
-    Dot products and norms are accumulated in the widest available float
-    type to limit cancellation; the clamp absorbs any residual drift.
+    Dot products and norms are accumulated in long double, the widest
+    available float type, to limit cancellation; the clamp absorbs any
+    residual drift. Each operand is converted to long double directly:
+    float64 and float32 entries and integers up to 2**53 convert exactly,
+    and a long-double operand is used as it is, without a copy and without
+    rounding to float64 first. A float64 vector widened once by the caller
+    therefore gives the same distance as the vector itself, which lets the
+    filter stages widen a round's matrix once rather than on every call.
 
     Finiteness is checked here, on the sum of the two long-double squared
     norms, rather than entry by entry: any NaN or Inf entry makes that sum
@@ -109,21 +115,19 @@ def cosine_distance(a, b) -> float:
         ZeroVectorError: if either operand has zero norm.
         DimensionMismatchError: if the operands differ in length.
     """
-    a = _flat(a)
-    b = _flat(b)
-    if a.shape != b.shape:
-        _check_finite(a)
-        _check_finite(b)
-        raise DimensionMismatchError(f"dim mismatch: {a.size} vs {b.size}")
-    wa = a.astype(np.longdouble)
-    wb = b.astype(np.longdouble)
+    wa = _flat(a, np.longdouble)
+    wb = _flat(b, np.longdouble)
+    if wa.shape != wb.shape:
+        _check_finite(wa)
+        _check_finite(wb)
+        raise DimensionMismatchError(f"dim mismatch: {wa.size} vs {wb.size}")
     # ndarray.dot runs the same sequential long-double loop as np.dot
     # without its dispatch layer
     sq_a = wa.dot(wa)
     sq_b = wb.dot(wb)
     if not math.isfinite(sq_a + sq_b):
-        _check_finite(a)
-        _check_finite(b)
+        _check_finite(wa)
+        _check_finite(wb)
     na = np.sqrt(sq_a)
     nb = np.sqrt(sq_b)
     if na == 0.0 or nb == 0.0:
@@ -151,5 +155,7 @@ def dispersion(vs) -> float:
     centroid = np.mean(vs, axis=0)
     if not np.any(centroid):
         raise DegenerateCentroidError("round centroid is the zero vector")
-    dists = [cosine_distance(v, centroid) for v in vs]
+    # widened once, not on each cosine_distance call
+    wide_centroid = centroid.astype(np.longdouble)
+    dists = [cosine_distance(v, wide_centroid) for v in vs.astype(np.longdouble)]
     return float(np.var(dists))

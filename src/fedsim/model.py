@@ -5,7 +5,10 @@ one-hidden-layer ReLU MLP. Parameters live in a single flat float64 vector
 so the aggregation rules can treat every model uniformly. Datasets are
 ``data.Samples``, and every client, honest or malicious, trains through
 ``sgd``: the attacks change only its per-batch gradient or its per-epoch
-params, through two hooks.
+params, through two hooks. Its epoch orders, and the simulator's client
+samples, come from ``philox``: each thread keeps one Philox generator and
+re-keys it per call, so a returned stream is valid until the next
+``philox`` call on the same thread, and no two threads share one.
 
 Flattening order is part of the public contract: layers first-to-last, and
 within each layer the weight matrix in C (row-major) order followed by its
@@ -19,6 +22,7 @@ where d = input_dim, h = hidden_dim, C = num_classes. Logits are
 """
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,8 +129,10 @@ def _logits(params: np.ndarray, spec: ModelSpec, x: np.ndarray) -> np.ndarray:
     return hidden @ w2.T + b2
 
 
-def _loss_grad_arrays(params, spec, x, y):
+def _loss_grad_arrays(params, spec, x, y, with_loss=True):
+    """Mean cross-entropy (None unless ``with_loss``) and its gradient on rows ``x``, ``y``."""
     n = x.shape[0]
+    rows = np.arange(n)
     if spec.hidden_dim == 0:
         w, b = _unpack(params, spec)
         z = x @ w.T + b
@@ -138,9 +144,9 @@ def _loss_grad_arrays(params, spec, x, y):
     # softmax cross-entropy and its gradient with respect to the logits
     zs = z - np.max(z, axis=1, keepdims=True)
     lse = np.log(np.sum(np.exp(zs), axis=1))
-    loss = float(np.mean(lse - zs[np.arange(n), y]))
+    loss = float(np.mean(lse - zs[rows, y])) if with_loss else None
     g = np.exp(zs - lse[:, None])
-    g[np.arange(n), y] -= 1.0
+    g[rows, y] -= 1.0
     g /= n
     if spec.hidden_dim == 0:
         return loss, np.concatenate([(g.T @ x).ravel(), g.sum(axis=0)])
@@ -160,10 +166,37 @@ def loss_and_grad(params: np.ndarray, spec: ModelSpec, batch: Samples) -> tuple[
     return _loss_grad_arrays(np.asarray(params, dtype=np.float64), spec, batch.x, batch.y)
 
 
+class _Stream(threading.local):
+    """One Philox generator per thread, re-keyed by every ``philox`` call on it."""
+
+    def __init__(self):
+        self.gen = np.random.Generator(np.random.Philox(0))
+
+
+_stream = _Stream()
+_ZEROS = (0, 0, 0, 0)
+
+
 def philox(seed: int, counter: int) -> np.random.Generator:
-    """Counter-based stream keyed by (seed mod 2**64, counter)."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, counter], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Counter-based stream keyed by (seed mod 2**64, counter).
+
+    The stream draws exactly what a fresh
+    ``Generator(Philox(key=[seed mod 2**64, counter]))`` draws, but it is
+    the calling thread's one generator, re-keyed: it is valid until the next
+    ``philox`` call on the same thread, so use it up before asking for
+    another. Threads never share a generator.
+    """
+    # the state of a new Philox: counter zero, word buffer empty (position
+    # 4 of 4) and no 32-bit half-word pending
+    _stream.gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": _ZEROS, "key": (seed & 0xFFFFFFFFFFFFFFFF, counter)},
+        "buffer": _ZEROS,
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return _stream.gen
 
 
 def sgd(params, spec: ModelSpec, x, y, tspec: TrainSpec, step=None, end_epoch=None) -> np.ndarray:
@@ -173,8 +206,10 @@ def sgd(params, spec: ModelSpec, x, y, tspec: TrainSpec, step=None, end_epoch=No
     rows at a time and steps ``params - learning_rate * grad``, with ``grad``
     the cross-entropy gradient on those rows. ``step(params, grad)``, if
     given, replaces each batch's gradient before the step; ``end_epoch(params)``,
-    if given, maps the params after each epoch. Distinct seeds never share
-    RNG state and repeated calls are bit-identical.
+    if given, maps the params after each epoch. Each epoch's order is drawn
+    in full before the steps, so the re-keyed stream is used up before the
+    next ``philox`` call; repeated calls, on any thread, are bit-identical.
+    Only the gradient is computed on a step, never the loss.
     """
     n = x.shape[0]
     if not n:
@@ -184,7 +219,7 @@ def sgd(params, spec: ModelSpec, x, y, tspec: TrainSpec, step=None, end_epoch=No
         order = philox(tspec.seed, epoch).permutation(n)
         for start in range(0, n, tspec.batch_size):
             idx = order[start : start + tspec.batch_size]
-            _, grad = _loss_grad_arrays(params, spec, x[idx], y[idx])
+            _, grad = _loss_grad_arrays(params, spec, x[idx], y[idx], with_loss=False)
             if step is not None:
                 grad = step(params, grad)
             params = params - tspec.learning_rate * grad

@@ -2,8 +2,10 @@
 
 The whole run is a pure function of the master seed. Per-purpose seeds are
 derived through SeedSequence so client training, sampling, data generation
-and defense noise never share a stream; client sampling itself uses a
-counter-based Philox generator keyed by (master_seed, round).
+and defense noise never share a stream; client sampling itself draws from
+``model.philox`` keyed by (master_seed, round), the calling thread's one
+Philox generator re-keyed for that round, and uses it up before the next
+``philox`` call.
 """
 
 import contextlib
@@ -21,6 +23,10 @@ from .data import Samples, blob_arrays, dirichlet_partition, triggered_rows
 from .defenses import ClientUpdate, DefenseConfig, aggregate
 from .errors import ConfigError, NonFiniteUpdateError
 from .model import ModelSpec, TrainSpec, accuracy, init_params, local_train, philox
+
+# Elements in the largest array the blob draw may build (512 MiB of float64);
+# see SimConfig.
+MAX_DATA_ELEMENTS = 2**26
 
 # Seed-stream tags (see _derive_seed).
 _TAG_DATA, _TAG_PARTITION, _TAG_CLIENT, _TAG_DP_NOISE, _TAG_INIT = range(5)
@@ -60,6 +66,12 @@ class SimConfig:
     but has no effect: a round always trains its clients serially, because
     a thread pool over GIL-bound numpy calls on small vectors only slowed
     rounds down.
+
+    ``validate`` rejects data sizes whose blob draw would build an array of
+    more than ``MAX_DATA_ELEMENTS`` (2**26) elements: ``data.num_classes**2
+    * data.feature_dim`` for the class-center differences, and
+    ``data.num_classes * (data.n_per_class + data.test_per_class) *
+    data.feature_dim`` for the blob matrix.
     """
 
     total_clients: int = 50
@@ -113,6 +125,16 @@ class SimConfig:
                     f"defense.{name} {count} exceeds clients_per_round {self.clients_per_round}"
                 )
         d = self.data
+        for keys, elements in (
+            ("data.num_classes * data.num_classes * data.feature_dim",
+             d.num_classes * d.num_classes * d.feature_dim),
+            ("data.num_classes * (data.n_per_class + data.test_per_class) * data.feature_dim",
+             d.num_classes * (d.n_per_class + d.test_per_class) * d.feature_dim),
+        ):
+            if elements > MAX_DATA_ELEMENTS:
+                raise ConfigError(
+                    f"{keys} = {elements} exceeds the cap of {MAX_DATA_ELEMENTS} elements"
+                )
         if d.n_per_class * d.num_classes < self.total_clients:
             raise ConfigError(
                 f"data.n_per_class * data.num_classes = {d.n_per_class * d.num_classes} "

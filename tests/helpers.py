@@ -28,7 +28,7 @@ from fedsim.defenses import (
     select_core_set,
 )
 from fedsim.errors import DegenerateCentroidError, ZeroVectorError
-from fedsim.model import ModelSpec, TrainSpec, loss_and_grad, philox
+from fedsim.model import ModelSpec, TrainSpec, loss_and_grad
 from fedsim.sim import SimConfig
 
 # The desk-scale scenario every end-to-end criterion runs on. Seed 18 was
@@ -203,12 +203,18 @@ def poison_dataset_oracle(ds, t: TriggerSpec, rate: float, seed: int) -> list[Ex
     return out
 
 
+def fresh_philox(seed: int, counter: int) -> np.random.Generator:
+    """The documented stream of ``model.philox``, as a new generator built here."""
+    key = np.array([seed % 2**64, counter], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
 def sgd_oracle(
     global_params, spec: ModelSpec, examples, tspec: TrainSpec, alpha=0.0, radius=math.inf
 ) -> np.ndarray:
     """Local SGD by its documented schedule over a sequence of ``Example``s.
 
-    Each epoch's order is ``philox(seed, epoch).permutation(n)``; each
+    Each epoch's order is ``fresh_philox(seed, epoch).permutation(n)``; each
     mini-batch is the examples at the next ``batch_size`` positions, stacked
     here, and the step is ``params - lr * grad`` with ``loss_and_grad`` on it.
     A nonzero ``alpha`` mixes the cosine stealth gradient against
@@ -220,7 +226,7 @@ def sgd_oracle(
     center = np.array(global_params, dtype=np.float64, copy=True)
     params = center
     for epoch in range(tspec.local_epochs):
-        order = philox(tspec.seed, epoch).permutation(len(examples)).tolist()
+        order = fresh_philox(tspec.seed, epoch).permutation(len(examples)).tolist()
         for start in range(0, len(examples), tspec.batch_size):
             batch = stacked([examples[i] for i in order[start : start + tspec.batch_size]])
             grad = loss_and_grad(params, spec, batch)[1]

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -6,7 +9,8 @@ import pytest
 
 from fedsim.cli import main
 
-REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+REPO = Path(__file__).resolve().parent.parent
+REPO_CONFIGS = REPO / "configs"
 
 TINY = """
 total_clients = 12
@@ -99,6 +103,15 @@ class TestRun:
         err = capsys.readouterr().err
         assert "master_seed" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("key", ["data.num_classes", "data.feature_dim"])
+    def test_oversized_data_exit_2_naming_key(self, key, tmp_path, capsys):
+        code = main(["run", "--config", str(REPO_CONFIGS / "compare_small.cfg"),
+                     "--out", str(tmp_path), "--set", f"{key}=1000000"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
@@ -244,6 +257,16 @@ class TestValidateConfig:
             assert main(["validate-config", "--config", str(mutated)]) == 2
             assert "mystery.knob" in capsys.readouterr().err
 
+    def test_data_size_cap_is_inclusive(self, capsys):
+        # 2048 * 2048 * 16 center differences is exactly the 2**26-element cap
+        standard = str(REPO_CONFIGS / "standard.cfg")
+        assert main(["validate-config", "--config", standard, "--set", "data.num_classes=2048"]) == 0
+        assert main(["validate-config", "--config", standard, "--set", "data.num_classes=2049"]) == 2
+        # 10 * (500 + 40) * 12427 blob entries are just under it, 12428 just over
+        assert main(["validate-config", "--config", standard, "--set", "data.feature_dim=12427"]) == 0
+        assert main(["validate-config", "--config", standard, "--set", "data.feature_dim=12428"]) == 2
+        assert "data.test_per_class" in capsys.readouterr().err
+
     def test_rejects_bad_value_naming_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("rounds = many\n")
@@ -291,6 +314,9 @@ class TestValidateConfig:
             ("defense.accept_count", "0"),
             ("defense.accept_count", "11"),
             ("defense.krum_f", "-1"),
+            # sizes whose blob draw would need terabytes
+            ("data.num_classes", "1000000"),
+            ("data.feature_dim", "1000000"),
             # with 45 of 50 clients malicious, 9 honest slots cannot be filled
             ("force_c_per_round", "1"),
         ],
@@ -303,3 +329,18 @@ class TestValidateConfig:
         err = capsys.readouterr().err
         assert key in err
         assert "Traceback" not in err
+
+
+def test_python_dash_m_runs_from_a_clean_checkout():
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+
+    def fedsim(*args):
+        return subprocess.run([sys.executable, "-m", "fedsim", *args], cwd=REPO, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    ok = fedsim("validate-config", "--config", "configs/standard.cfg")
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.startswith("ok")
+    bad = fedsim("validate-config", "--config", "configs/standard.cfg", "--set", "mystery.knob=1")
+    assert bad.returncode == 2
+    assert "mystery.knob" in bad.stderr

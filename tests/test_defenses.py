@@ -28,6 +28,7 @@ from fedsim.errors import ConfigError, DegenerateCentroidError, EmptySetError
 
 from helpers import (
     brute_force_multi_krum,
+    longdouble_cosine,
     make_duplicated_malicious_instance,
     make_separable_instance,
     outcome_bytes,
@@ -556,3 +557,23 @@ class TestStagesAcceptMatrices:
             linalg.dispersion(np.ones((1, 4)))
         with pytest.raises(DegenerateCentroidError):
             rcc_filter(np.array([[1.0, 0.0], [-1.0, 0.0]]), [0, 1], 1)
+
+
+class TestStagesMatchPerPairReference:
+    """Each filter stage widens its matrix once; every distance keeps the
+    bits of the per-pair reference formula on the float64 rows."""
+
+    @pytest.mark.parametrize("k,dim,seed", [(2, 1, 0), (7, 11, 1), (10, 170, 2), (12, 400, 3)])
+    def test_stages_on_a_matrix(self, k, dim, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(k, dim)) * 10.0 ** rng.uniform(-3, 3, size=(k, 1))
+        m[0] = m[1] * 1.5 + 1e-12 * rng.normal(size=dim)  # a near-parallel pair
+        want = np.array([[longdouble_cosine(u, v) if i != j else 0.0 for j, v in enumerate(m)]
+                         for i, u in enumerate(m)])
+        assert pairwise_scores(m) == want.sum(axis=1).tolist()
+        core = [0, k - 1]
+        centroid, _, dists = rcc_filter(m, core, 1)
+        assert centroid.tobytes() == np.mean(m[core], axis=0).tobytes()
+        assert dists == [longdouble_cosine(v, centroid) for v in m]
+        mean = np.mean(m, axis=0)
+        assert linalg.dispersion(m) == float(np.var([longdouble_cosine(v, mean) for v in m]))

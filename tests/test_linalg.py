@@ -96,30 +96,35 @@ class TestCosineDistance:
 _LD = np.array([1.0, 2.0, 3.0], dtype=np.longdouble) + np.longdouble(2.0) ** -60
 
 
+ERROR_CASES = [
+    ([1.0, np.nan], [1.0, 2.0], ValueError),
+    ([1.0, 2.0], [np.inf, 2.0], ValueError),
+    ([-np.inf, 2.0], [1.0, 2.0], ValueError),
+    ([np.nan, np.inf], [np.inf, np.nan], ValueError),
+    ([1.0, 2.0], [1.0, 2.0, 3.0], DimensionMismatchError),
+    ([1.0, np.nan], [1.0, 2.0, 3.0], ValueError),
+    ([1.0, 2.0], [np.inf, 2.0, 3.0], ValueError),
+    ([0.0, 0.0], [1.0, 2.0], ZeroVectorError),
+    ([1.0, 2.0], [0.0, 0.0], ZeroVectorError),
+    ([0.0, 0.0], [np.nan, 1.0], ValueError),
+    ([np.nan, 1.0], [0.0, 0.0], ValueError),
+    ([], [], ZeroVectorError),
+    ([0.0, 0.0], [0.0, 0.0, 0.0], DimensionMismatchError),
+]
+
+
 class TestCosineDistanceInputs:
     """Errors and values of cosine_distance on awkward operands."""
 
-    @pytest.mark.parametrize(
-        "a,b,error",
-        [
-            ([1.0, np.nan], [1.0, 2.0], ValueError),
-            ([1.0, 2.0], [np.inf, 2.0], ValueError),
-            ([-np.inf, 2.0], [1.0, 2.0], ValueError),
-            ([np.nan, np.inf], [np.inf, np.nan], ValueError),
-            ([1.0, 2.0], [1.0, 2.0, 3.0], DimensionMismatchError),
-            ([1.0, np.nan], [1.0, 2.0, 3.0], ValueError),
-            ([1.0, 2.0], [np.inf, 2.0, 3.0], ValueError),
-            ([0.0, 0.0], [1.0, 2.0], ZeroVectorError),
-            ([1.0, 2.0], [0.0, 0.0], ZeroVectorError),
-            ([0.0, 0.0], [np.nan, 1.0], ValueError),
-            ([np.nan, 1.0], [0.0, 0.0], ValueError),
-            ([], [], ZeroVectorError),
-            ([0.0, 0.0], [0.0, 0.0, 0.0], DimensionMismatchError),
-        ],
-    )
+    @pytest.mark.parametrize("a,b,error", ERROR_CASES)
     def test_error_type(self, a, b, error):
         with pytest.raises(error):
             linalg.cosine_distance(a, b)
+
+    @pytest.mark.parametrize("a,b,error", ERROR_CASES)
+    def test_error_type_of_long_double_operands(self, a, b, error):
+        with pytest.raises(error):
+            linalg.cosine_distance(np.array(a, dtype=np.longdouble), np.array(b, dtype=np.longdouble))
 
     @pytest.mark.parametrize(
         "a,b",
@@ -139,6 +144,41 @@ class TestCosineDistanceInputs:
         got = linalg.cosine_distance(a, b)
         assert type(got) is float
         assert repr(got) == repr(longdouble_cosine(a, b))
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).maxexp <= np.finfo(np.float64).maxexp,
+        reason="long double has float64's exponent range here",
+    )
+    @pytest.mark.parametrize("exponent", [2000, -2000])
+    def test_long_double_operand_is_not_rounded_to_float64(self, exponent):
+        # Scaled by 2**+-2000, the entries of _LD leave float64's range but
+        # stay exact long doubles. A power-of-two scale keeps every bit of a
+        # cosine, so the distance is that of the unscaled operands, where
+        # rounding to float64 first would give inf or zero entries.
+        scale = np.longdouble(2) ** exponent
+        a, b = _LD * scale, _LD[::-1] * scale
+        assert linalg.cosine_distance(a, b) == linalg.cosine_distance(_LD, _LD[::-1]) > 0.0
+        with np.errstate(over="ignore"):
+            rounded = a.astype(np.float64), b.astype(np.float64)
+        with pytest.raises(ValueError if exponent > 0 else ZeroVectorError):
+            linalg.cosine_distance(*rounded)
+
+    def test_widened_operands_keep_every_distance(self):
+        # long-double operands give the bits of the float64 rows they were
+        # widened from, over 20000 pairs of every scale, near-parallel ones
+        # among them, and lengths from 1 to 400
+        rng = np.random.default_rng(20)
+        for i in range(20000):
+            n = int(rng.integers(1, 401))
+            u = rng.normal(size=n)
+            v = u + u * rng.normal(size=n) * 10.0 ** rng.uniform(-16, -6) if i % 2 else rng.normal(size=n)
+            a, b = u * 10.0 ** rng.uniform(-300, 300), v * 10.0 ** rng.uniform(-300, 300)
+            want = linalg.cosine_distance(a, b)
+            wa, wb = a.astype(np.longdouble), b.astype(np.longdouble)
+            assert repr(linalg.cosine_distance(wa, wb)) == repr(want), i
+            assert repr(linalg.cosine_distance(wa, b)) == repr(want), i
+            if i % 50 == 0:
+                assert repr(longdouble_cosine(a, b)) == repr(want), i
 
     def test_operands_are_not_modified(self):
         a, b = np.array([1.0, -2.0, 3.0]), np.array([0.5, 0.5, 0.5])

@@ -1,7 +1,11 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim.data import Example, Samples, TriggerSpec, blob_arrays
 from fedsim.errors import EmptySetError, NoEligibleExamplesError
@@ -15,9 +19,10 @@ from fedsim.model import (
     init_params,
     local_train,
     loss_and_grad,
+    philox,
 )
 
-from helpers import finite_diff_grad, rel_grad_error, sgd_oracle, stacked
+from helpers import fresh_philox, finite_diff_grad, rel_grad_error, sgd_oracle, stacked
 
 SOFTMAX = ModelSpec(4, 3)
 MLP = ModelSpec(4, 3, hidden_dim=8)
@@ -209,3 +214,69 @@ class TestArrayInput:
         got = local_train(start, spec, arrays, tspec)
         assert got.tobytes() == sgd_oracle(start, spec, arrays, tspec).tobytes()
         assert np.array_equal(arrays.x, x0) and np.array_equal(arrays.y, y0)
+
+
+# seeds at the edges of the key word: 0, the top bit, the largest word and one
+# that wraps modulo 2**64
+EDGE_SEEDS = (0, 2**63, 2**64 - 1, 2**64 + 5)
+seeds = st.one_of(st.sampled_from(EDGE_SEEDS), st.integers(0, 2**70))
+counters = st.integers(0, 20)
+
+
+class TestPhilox:
+    """``philox`` draws what a fresh Philox generator keyed the same way draws."""
+
+    @given(seeds, counters, st.integers(1, 500))
+    @settings(max_examples=200, deadline=None)
+    def test_draws_equal_a_fresh_generator(self, seed, counter, n):
+        assert np.array_equal(philox(seed, counter).permutation(n),
+                              fresh_philox(seed, counter).permutation(n))
+        got, want = philox(seed, counter), fresh_philox(seed, counter)
+        assert np.array_equal(got.integers(0, 2**40, size=7), want.integers(0, 2**40, size=7))
+        assert got.random(5).tobytes() == want.random(5).tobytes()
+
+    def test_every_permutation_length(self):
+        for n in range(1, 501):
+            seed, counter = EDGE_SEEDS[n % 4], n % 21
+            assert np.array_equal(philox(seed, counter).permutation(n),
+                                  fresh_philox(seed, counter).permutation(n)), n
+
+    @given(seeds, counters, seeds, counters)
+    @settings(max_examples=100, deadline=None)
+    def test_rekeying_starts_each_stream_fresh(self, s1, c1, s2, c2):
+        # an odd count of 32-bit draws leaves half a word buffered in the
+        # generator; the next stream must not start from it
+        def draws(gen):
+            return gen.integers(0, 2**32, size=3, dtype=np.uint32).tobytes() + gen.random(4).tobytes()
+
+        first = draws(philox(s1, c1))
+        second = draws(philox(s2, c2))
+        again = draws(philox(s1, c1))
+        assert first == again == draws(fresh_philox(s1, c1))
+        assert second == draws(fresh_philox(s2, c2))
+
+    def test_threads_training_at_once_match_serial_runs(self):
+        rng = np.random.default_rng(12)
+        data = _random_batch(rng, MLP, 40)
+        start = init_params(MLP, 1)
+        tspecs = [TrainSpec(local_epochs=40, batch_size=8, learning_rate=0.05, seed=s)
+                  for s in (5, 2**64 - 3)]
+        serial = [local_train(start, MLP, data, t).tobytes() for t in tspecs]
+        results = [[], []]
+
+        def train(i):
+            for _ in range(5):
+                results[i].append(local_train(start, MLP, data, tspecs[i]).tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=train, args=(i,)) for i in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[serial[0]] * 5, [serial[1]] * 5]
