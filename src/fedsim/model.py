@@ -1,14 +1,15 @@
 """Desk-scale classifiers with analytic gradients and local SGD training.
 
-Two shapes are supported: softmax regression (hidden_dim == 0) and a
-one-hidden-layer ReLU MLP. Parameters live in a single flat float64 vector
-so the aggregation rules can treat every model uniformly. Datasets are
-``data.Samples``, and every client, honest or malicious, trains through
-``sgd``: the attacks change only its per-batch gradient or its per-epoch
-params, through two hooks. Its epoch orders, and the simulator's client
-samples, come from ``philox``: each thread keeps one Philox generator and
-re-keys it per call, so a returned stream is valid until the next
-``philox`` call on the same thread, and no two threads share one.
+A model is a list of layers (``ModelSpec.layers``) with a ReLU between each
+two: one layer (hidden_dim == 0) is softmax regression, two are a
+one-hidden-layer MLP. Its parameters are one flat float64 vector, so the
+aggregation rules treat every model alike. Datasets are ``data.Samples``, and
+every client, honest or malicious, trains through ``sgd``: the attacks change
+only its per-batch gradient or its per-epoch params, through two hooks. Its
+epoch orders, and the simulator's client samples, come from ``philox``: each
+thread keeps one Philox generator and re-keys it per call, so a returned
+stream is valid until the next ``philox`` call on the same thread, and no two
+threads share one.
 
 Flattening order is part of the public contract: layers first-to-last, and
 within each layer the weight matrix in C (row-major) order followed by its
@@ -24,6 +25,7 @@ where d = input_dim, h = hidden_dim, C = num_classes. Logits are
 import math
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .data import Samples, TriggerSpec, triggered_rows
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture description. ``hidden_dim == 0`` selects softmax regression."""
+    """Architecture: a list of layers; ``hidden_dim == 0`` means one, softmax regression."""
 
     input_dim: int
     num_classes: int
@@ -52,11 +54,18 @@ class ModelSpec:
         if self.hidden_dim < 0:
             raise ConfigError(f"model.hidden_dim must be >= 0, got {self.hidden_dim}")
 
-    def param_count(self) -> int:
+    @cached_property
+    def layers(self) -> tuple[tuple[int, int], ...]:
+        """``(fan_out, fan_in)`` of each layer, first to last."""
         d, c, h = self.input_dim, self.num_classes, self.hidden_dim
-        if h == 0:
-            return d * c + c
-        return d * h + h + h * c + c
+        return ((c, d),) if h == 0 else ((h, d), (c, h))
+
+    @cached_property
+    def _size(self) -> int:
+        return sum(fan_out * (fan_in + 1) for fan_out, fan_in in self.layers)
+
+    def param_count(self) -> int:
+        return self._size
 
 
 @dataclass(frozen=True)
@@ -82,88 +91,52 @@ class TrainSpec:
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
     """Deterministic initialization: uniform weights bounded by 1/sqrt(fan_in), zero biases."""
     rng = np.random.default_rng(seed)
-    d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
     parts = []
-    if h == 0:
-        bound = 1.0 / np.sqrt(d)
-        parts.append(rng.uniform(-bound, bound, size=(c, d)).ravel())
-        parts.append(np.zeros(c))
-    else:
-        b1 = 1.0 / np.sqrt(d)
-        parts.append(rng.uniform(-b1, b1, size=(h, d)).ravel())
-        parts.append(np.zeros(h))
-        b2 = 1.0 / np.sqrt(h)
-        parts.append(rng.uniform(-b2, b2, size=(c, h)).ravel())
-        parts.append(np.zeros(c))
+    for fan_out, fan_in in spec.layers:
+        bound = 1.0 / np.sqrt(fan_in)
+        parts += (rng.uniform(-bound, bound, size=(fan_out, fan_in)).ravel(), np.zeros(fan_out))
     return np.concatenate(parts)
 
 
-def _unpack(params: np.ndarray, spec: ModelSpec):
-    d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
-    if params.size != spec.param_count():
-        raise DimensionMismatchError(
-            f"params have dim {params.size}, spec needs {spec.param_count()}"
-        )
-    if h == 0:
-        w = params[: c * d].reshape(c, d)
-        b = params[c * d :]
-        return w, b
-    o = 0
-    w1 = params[o : o + h * d].reshape(h, d)
-    o += h * d
-    b1 = params[o : o + h]
-    o += h
-    w2 = params[o : o + c * h].reshape(c, h)
-    o += c * h
-    b2 = params[o:]
-    return w1, b1, w2, b2
+def _forward(params: np.ndarray, spec: ModelSpec, x: np.ndarray):
+    """Logits of the rows ``x``, shape (n, input_dim), and each layer's (weights, input)."""
+    if params.size != spec._size:
+        raise DimensionMismatchError(f"params have dim {params.size}, spec needs {spec._size}")
+    trace, end = [], 0
+    for fan_out, fan_in in spec.layers:
+        if trace:
+            x = np.maximum(x, 0.0)
+        start, end = end, end + fan_out * fan_in
+        w = params[start:end].reshape(fan_out, fan_in)
+        trace.append((w, x))
+        x = x @ w.T + params[end : end + fan_out]
+        end += fan_out
+    return x, trace
 
 
-def _logits(params: np.ndarray, spec: ModelSpec, x: np.ndarray) -> np.ndarray:
-    """Raw class scores for a batch ``x`` of shape (n, input_dim)."""
-    if spec.hidden_dim == 0:
-        w, b = _unpack(params, spec)
-        return x @ w.T + b
-    w1, b1, w2, b2 = _unpack(params, spec)
-    hidden = np.maximum(x @ w1.T + b1, 0.0)
-    return hidden @ w2.T + b2
-
-
-def _loss_grad_arrays(params, spec, x, y, with_loss=True):
-    """Mean cross-entropy (None unless ``with_loss``) and its gradient on rows ``x``, ``y``."""
-    n = x.shape[0]
-    rows = np.arange(n)
-    if spec.hidden_dim == 0:
-        w, b = _unpack(params, spec)
-        z = x @ w.T + b
-    else:
-        w1, b1, w2, b2 = _unpack(params, spec)
-        pre = x @ w1.T + b1
-        hidden = np.maximum(pre, 0.0)
-        z = hidden @ w2.T + b2
-    # softmax cross-entropy and its gradient with respect to the logits
-    zs = z - np.max(z, axis=1, keepdims=True)
-    lse = np.log(np.sum(np.exp(zs), axis=1))
-    loss = float(np.mean(lse - zs[rows, y])) if with_loss else None
-    g = np.exp(zs - lse[:, None])
-    g[rows, y] -= 1.0
-    g /= n
-    if spec.hidden_dim == 0:
-        return loss, np.concatenate([(g.T @ x).ravel(), g.sum(axis=0)])
-    gw2 = g.T @ hidden
-    gb2 = g.sum(axis=0)
-    dh = g @ w2
-    dpre = dh * (pre > 0.0)  # ReLU subgradient at 0 is 0
-    gw1 = dpre.T @ x
-    gb1 = dpre.sum(axis=0)
-    return loss, np.concatenate([gw1.ravel(), gb1, gw2.ravel(), gb2])
+def _log_softmax_grad(params, spec, x, y):
+    """Log-softmax of the logits of rows ``x``, and the mean cross-entropy gradient for ``y``."""
+    z, trace = _forward(params, spec, x)
+    zs = z - z.max(axis=1, keepdims=True)
+    log_probs = zs - np.log(np.exp(zs).sum(axis=1))[:, None]
+    g = np.exp(log_probs)
+    g[np.arange(len(g)), y] -= 1.0
+    g /= len(g)
+    grads = []
+    for w, inp in trace[:0:-1]:  # the layers after the first, last to first
+        grads += (g.sum(axis=0), (g.T @ inp).ravel())
+        # relu(pre) > 0 exactly where pre > 0; the subgradient at 0 is 0
+        g = (g @ w) * (inp > 0.0)
+    grads += (g.sum(axis=0), (g.T @ x).ravel())
+    return log_probs, np.concatenate(grads[::-1])
 
 
 def loss_and_grad(params: np.ndarray, spec: ModelSpec, batch: Samples) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the rows of ``batch`` and its exact analytic gradient."""
     if not len(batch):
         raise EmptySetError("loss over an empty batch")
-    return _loss_grad_arrays(np.asarray(params, dtype=np.float64), spec, batch.x, batch.y)
+    log_probs, grad = _log_softmax_grad(np.asarray(params, np.float64), spec, batch.x, batch.y)
+    return float(np.mean(-log_probs[np.arange(len(batch)), batch.y])), grad
 
 
 class _Stream(threading.local):
@@ -219,7 +192,7 @@ def sgd(params, spec: ModelSpec, x, y, tspec: TrainSpec, step=None, end_epoch=No
         order = philox(tspec.seed, epoch).permutation(n)
         for start in range(0, n, tspec.batch_size):
             idx = order[start : start + tspec.batch_size]
-            _, grad = _loss_grad_arrays(params, spec, x[idx], y[idx], with_loss=False)
+            grad = _log_softmax_grad(params, spec, x[idx], y[idx])[1]
             if step is not None:
                 grad = step(params, grad)
             params = params - tspec.learning_rate * grad
@@ -242,7 +215,7 @@ def accuracy(params: np.ndarray, spec: ModelSpec, x: np.ndarray, labels) -> floa
     for the attack success rate). The prediction is the argmax class; ties
     break to the lowest class index (numpy argmax takes the first max).
     """
-    logits = _logits(np.asarray(params, dtype=np.float64), spec, x)
+    logits = _forward(np.asarray(params, dtype=np.float64), spec, x)[0]
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 

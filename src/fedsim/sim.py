@@ -24,8 +24,8 @@ from .defenses import ClientUpdate, DefenseConfig, aggregate
 from .errors import ConfigError, NonFiniteUpdateError
 from .model import ModelSpec, TrainSpec, accuracy, init_params, local_train, philox
 
-# Elements in the largest array the blob draw may build (512 MiB of float64);
-# see SimConfig.
+# Elements in the largest array the blob draw or the model may build (512 MiB
+# of float64); see SimConfig.
 MAX_DATA_ELEMENTS = 2**26
 
 # Seed-stream tags (see _derive_seed).
@@ -71,7 +71,10 @@ class SimConfig:
     more than ``MAX_DATA_ELEMENTS`` (2**26) elements: ``data.num_classes**2
     * data.feature_dim`` for the class-center differences, and
     ``data.num_classes * (data.n_per_class + data.test_per_class) *
-    data.feature_dim`` for the blob matrix.
+    data.feature_dim`` for the blob matrix. It holds the model to the same
+    cap: its ``param_count()``, and its hidden activation over every blob
+    row, ``model.hidden_dim * data.num_classes * (data.n_per_class +
+    data.test_per_class)``.
     """
 
     total_clients: int = 50
@@ -125,11 +128,15 @@ class SimConfig:
                     f"defense.{name} {count} exceeds clients_per_round {self.clients_per_round}"
                 )
         d = self.data
+        rows = d.num_classes * (d.n_per_class + d.test_per_class)
         for keys, elements in (
             ("data.num_classes * data.num_classes * data.feature_dim",
              d.num_classes * d.num_classes * d.feature_dim),
             ("data.num_classes * (data.n_per_class + data.test_per_class) * data.feature_dim",
-             d.num_classes * (d.n_per_class + d.test_per_class) * d.feature_dim),
+             rows * d.feature_dim),
+            ("the parameter count for model.hidden_dim", self.model.param_count()),
+            ("model.hidden_dim * data.num_classes * (data.n_per_class + data.test_per_class)",
+             self.model.hidden_dim * rows),
         ):
             if elements > MAX_DATA_ELEMENTS:
                 raise ConfigError(
@@ -316,7 +323,9 @@ def run_round(state: SimState, cfg: SimConfig) -> tuple[SimState, RoundRecord]:
     else:
         ids = sample_clients(cfg.total_clients, cfg.clients_per_round, r, cfg.master_seed)
     acfg = _resolve_attack(cfg)
-    updates = [_train_one(state, cfg, acfg, i) for i in ids]
+    # a diverging client overflows inside numpy; _train_one reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        updates = [_train_one(state, cfg, acfg, i) for i in ids]
 
     outcome = aggregate(
         updates, cfg.defense, seed=_derive_seed(cfg.master_seed, _TAG_DP_NOISE, r)

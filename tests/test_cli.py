@@ -113,6 +113,15 @@ class TestRun:
         assert key in err and "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
+    def test_oversized_model_exit_2_naming_key(self, tmp_path, capsys):
+        code = main(["run", "--config", str(REPO_CONFIGS / "compare_small.cfg"),
+                     "--out", str(tmp_path), "--set", "model.hidden_dim=10000000000",
+                     "--set", "rounds=1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "model.hidden_dim" in err and "Traceback" not in err
+        assert not list(tmp_path.iterdir())
+
     def test_missing_config_exit_2(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
 
@@ -180,12 +189,14 @@ class TestDivergence:
     # A hidden layer and a huge step size overflow to NaN in round 1.
     DIVERGE = ["--set", "model.hidden_dim=8", "--set", "train.learning_rate=1e300"]
 
-    def test_run_exits_1_naming_round_and_client(self, tiny_cfg, tmp_path, capsys):
-        code = main(["run", "--config", str(tiny_cfg), "--out", str(tmp_path), *self.DIVERGE])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "round 1" in err and "client" in err
-        assert "Traceback" not in err
+    def test_run_exits_1_naming_round_and_client(self, tiny_cfg, tmp_path):
+        # a child process, so numpy's warnings would reach its stderr as a user sees them
+        done = _fedsim_process("run", "--config", str(tiny_cfg), "--out", str(tmp_path),
+                               *self.DIVERGE)
+        assert done.returncode == 1
+        assert "round 1" in done.stderr and "client" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert "RuntimeWarning" not in done.stderr
 
     def test_sweep_records_failure_and_finishes(self, tiny_cfg, tmp_path, capsys):
         out = tmp_path / "sweep"
@@ -267,6 +278,18 @@ class TestValidateConfig:
         assert main(["validate-config", "--config", standard, "--set", "data.feature_dim=12428"]) == 2
         assert "data.test_per_class" in capsys.readouterr().err
 
+    def test_model_size_cap_is_inclusive(self, capsys):
+        standard = ["validate-config", "--config", str(REPO_CONFIGS / "standard.cfg")]
+        # 12427 * 10 * (500 + 40) hidden activations are just under the 2**26 cap
+        assert main([*standard, "--set", "model.hidden_dim=12427"]) == 0
+        assert main([*standard, "--set", "model.hidden_dim=12428"]) == 2
+        assert "model.hidden_dim" in capsys.readouterr().err
+        # with 6000 features the parameter count binds first: 11164 * 6001 + 10 * 11165
+        wide = [*standard, "--set", "data.feature_dim=6000"]
+        assert main([*wide, "--set", "model.hidden_dim=11164"]) == 0
+        assert main([*wide, "--set", "model.hidden_dim=11165"]) == 2
+        assert "parameter count for model.hidden_dim" in capsys.readouterr().err
+
     def test_rejects_bad_value_naming_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("rounds = many\n")
@@ -331,16 +354,18 @@ class TestValidateConfig:
         assert "Traceback" not in err
 
 
-def test_python_dash_m_runs_from_a_clean_checkout():
+def _fedsim_process(*args):
+    """``python -m fedsim *args`` in a child process run from a clean checkout."""
     env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    return subprocess.run([sys.executable, "-m", "fedsim", *args], cwd=REPO, env=env,
+                          capture_output=True, text=True, timeout=120)
 
-    def fedsim(*args):
-        return subprocess.run([sys.executable, "-m", "fedsim", *args], cwd=REPO, env=env,
-                              capture_output=True, text=True, timeout=120)
 
-    ok = fedsim("validate-config", "--config", "configs/standard.cfg")
+def test_python_dash_m_runs_from_a_clean_checkout():
+    ok = _fedsim_process("validate-config", "--config", "configs/standard.cfg")
     assert ok.returncode == 0, ok.stderr
     assert ok.stdout.startswith("ok")
-    bad = fedsim("validate-config", "--config", "configs/standard.cfg", "--set", "mystery.knob=1")
+    bad = _fedsim_process("validate-config", "--config", "configs/standard.cfg",
+                          "--set", "mystery.knob=1")
     assert bad.returncode == 2
     assert "mystery.knob" in bad.stderr

@@ -12,7 +12,7 @@ from fedsim.errors import EmptySetError, NoEligibleExamplesError
 from fedsim.model import (
     ModelSpec,
     TrainSpec,
-    _logits,
+    _forward,
     accuracy,
     evaluate_acc,
     evaluate_asr,
@@ -26,6 +26,28 @@ from helpers import fresh_philox, finite_diff_grad, rel_grad_error, sgd_oracle, 
 
 SOFTMAX = ModelSpec(4, 3)
 MLP = ModelSpec(4, 3, hidden_dim=8)
+NARROW = ModelSpec(4, 3, hidden_dim=1)
+
+
+def _documented_blocks(params, spec):
+    """(W, b) of each layer, cut from ``params`` as the module docstring lays them out."""
+    d, c, h = spec.input_dim, spec.num_classes, spec.hidden_dim
+    if h == 0:
+        return [(params[: c * d].reshape(c, d), params[c * d :])]
+    w2_at = h * d + h
+    return [
+        (params[: h * d].reshape(h, d), params[h * d : w2_at]),
+        (params[w2_at : w2_at + c * h].reshape(c, h), params[w2_at + c * h :]),
+    ]
+
+
+def _documented_logits(params, spec, x):
+    """``W @ x + b``, or ``W2 @ relu(W1 @ x + b1) + b2``, for each row of ``x``."""
+    blocks = _documented_blocks(params, spec)
+    z = x @ blocks[0][0].T + blocks[0][1]
+    if len(blocks) == 2:
+        z = np.maximum(z, 0.0) @ blocks[1][0].T + blocks[1][1]
+    return z
 
 
 def _random_batch(rng, spec, n):
@@ -66,6 +88,26 @@ class TestInitParams:
         assert np.all(b == 0.0)
         assert np.all(np.abs(w) <= 1 / math.sqrt(4))
 
+    @pytest.mark.parametrize("spec", [MLP, NARROW, ModelSpec(9, 5, 30)],
+                             ids=["mlp", "hidden1", "wide"])
+    def test_mlp_blocks_hold_zero_biases_and_bounded_weights(self, spec):
+        blocks = _documented_blocks(init_params(spec, 5), spec)
+        for (w, b), fan_in in zip(blocks, [spec.input_dim, spec.hidden_dim], strict=True):
+            assert np.all(b == 0.0)
+            assert np.all(w != 0.0) and np.all(np.abs(w) <= 1 / math.sqrt(fan_in))
+
+
+class TestFlatteningOrder:
+    """The documented flat layout is the one the model reads."""
+
+    @pytest.mark.parametrize("spec", [SOFTMAX, MLP, NARROW, ModelSpec(3, 4, 5)],
+                             ids=["softmax", "mlp", "hidden1", "more_classes"])
+    def test_forward_reads_the_documented_slices(self, spec):
+        # integer params and inputs keep every logit exact, whatever the summation order
+        params = np.arange(spec.param_count(), dtype=float)
+        x = np.random.default_rng(0).integers(-3, 4, size=(7, spec.input_dim)).astype(float)
+        assert np.array_equal(_forward(params, spec, x)[0], _documented_logits(params, spec, x))
+
 
 class TestLossAndGrad:
     def test_zero_params_log_c(self):
@@ -74,7 +116,7 @@ class TestLossAndGrad:
         loss, _ = loss_and_grad(np.zeros(SOFTMAX.param_count()), SOFTMAX, batch)
         assert np.isclose(loss, math.log(3), atol=1e-12)
 
-    @pytest.mark.parametrize("spec", [SOFTMAX, MLP], ids=["softmax", "mlp"])
+    @pytest.mark.parametrize("spec", [SOFTMAX, MLP, NARROW], ids=["softmax", "mlp", "hidden1"])
     def test_gradient_matches_finite_differences(self, spec):
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -83,6 +125,19 @@ class TestLossAndGrad:
             _, grad = loss_and_grad(params, spec, batch)
             fd = finite_diff_grad(lambda p: loss_and_grad(p, spec, batch)[0], params)
             assert rel_grad_error(grad, fd) <= 1e-4
+
+    @pytest.mark.parametrize("hidden_dim", [0, 1, 8])
+    def test_loss_keeps_its_bits(self, hidden_dim):
+        spec = ModelSpec(5, 4, hidden_dim)
+        rng = np.random.default_rng(hidden_dim)
+        for n in [1, 1, 2, 3, 7, 32, 1, 5]:
+            params = rng.normal(scale=1.5, size=spec.param_count())
+            batch = _random_batch(rng, spec, n)
+            z = _documented_logits(params, spec, batch.x)
+            zs = z - np.max(z, axis=1, keepdims=True)
+            lse = np.log(np.sum(np.exp(zs), axis=1))
+            expected = np.mean(lse - zs[np.arange(n), batch.y])
+            assert loss_and_grad(params, spec, batch)[0] == expected
 
     def test_duplicated_batch_invariance(self):
         rng = np.random.default_rng(4)
@@ -192,7 +247,7 @@ class TestEvaluate:
         params = init_params(spec, 2)
         x = np.stack([e.features for e in ds])
         y = np.array([e.label for e in ds])
-        preds = np.array([np.argmax(_logits(params, spec, row[None])) for row in x])
+        preds = np.array([np.argmax(_forward(params, spec, row[None])[0]) for row in x])
         assert evaluate_acc(params, spec, ds) == accuracy(params, spec, x, y) == np.mean(preds == y)
         t = TriggerSpec((0,), (6.0,), 1)
         eligible = y != 1
