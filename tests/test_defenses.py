@@ -439,6 +439,17 @@ class TestAggregateDispatch:
         with pytest.raises(EmptySetError):
             aggregate([], DefenseConfig(kind=kind))
 
+    @pytest.mark.parametrize("kind", DEFENSE_KINDS)
+    def test_leaves_the_callers_deltas_untouched(self, kind):
+        rng = np.random.default_rng(18)
+        ups = _updates([rng.normal(size=8) * s for s in (0.1, 1.0, 10.0, 0.5, 3.0, 2.0)])
+        cfg = DefenseConfig(kind=kind, krum_f=1, clip_norm=1.0, noise_std=0.1)
+        # weak_dp clips every delta longer than clip_norm
+        assert sum(np.linalg.norm(u.delta) > cfg.clip_norm for u in ups) >= 3
+        before = [u.delta.tobytes() for u in ups]
+        aggregate(ups, cfg, seed=5)
+        assert [u.delta.tobytes() for u in ups] == before
+
     def test_deterministic(self):
         rng = np.random.default_rng(15)
         ups = _random_updates(rng, 6, 8)

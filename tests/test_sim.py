@@ -133,9 +133,9 @@ class TestRunRound:
         assert len(state.clients) == cfg.total_clients == len(state.partition)
         for cid, rows in state.partition.items():
             mine = state.clients[cid]
-            want = np.stack([state.dataset[j].features for j in rows])
+            want = np.stack([state.dataset.x[j] for j in rows])
             assert mine.x.dtype == np.float64 and mine.x.tobytes() == want.tobytes()
-            assert mine.y.tolist() == [state.dataset[j].label for j in rows]
+            assert mine.y.tolist() == [int(state.dataset.y[j]) for j in rows]
         state2, _ = run_round(state, cfg)
         assert state2.clients is state.clients
 
