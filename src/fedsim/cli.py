@@ -149,33 +149,31 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    """Run every attack x defense cell and write ``compare_matrix.csv``.
+
+    The cells differ only in ``attack.kind`` and ``defense.kind``, so the
+    state is built once and every cell runs from it: one set of arrays and
+    one set of round plans (``SimState.plans``) per command.
+    """
     exp = _load(args)
     if not exp.compare_attacks or not exp.compare_defenses:
         raise ConfigError(
             "compare needs compare.attacks and compare.defenses in the config"
         )
-    raw = dict(exp.raw)
     out_dir = _out_dir(args)
+    state = simmod.build_state(exp.sim)
 
     rows = []
     for attack in sorted(exp.compare_attacks):
         for defense in sorted(exp.compare_defenses):
-            cell = cfgmod.apply_overrides(
-                raw, [f"attack.kind={attack}", f"defense.kind={defense}"]
-            )
-            cell_exp = cfgmod.build_config(cell)
-            records = simmod.run_simulation(cell_exp.sim)
-            summary = simmod.summarize(records)
-            rows.append(
-                f"{attack},{defense},{summary['final_acc']:.9g},"
-                f"{summary['final_asr']:.9g}"
-            )
-            print(f"{attack} vs {defense}: acc={summary['final_acc']:.9g} "
-                  f"asr={summary['final_asr']:.9g}")
+            cell = cfgmod.apply_overrides(exp.raw, [f"attack.kind={attack}", f"defense.kind={defense}"])
+            summary = simmod.summarize(simmod.run_simulation(cfgmod.build_config(cell).sim, state))
+            acc, asr = f"{summary['final_acc']:.9g}", f"{summary['final_asr']:.9g}"
+            rows.append(f"{attack},{defense},{acc},{asr}\n")
+            print(f"{attack} vs {defense}: acc={acc} asr={asr}")
 
     simmod.atomic_write(
-        os.path.join(out_dir, "compare_matrix.csv"),
-        "attack,defense,final_acc,final_asr\n" + "".join(r + "\n" for r in rows),
+        os.path.join(out_dir, "compare_matrix.csv"), "attack,defense,final_acc,final_asr\n" + "".join(rows)
     )
     return EXIT_OK
 

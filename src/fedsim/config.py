@@ -103,6 +103,9 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"{key} must list kinds out of {', '.join(kinds)}; got {unknown[0]!r}"
                 )
+            repeated = [k for k in chosen if chosen.count(k) > 1]
+            if repeated:
+                raise ConfigError(f"{key} lists {repeated[0]!r} more than once")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:

@@ -101,11 +101,10 @@ def blob_arrays(
     if min_dist < 1e-9:
         raise ConfigError("degenerate class centers; choose another seed")
     centers *= class_sep / min_dist
-    x = np.empty((num_classes * n_per_class, feature_dim))
-    for c in range(num_classes):
-        block = slice(c * n_per_class, (c + 1) * n_per_class)
-        x[block] = centers[c] + rng.standard_normal(size=(n_per_class, feature_dim))
-    return Samples(x, np.repeat(np.arange(num_classes, dtype=np.intp), n_per_class))
+    # one draw in class order: the same stream as one draw per class
+    x = centers[:, None, :] + rng.standard_normal(size=(num_classes, n_per_class, feature_dim))
+    labels = np.repeat(np.arange(num_classes, dtype=np.intp), n_per_class)
+    return Samples(x.reshape(num_classes * n_per_class, feature_dim), labels)
 
 
 def gen_blobs(
@@ -139,18 +138,22 @@ def dirichlet_partition(labels, num_clients: int, q: float, seed: int) -> dict[i
             f"cannot spread {labels.size} examples over {num_clients} clients"
         )
     rng = np.random.default_rng(seed)
-    buckets: list[list[int]] = [[] for _ in range(num_clients)]
+    dealt, owner = [], []
     for cls in np.unique(labels):
         idx = np.flatnonzero(labels == cls)
         rng.shuffle(idx)
         props = rng.dirichlet(np.full(num_clients, q))
         cuts = (np.cumsum(props) * idx.size).astype(int)[:-1]
-        for client, chunk in enumerate(np.split(idx, cuts)):
-            buckets[client].extend(chunk.tolist())
+        dealt.append(idx)  # shuffled position p goes to the client whose [cut, next cut) holds p
+        owner.append(np.searchsorted(cuts, np.arange(idx.size), side="right"))
+    owner = np.concatenate(owner)
+    # a stable sort keeps each client's indices in class, then shuffled, order
+    grouped = np.concatenate(dealt)[np.argsort(owner, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(owner, minlength=num_clients)).tolist()
+    buckets = [grouped[a:b] for a, b in zip([0, *ends], ends)]
     for client in range(num_clients):
         if not buckets[client]:
-            sizes = [len(b) for b in buckets]
-            donor = int(np.argmax(sizes))  # argmax ties break to lowest id
+            donor = max(range(num_clients), key=lambda c: len(buckets[c]))  # ties to lowest id
             buckets[client].append(buckets[donor].pop())
     return dict(enumerate(buckets))
 

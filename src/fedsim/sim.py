@@ -9,6 +9,7 @@ Philox generator re-keyed for that round, and uses it up before the next
 """
 
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -219,7 +220,10 @@ class SimState:
     client ``i``'s rows, cut from ``dataset`` once, in the order of
     ``partition[i]``; every round trains on these arrays. ``asr_x`` holds
     the triggered test rows whose label is not the attack's target. All of
-    them are built once by :func:`build_state` and only read afterwards.
+    them are built once by :func:`build_state` and are read-only, as is the
+    initial ``global_params``. ``plans`` memoizes each round's clients and
+    seeds (``_round_plan``); ``replace`` hands the same dict to every later
+    state, so all runs started from one state share it.
     """
 
     round: int
@@ -229,11 +233,22 @@ class SimState:
     partition: dict[int, list[int]]
     clients: list[Samples]
     asr_x: np.ndarray
+    plans: dict = field(default_factory=dict)
 
 
 def _derive_seed(master_seed: int, tag: int, *parts: int) -> int:
-    ss = np.random.SeedSequence([master_seed, tag, *parts])
-    return int(ss.generate_state(1, dtype=np.uint64)[0])
+    """``SeedSequence([master_seed, tag, *parts]).generate_state(1, uint64)[0]``, fed
+    each part's little-endian uint32 words directly (numpy's list coercion is slow)."""
+    words = []
+    for v in (master_seed, tag, *parts):
+        if v < 0:
+            raise ValueError(f"seed parts must be non-negative, got {v}")
+        words.append(v & 0xFFFFFFFF)
+        while v > 0xFFFFFFFF:
+            v >>= 32
+            words.append(v & 0xFFFFFFFF)
+    lo, hi = np.random.SeedSequence(np.array(words, dtype=np.uint32)).generate_state(2).tolist()
+    return lo | hi << 32
 
 
 def sample_clients(total: int, k: int, round_idx: int, master_seed: int) -> list[int]:
@@ -259,7 +274,9 @@ def build_state(cfg: SimConfig) -> SimState:
     Train and held-out test rows are sliced from a single blob draw (shared
     class centers), the first ``n_per_class`` rows of each class for
     training; the test rows are never partitioned to clients. Each client's
-    rows are then cut once into arrays of their own.
+    rows are a view of one gather of the training rows in partition order.
+    Every array is read-only: a stray write raises instead of corrupting
+    the runs that share the state.
     """
     cfg.validate()
     d = cfg.data
@@ -277,14 +294,21 @@ def build_state(cfg: SimConfig) -> SimState:
         _derive_seed(cfg.master_seed, _TAG_PARTITION),
     )
     params = init_params(cfg.model, _derive_seed(cfg.master_seed, _TAG_INIT))
+    asr_x = triggered_rows(test.x, test.y, cfg.attack.trigger)
+    order = [part[i] for i in range(cfg.total_clients)]
+    dealt = train.take(np.concatenate(order))
+    # the client rows are views of dealt, so they inherit its flag
+    for arr in (params, asr_x, train.x, train.y, test.x, test.y, dealt.x, dealt.y):
+        arr.flags.writeable = False
+    bounds = [0, *itertools.accumulate(map(len, order))]
     return SimState(
         round=1,
         global_params=params,
         dataset=train,
         test_set=test,
         partition=part,
-        clients=[train.take(part[i]) for i in range(cfg.total_clients)],
-        asr_x=triggered_rows(test.x, test.y, cfg.attack.trigger),
+        clients=[Samples(dealt.x[a:b], dealt.y[a:b]) for a, b in zip(bounds, bounds[1:])],
+        asr_x=asr_x,
     )
 
 
@@ -295,9 +319,25 @@ def _resolve_attack(cfg: SimConfig) -> AttackConfig:
     return acfg
 
 
-def _train_one(state: SimState, cfg: SimConfig, acfg: AttackConfig, client_id: int):
+def _round_plan(state: SimState, cfg: SimConfig) -> list[tuple[int, int]]:
+    """``[(client_id, training_seed), ...]`` for ``state.round``, memoized in
+    ``state.plans`` under every config field that sampling and the seeds read."""
+    r = state.round
+    key = (r, cfg.master_seed, cfg.total_clients, cfg.clients_per_round,
+           cfg.malicious_count, cfg.force_c_per_round)
+    plan = state.plans.get(key)
+    if plan is None:
+        if cfg.force_c_per_round is not None:
+            ids = _sample_forced(cfg, r)
+        else:
+            ids = sample_clients(cfg.total_clients, cfg.clients_per_round, r, cfg.master_seed)
+        plan = [(i, _derive_seed(cfg.master_seed, _TAG_CLIENT, r, i)) for i in ids]
+        state.plans[key] = plan
+    return plan
+
+
+def _train_one(state: SimState, cfg: SimConfig, acfg: AttackConfig, client_id: int, seed: int):
     data = state.clients[client_id]
-    seed = _derive_seed(cfg.master_seed, _TAG_CLIENT, state.round, client_id)
     tspec = replace(cfg.train, seed=seed)
     if client_id < cfg.malicious_count and acfg.kind != "none":
         params = malicious_local_train(state.global_params, cfg.model, data, tspec, acfg)
@@ -320,14 +360,12 @@ def run_round(state: SimState, cfg: SimConfig) -> tuple[SimState, RoundRecord]:
     """
     t0 = time.perf_counter()
     r = state.round
-    if cfg.force_c_per_round is not None:
-        ids = _sample_forced(cfg, r)
-    else:
-        ids = sample_clients(cfg.total_clients, cfg.clients_per_round, r, cfg.master_seed)
+    plan = _round_plan(state, cfg)
+    ids = [i for i, _ in plan]
     acfg = _resolve_attack(cfg)
     # a diverging client overflows inside numpy; _train_one reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        updates = [_train_one(state, cfg, acfg, i) for i in ids]
+        updates = [_train_one(state, cfg, acfg, i, seed) for i, seed in plan]
 
     outcome = aggregate(
         updates, cfg.defense, seed=_derive_seed(cfg.master_seed, _TAG_DP_NOISE, r)
@@ -362,9 +400,16 @@ def run_round(state: SimState, cfg: SimConfig) -> tuple[SimState, RoundRecord]:
     return replace(state, round=r + 1, global_params=new_params), record
 
 
-def run_simulation(cfg: SimConfig) -> list[RoundRecord]:
-    """Run all rounds from a fresh initialization; keep records of evaluated rounds."""
-    state = build_state(cfg)
+def run_simulation(cfg: SimConfig, state: SimState | None = None) -> list[RoundRecord]:
+    """Run all rounds from ``state``, by default ``build_state(cfg)``; keep evaluated rounds.
+
+    A given ``state`` must come from ``build_state`` on a config with the same
+    data, model, trigger, ``master_seed`` and ``total_clients``.
+    """
+    if state is None:
+        state = build_state(cfg)
+    else:
+        cfg.validate()
     records = []
     for _ in range(cfg.rounds):
         r = state.round

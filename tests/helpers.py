@@ -203,6 +203,28 @@ def poison_dataset_oracle(ds, t: TriggerSpec, rate: float, seed: int) -> list[Ex
     return out
 
 
+def dirichlet_partition_oracle(labels, num_clients: int, q: float, seed: int) -> dict:
+    """Dealing by its documented steps: per class (ascending), shuffle the
+    class's indices, draw Dirichlet(q) proportions, split at the floored
+    cumulative cuts and append chunk ``j`` to client ``j``; then give each
+    empty client, in id order, the last index of the currently largest one."""
+    labels = np.asarray(labels)
+    rng = np.random.default_rng(seed)
+    buckets = [[] for _ in range(num_clients)]
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
+        rng.shuffle(idx)
+        props = rng.dirichlet(np.full(num_clients, q))
+        cuts = (np.cumsum(props) * idx.size).astype(int)[:-1]
+        for client, chunk in enumerate(np.split(idx, cuts)):
+            buckets[client].extend(chunk.tolist())
+    for client in range(num_clients):
+        if not buckets[client]:
+            donor = max(range(num_clients), key=lambda c: (len(buckets[c]), -c))
+            buckets[client].append(buckets[donor].pop())
+    return dict(enumerate(buckets))
+
+
 def fresh_philox(seed: int, counter: int) -> np.random.Generator:
     """The documented stream of ``model.philox``, as a new generator built here."""
     key = np.array([seed % 2**64, counter], dtype=np.uint64)

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from fedsim import sim
 from fedsim.cli import main
+from fedsim.config import build_config, load_config_file
 
 REPO = Path(__file__).resolve().parent.parent
 REPO_CONFIGS = REPO / "configs"
@@ -223,6 +225,40 @@ class TestCompare:
             ("none", "faros"),
             ("none", "fedavg"),
         ]
+
+    def test_builds_one_state_and_matches_fresh_runs(self, tiny_cfg, tmp_path, monkeypatch):
+        attacks = ("none", "data_poison", "model_replacement", "constrain_and_scale",
+                   "edge_case_pgd")
+        defenses = ("fedavg", "multi_krum", "weak_dp", "scope_static", "faros")
+        built = []
+        real_build = sim.build_state
+        monkeypatch.setattr(sim, "build_state", lambda cfg: built.append(cfg) or real_build(cfg))
+        # 4 clients a round: krum_f=0 keeps Multi-Krum within k >= 2f + 3
+        code = main(["compare", "--config", str(tiny_cfg), "--out", str(tmp_path),
+                     "--set", "defense.krum_f=0",
+                     "--set", "compare.attacks=" + ",".join(attacks),
+                     "--set", "compare.defenses=" + ",".join(defenses)])
+        assert code == 0
+        assert len(built) == 1
+        rows = (tmp_path / "compare_matrix.csv").read_text().splitlines()[1:]
+        assert len(rows) == 25
+        monkeypatch.setattr(sim, "build_state", real_build)
+        raw = {**load_config_file(tiny_cfg), "defense.krum_f": "0"}
+        for row in rows:
+            attack, defense, acc, asr = row.split(",")
+            cell = build_config({**raw, "attack.kind": attack, "defense.kind": defense}).sim
+            summary = sim.summarize(sim.run_simulation(cell))
+            assert (acc, asr) == (f"{summary['final_acc']:.9g}", f"{summary['final_asr']:.9g}")
+
+    @pytest.mark.parametrize("key", ["compare.attacks", "compare.defenses"])
+    @pytest.mark.parametrize("command", ["compare", "validate-config"])
+    def test_repeated_kind_exit_2_naming_key(self, tiny_cfg, tmp_path, capsys, key, command):
+        kinds = "none,none" if key == "compare.attacks" else "faros,fedavg,faros"
+        out = ["--out", str(tmp_path)] if command == "compare" else []
+        assert main([command, "--config", str(tiny_cfg), *out, "--set", f"{key}={kinds}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and key in err and "Traceback" not in err
+        assert not (tmp_path / "compare_matrix.csv").exists()
 
     def test_requires_compare_lists(self, tmp_path):
         cfg = tmp_path / "nolists.cfg"

@@ -17,7 +17,7 @@ from fedsim.data import (
 )
 from fedsim.errors import ConfigError, DimensionMismatchError
 
-from helpers import poison_dataset_oracle, stacked
+from helpers import dirichlet_partition_oracle, poison_dataset_oracle, stacked
 
 
 class TestGenBlobs:
@@ -132,6 +132,24 @@ class TestDirichletPartition:
             labels = rng.integers(0, num_classes, size=n)
             part = dirichlet_partition(labels, num_clients, q, int(rng.integers(1 << 30)))
             _check_partition(part, n, num_clients)
+
+    def test_equals_the_per_chunk_oracle(self):
+        # q down to 0.01 with up to 59 clients starves clients, so the
+        # repair step runs in about half of the cases
+        rng = np.random.default_rng(3)
+        for case in range(600):
+            num_classes = int(rng.integers(2, 11))
+            n = int(rng.integers(1, 60)) * num_classes
+            num_clients = int(rng.integers(1, 60))
+            if n < num_clients:
+                continue
+            q = float(rng.choice([0.01, 0.1, 0.4, 1.0, 10.0]))
+            labels = rng.permutation(np.arange(n) % num_classes)
+            seed = int(rng.integers(1 << 30))
+            want = dirichlet_partition_oracle(labels, num_clients, q, seed)
+            got = dirichlet_partition(labels, num_clients, q, seed)
+            assert got == want, case
+            assert all(type(v) is list and all(type(i) is int for i in v) for v in got.values())
 
     def test_near_uniform_at_huge_q(self):
         labels = np.repeat(np.arange(10), 100)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import random
 import threading
 import time
 import warnings
@@ -60,6 +61,23 @@ class TestSampleClients:
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
         # chi-square with 19 dof: far tail cutoff
         assert chi2 <= 43.8, chi2
+
+
+class TestDeriveSeed:
+    def test_equals_the_seed_sequence_of_the_parts(self):
+        # the uint32 words and the joined output words are the ones
+        # SeedSequence([m, tag, *parts]).generate_state(1, uint64) uses
+        rng = random.Random(5)
+        widths = [1, 8, 31, 32, 33, 63, 64, 65, 128, 260]
+        for _ in range(20000):
+            parts = [0 if rng.random() < 0.2 else rng.getrandbits(rng.choice(widths))
+                     for _ in range(rng.randint(2, 4))]
+            want = np.random.SeedSequence(parts).generate_state(1, np.uint64)[0]
+            assert sim._derive_seed(*parts) == int(want), parts
+
+    def test_negative_part_rejected(self):
+        with pytest.raises(ValueError):
+            sim._derive_seed(7, 2, -1)
 
 
 class TestRunRound:
@@ -267,6 +285,63 @@ class TestRunSimulation:
         cfg.force_c_per_round = 4
         recs = run_simulation(cfg)
         assert recs[-1].asr >= 0.80
+
+
+class TestSharedState:
+    def test_arrays_are_read_only(self):
+        state = build_state(small_config(malicious=3, attack="model_replacement", force_c=1))
+        arrays = [state.global_params, state.dataset.x, state.dataset.y, state.test_set.x,
+                  state.test_set.y, state.asr_x]
+        arrays += [a for c in state.clients for a in (c.x, c.y)]
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1
+
+    def test_runs_from_one_state_equal_fresh_runs(self):
+        base = small_config(defense="faros", malicious=3, attack="model_replacement",
+                            accept_count=3, core_size=2, force_c=1)
+        state = build_state(base)
+        for attack, defense in [("model_replacement", "faros"), ("none", "fedavg"),
+                                ("model_replacement", "faros")]:
+            cfg = dataclasses.replace(
+                base,
+                attack=dataclasses.replace(base.attack, kind=attack),
+                defense=dataclasses.replace(base.defense, kind=defense),
+            )
+            shared, fresh = run_simulation(cfg, state), run_simulation(cfg)
+            assert [_no_wall(r) for r in shared] == [_no_wall(r) for r in fresh]
+        assert len(state.plans) == base.rounds
+        assert state.round == 1
+
+    def test_each_sampling_config_gets_its_own_plan(self, monkeypatch):
+        forced = small_config(malicious=3, attack="model_replacement", force_c=1)
+        free = dataclasses.replace(forced, force_c_per_round=None, clients_per_round=6)
+        state = build_state(forced)
+        seen = []
+        real = sim._train_one
+
+        def spy(state, cfg, acfg, client_id, seed):
+            seen.append((client_id, seed))
+            return real(state, cfg, acfg, client_id, seed)
+
+        monkeypatch.setattr(sim, "_train_one", spy)
+        for cfg, sample in [(forced, lambda: sim._sample_forced(forced, 1)),
+                            (free, lambda: sample_clients(12, 6, 1, free.master_seed)),
+                            (forced, lambda: sim._sample_forced(forced, 1))]:
+            seen.clear()
+            state2, rec = run_round(state, cfg)
+            want = [(i, sim._derive_seed(cfg.master_seed, sim._TAG_CLIENT, 1, i)) for i in sample()]
+            assert seen == want
+            assert state2.plans is state.plans
+        assert len(state.plans) == 2
+        assert sim._sample_forced(forced, 1) != sample_clients(12, 6, 1, free.master_seed)
+
+
+def _no_wall(record) -> str:
+    """The record's fields but wall_ms, as text, so NaN equals NaN."""
+    row = vars(record).copy()
+    row.pop("wall_ms")
+    return repr(row)
 
 
 def _toy_records():
