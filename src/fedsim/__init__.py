@@ -66,6 +66,7 @@ from .sim import (
     build_state,
     run_round,
     run_simulation,
+    run_simulations,
     sample_clients,
     summarize,
     write_results,

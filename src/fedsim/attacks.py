@@ -22,7 +22,7 @@ from .model import ModelSpec, TrainSpec, local_train, sgd
 ATTACK_KINDS = ("none", "data_poison", "model_replacement", "constrain_and_scale", "edge_case_pgd")
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttackConfig:
     """Knobs for the malicious side; only the fields relevant to ``kind`` matter.
 

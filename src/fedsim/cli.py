@@ -151,9 +151,12 @@ def cmd_sweep(args) -> int:
 def cmd_compare(args) -> int:
     """Run every attack x defense cell and write ``compare_matrix.csv``.
 
-    The cells differ only in ``attack.kind`` and ``defense.kind``, so the
-    state is built once and every cell runs from it: one set of arrays and
-    one set of round plans (``SimState.plans``) per command.
+    The cells differ only in ``attack.kind`` and ``defense.kind``, so they
+    all run from one state, round by round (``sim.run_simulations``), and
+    a client whose inputs are byte-equal in several cells trains once per
+    round. The cell lines print when every cell is done. If a cell fails,
+    the lines of the cells before it print and its error is raised, as if
+    the cells had run one after another.
     """
     exp = _load(args)
     if not exp.compare_attacks or not exp.compare_defenses:
@@ -161,16 +164,23 @@ def cmd_compare(args) -> int:
             "compare needs compare.attacks and compare.defenses in the config"
         )
     out_dir = _out_dir(args)
-    state = simmod.build_state(exp.sim)
+    cells = [(a, d) for a in sorted(exp.compare_attacks) for d in sorted(exp.compare_defenses)]
+    cfgs = [
+        cfgmod.build_config(
+            cfgmod.apply_overrides(exp.raw, [f"attack.kind={a}", f"defense.kind={d}"])
+        ).sim
+        for a, d in cells
+    ]
+    runs, error = simmod.run_simulations(cfgs, simmod.build_state(exp.sim))
 
     rows = []
-    for attack in sorted(exp.compare_attacks):
-        for defense in sorted(exp.compare_defenses):
-            cell = cfgmod.apply_overrides(exp.raw, [f"attack.kind={attack}", f"defense.kind={defense}"])
-            summary = simmod.summarize(simmod.run_simulation(cfgmod.build_config(cell).sim, state))
-            acc, asr = f"{summary['final_acc']:.9g}", f"{summary['final_asr']:.9g}"
-            rows.append(f"{attack},{defense},{acc},{asr}\n")
-            print(f"{attack} vs {defense}: acc={acc} asr={asr}")
+    for (attack, defense), records in zip(cells, runs):
+        summary = simmod.summarize(records)
+        acc, asr = f"{summary['final_acc']:.9g}", f"{summary['final_asr']:.9g}"
+        rows.append(f"{attack},{defense},{acc},{asr}\n")
+        print(f"{attack} vs {defense}: acc={acc} asr={asr}")
+    if error is not None:
+        raise error
 
     simmod.atomic_write(
         os.path.join(out_dir, "compare_matrix.csv"), "attack,defense,final_acc,final_asr\n" + "".join(rows)

@@ -22,7 +22,7 @@ import numpy as np
 from .attacks import AttackConfig, malicious_local_train
 from .data import Samples, blob_arrays, dirichlet_partition, triggered_rows
 from .defenses import ClientUpdate, DefenseConfig, aggregate
-from .errors import ConfigError, NonFiniteUpdateError
+from .errors import ConfigError, FedsimError, NonFiniteUpdateError
 from .model import ModelSpec, TrainSpec, accuracy, init_params, local_train, philox
 
 # Elements in the largest array the blob draw or the model may build (512 MiB
@@ -346,10 +346,37 @@ def _train_one(state: SimState, cfg: SimConfig, acfg: AttackConfig, client_id: i
     delta = params - state.global_params
     if not np.isfinite(delta).all():
         raise NonFiniteUpdateError(state.round, client_id)
+    # a memo may hand this update to several runs: a write must raise, not leak
+    delta.flags.writeable = False
     return ClientUpdate(client_id, delta)
 
 
-def run_round(state: SimState, cfg: SimConfig) -> tuple[SimState, RoundRecord]:
+def _train_clients(state: SimState, cfg: SimConfig, acfg: AttackConfig, plan, memo):
+    """Each planned client's update, trained once per distinct input in ``memo``.
+
+    ``memo[(global bytes, cfg.train, cfg.model, attack)][(client_id, seed)]``
+    is an update; ``attack`` is ``acfg`` for an attacking roster member and
+    None for honest training. With the client's rows, which the runs sharing
+    a memo share through one state, that is all ``_train_one`` reads.
+    """
+    if memo is None:
+        return [_train_one(state, cfg, acfg, i, seed) for i, seed in plan]
+    head = (state.global_params.tobytes(), cfg.train, cfg.model)
+    honest = memo.setdefault((*head, None), {})
+    attacked = honest if acfg.kind == "none" else memo.setdefault((*head, acfg), {})
+    updates = []
+    for i, seed in plan:
+        trained = attacked if i < cfg.malicious_count else honest
+        update = trained.get((i, seed))
+        if update is None:
+            update = trained[i, seed] = _train_one(state, cfg, acfg, i, seed)
+        updates.append(update)
+    return updates
+
+
+def run_round(
+    state: SimState, cfg: SimConfig, memo: dict | None = None
+) -> tuple[SimState, RoundRecord]:
     """Execute one full round and report it.
 
     Sampled clients train one after another in ascending id order. Roster
@@ -357,6 +384,10 @@ def run_round(state: SimState, cfg: SimConfig) -> tuple[SimState, RoundRecord]:
     honestly; the configured defense aggregates the deltas and the
     aggregated delta is added to the global model. ACC/ASR are evaluated on
     rounds divisible by eval_every (NaN otherwise).
+
+    ``memo`` lets the runs of one round that share a state reuse each
+    other's client updates (see ``_train_clients``); it must live for one
+    round only. Without it every client trains.
     """
     t0 = time.perf_counter()
     r = state.round
@@ -365,11 +396,11 @@ def run_round(state: SimState, cfg: SimConfig) -> tuple[SimState, RoundRecord]:
     acfg = _resolve_attack(cfg)
     # a diverging client overflows inside numpy; _train_one reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        updates = [_train_one(state, cfg, acfg, i, seed) for i, seed in plan]
+        updates = _train_clients(state, cfg, acfg, plan, memo)
 
-    outcome = aggregate(
-        updates, cfg.defense, seed=_derive_seed(cfg.master_seed, _TAG_DP_NOISE, r)
-    )
+    # only weak_dp reads the noise seed
+    seed = _derive_seed(cfg.master_seed, _TAG_DP_NOISE, r) if cfg.defense.kind == "weak_dp" else 0
+    outcome = aggregate(updates, cfg.defense, seed=seed)
     new_params = state.global_params + outcome.aggregated_delta
 
     malicious = [i for i in ids if i < cfg.malicious_count]
@@ -400,23 +431,52 @@ def run_round(state: SimState, cfg: SimConfig) -> tuple[SimState, RoundRecord]:
     return replace(state, round=r + 1, global_params=new_params), record
 
 
+def run_simulations(
+    cfgs: list[SimConfig], state: SimState
+) -> tuple[list[list[RoundRecord]], FedsimError | None]:
+    """Run every config in ``cfgs`` from ``state``, all advancing one round at a time.
+
+    ``state`` must come from ``build_state`` on a config with the same data,
+    model, trigger, ``master_seed`` and ``total_clients`` as each of
+    ``cfgs``. Within a round, byte-equal client inputs train once
+    (``run_round``'s memo); each run's records equal those of a run alone.
+
+    Returns the evaluated rounds of each run before the first, in order, to
+    raise a :class:`FedsimError`, and that error (None if none did): the
+    outcome of running ``cfgs`` one after another up to the first error.
+    """
+    for cfg in cfgs:
+        cfg.validate()
+    states = [state] * len(cfgs)
+    records = [[] for _ in cfgs]
+    live, error = len(cfgs), None
+    for step in range(max((cfg.rounds for cfg in cfgs), default=0)):
+        memo = {}
+        for j in range(live):
+            cfg = cfgs[j]
+            if step >= cfg.rounds:
+                continue
+            r = states[j].round
+            try:
+                states[j], record = run_round(states[j], cfg, memo)
+            except FedsimError as e:
+                live, error = j, e
+                break
+            if r % cfg.eval_every == 0:
+                records[j].append(record)
+    return records[:live], error
+
+
 def run_simulation(cfg: SimConfig, state: SimState | None = None) -> list[RoundRecord]:
     """Run all rounds from ``state``, by default ``build_state(cfg)``; keep evaluated rounds.
 
-    A given ``state`` must come from ``build_state`` on a config with the same
-    data, model, trigger, ``master_seed`` and ``total_clients``.
+    The one-run case of :func:`run_simulations`, whose contract a given
+    ``state`` must meet.
     """
-    if state is None:
-        state = build_state(cfg)
-    else:
-        cfg.validate()
-    records = []
-    for _ in range(cfg.rounds):
-        r = state.round
-        state, record = run_round(state, cfg)
-        if r % cfg.eval_every == 0:
-            records.append(record)
-    return records
+    runs, error = run_simulations([cfg], build_state(cfg) if state is None else state)
+    if error is not None:
+        raise error
+    return runs[0]
 
 
 def _fmt(x: float) -> str:

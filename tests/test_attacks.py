@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -95,6 +95,14 @@ class TestDispatch:
             AttackConfig(kind="edge_case_pgd", trigger=TRIGGER, pgd_radius=0.05),
         )
         assert np.linalg.norm(projected - start) <= 0.05 + 1e-9
+
+
+def test_attack_config_is_frozen_and_hashable():
+    acfg = AttackConfig(kind="model_replacement", trigger=TRIGGER, boost=3.0)
+    with pytest.raises(FrozenInstanceError):
+        acfg.boost = 4.0
+    assert hash(acfg) == hash(replace(acfg)) and acfg == replace(acfg)
+    assert acfg != replace(acfg, poison_rate=1.0)
 
 
 class TestModelReplacement:

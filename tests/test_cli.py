@@ -10,6 +10,7 @@ import pytest
 from fedsim import sim
 from fedsim.cli import main
 from fedsim.config import build_config, load_config_file
+from fedsim.errors import NonFiniteUpdateError
 
 REPO = Path(__file__).resolve().parent.parent
 REPO_CONFIGS = REPO / "configs"
@@ -233,6 +234,17 @@ class TestCompare:
         built = []
         real_build = sim.build_state
         monkeypatch.setattr(sim, "build_state", lambda cfg: built.append(cfg) or real_build(cfg))
+        # every training's (round, global bytes, client, attack-or-None) input
+        trained = []
+        real_train = sim._train_one
+
+        def train(state, cfg, acfg, client_id, seed):
+            attacked = client_id < cfg.malicious_count and acfg.kind != "none"
+            trained.append((state.round, state.global_params.tobytes(), client_id,
+                            acfg if attacked else None))
+            return real_train(state, cfg, acfg, client_id, seed)
+
+        monkeypatch.setattr(sim, "_train_one", train)
         # 4 clients a round: krum_f=0 keeps Multi-Krum within k >= 2f + 3
         code = main(["compare", "--config", str(tiny_cfg), "--out", str(tmp_path),
                      "--set", "defense.krum_f=0",
@@ -242,6 +254,8 @@ class TestCompare:
         assert len(built) == 1
         rows = (tmp_path / "compare_matrix.csv").read_text().splitlines()[1:]
         assert len(rows) == 25
+        shared = list(trained)
+        trained.clear()
         monkeypatch.setattr(sim, "build_state", real_build)
         raw = {**load_config_file(tiny_cfg), "defense.krum_f": "0"}
         for row in rows:
@@ -249,6 +263,35 @@ class TestCompare:
             cell = build_config({**raw, "attack.kind": attack, "defense.kind": defense}).sim
             summary = sim.summarize(sim.run_simulation(cell))
             assert (acc, asr) == (f"{summary['final_acc']:.9g}", f"{summary['final_asr']:.9g}")
+        # compare trains each distinct input of the 25 fresh runs once a round
+        assert len(trained) == 25 * 5 * 4
+        assert len(shared) == len(set(trained)) < len(trained)
+        assert set(shared) == set(trained)
+
+    def test_first_failed_cell_in_order_is_reported(self, tiny_cfg, tmp_path, monkeypatch,
+                                                    capsys):
+        # Only the one cell of each attack trains its roster member that way, so
+        # each planted divergence fires in its own cell: data_poison's at round 4,
+        # and model_replacement's, which comes later in order, at round 2.
+        # constrain_and_scale, first in order, finishes.
+        fail_at = {"data_poison": 4, "model_replacement": 2}
+        real_train = sim._train_one
+
+        def train(state, cfg, acfg, client_id, seed):
+            if (client_id < cfg.malicious_count
+                    and fail_at.get(cfg.attack.kind) == state.round):
+                raise NonFiniteUpdateError(state.round, client_id)
+            return real_train(state, cfg, acfg, client_id, seed)
+
+        monkeypatch.setattr(sim, "_train_one", train)
+        code = main(["compare", "--config", str(tiny_cfg), "--out", str(tmp_path),
+                     "--set", "compare.attacks=constrain_and_scale,data_poison,model_replacement",
+                     "--set", "compare.defenses=fedavg"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert [line.split(":")[0] for line in out.splitlines()] == ["constrain_and_scale vs fedavg"]
+        assert "round 4" in err and "round 2" not in err
+        assert not (tmp_path / "compare_matrix.csv").exists()
 
     @pytest.mark.parametrize("key", ["compare.attacks", "compare.defenses"])
     @pytest.mark.parametrize("command", ["compare", "validate-config"])

@@ -439,10 +439,16 @@ class TestAggregateDispatch:
         with pytest.raises(EmptySetError):
             aggregate([], DefenseConfig(kind=kind))
 
-    @pytest.mark.parametrize("kind", DEFENSE_KINDS)
-    def test_leaves_the_callers_deltas_untouched(self, kind):
+    @pytest.mark.parametrize("kind,read_only", [
+        pytest.param(kind, read_only, id=kind + ("-read_only" if read_only else ""))
+        for read_only in (False, True) for kind in DEFENSE_KINDS
+    ])
+    def test_leaves_the_callers_deltas_untouched(self, kind, read_only):
         rng = np.random.default_rng(18)
         ups = _updates([rng.normal(size=8) * s for s in (0.1, 1.0, 10.0, 0.5, 3.0, 2.0)])
+        if read_only:  # as the simulator hands them over: a write in place raises
+            for u in ups:
+                u.delta.flags.writeable = False
         cfg = DefenseConfig(kind=kind, krum_f=1, clip_norm=1.0, noise_std=0.1)
         # weak_dp clips every delta longer than clip_norm
         assert sum(np.linalg.norm(u.delta) > cfg.clip_norm for u in ups) >= 3

@@ -19,6 +19,7 @@ from fedsim.sim import (
     build_state,
     run_round,
     run_simulation,
+    run_simulations,
     sample_clients,
     summarize,
     write_results,
@@ -212,6 +213,15 @@ class TestRunSimulation:
             db.pop("wall_ms")
             assert da == db
 
+    @pytest.mark.parametrize("defense", ["faros", "weak_dp"])
+    def test_noise_seed_derived_only_under_weak_dp(self, monkeypatch, defense):
+        cfg = small_config(defense=defense)
+        tags = []
+        real = sim._derive_seed
+        monkeypatch.setattr(sim, "_derive_seed", lambda *a: tags.append(a[1]) or real(*a))
+        run_simulation(cfg)
+        assert tags.count(sim._TAG_DP_NOISE) == (cfg.rounds if defense == "weak_dp" else 0)
+
     def test_parallel_equals_serial(self, monkeypatch):
         # parallel_clients is accepted but trains serially: no thread is
         # started while a round runs, and the records equal the serial ones
@@ -289,10 +299,14 @@ class TestRunSimulation:
 
 class TestSharedState:
     def test_arrays_are_read_only(self):
-        state = build_state(small_config(malicious=3, attack="model_replacement", force_c=1))
+        cfg = small_config(malicious=3, attack="model_replacement", force_c=1)
+        state = build_state(cfg)
         arrays = [state.global_params, state.dataset.x, state.dataset.y, state.test_set.x,
                   state.test_set.y, state.asr_x]
         arrays += [a for c in state.clients for a in (c.x, c.y)]
+        # a trained update may be handed to several runs
+        arrays += [sim._train_one(state, cfg, sim._resolve_attack(cfg), i, 11).delta
+                   for i in (0, 5)]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
@@ -335,6 +349,20 @@ class TestSharedState:
             assert state2.plans is state.plans
         assert len(state.plans) == 2
         assert sim._sample_forced(forced, 1) != sample_clients(12, 6, 1, free.master_seed)
+
+    @pytest.mark.parametrize("section,name,value", [
+        ("train", "learning_rate", 0.05), ("attack", "boost", 3.0), ("attack", "poison_rate", 0.5),
+    ])
+    def test_runs_that_differ_in_what_training_reads_equal_fresh_runs(self, section, name, value):
+        base = small_config(malicious=3, attack="model_replacement", force_c=1)
+        changed = dataclasses.replace(getattr(base, section), **{name: value})
+        other = dataclasses.replace(base, **{section: changed})
+        runs, error = run_simulations([base, other], build_state(base))
+        assert error is None
+        fresh = [[_no_wall(r) for r in run_simulation(cfg)] for cfg in (base, other)]
+        # the field moves the records, so a run handed the other's updates would show
+        assert fresh[0] != fresh[1], name
+        assert [[_no_wall(r) for r in records] for records in runs] == fresh
 
 
 def _no_wall(record) -> str:
