@@ -359,9 +359,7 @@ def _train_clients(state: SimState, cfg: SimConfig, acfg: AttackConfig, plan, me
     None for honest training. With the client's rows, which the runs sharing
     a memo share through one state, that is all ``_train_one`` reads.
     """
-    if memo is None:
-        return [_train_one(state, cfg, acfg, i, seed) for i, seed in plan]
-    head = (state.global_params.tobytes(), cfg.train, cfg.model)
+    head =(state.global_params.tobytes(), cfg.train, cfg.model)
     honest = memo.setdefault((*head, None), {})
     attacked = honest if acfg.kind == "none" else memo.setdefault((*head, acfg), {})
     updates = []
@@ -387,7 +385,7 @@ def run_round(
 
     ``memo`` lets the runs of one round that share a state reuse each
     other's client updates (see ``_train_clients``); it must live for one
-    round only. Without it every client trains.
+    round only. Without it the round starts an empty one of its own.
     """
     t0 = time.perf_counter()
     r = state.round
@@ -396,7 +394,7 @@ def run_round(
     acfg = _resolve_attack(cfg)
     # a diverging client overflows inside numpy; _train_one reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        updates = _train_clients(state, cfg, acfg, plan, memo)
+        updates = _train_clients(state, cfg, acfg, plan, {} if memo is None else memo)
 
     # only weak_dp reads the noise seed
     seed = _derive_seed(cfg.master_seed, _TAG_DP_NOISE, r) if cfg.defense.kind == "weak_dp" else 0
