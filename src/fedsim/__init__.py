@@ -45,6 +45,7 @@ from .errors import (
     EmptySetError,
     FedsimError,
     NoEligibleExamplesError,
+    NonFiniteAggregateError,
     NonFiniteUpdateError,
     ZeroVectorError,
 )

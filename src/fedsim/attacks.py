@@ -9,13 +9,12 @@ epoch. Attackers collude only through a shared config and trigger; every
 routine is a pure function of its arguments.
 """
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Samples, TriggerSpec, edge_case_pool, poison_dataset, triggered_rows
-from .errors import ConfigError, DimensionMismatchError, ZeroVectorError
+from .errors import ConfigError, DimensionMismatchError, ZeroVectorError, bounded, check_bounds
 from .model import ModelSpec, TrainSpec, local_train, sgd
 
 
@@ -32,30 +31,17 @@ class AttackConfig:
     that makes a single boosted update dominate a plain average).
     """
 
-    kind: str = "none"
+    kind: str = bounded(ATTACK_KINDS, "none")
     trigger: TriggerSpec = field(default_factory=TriggerSpec)
-    poison_rate: float = 0.5
-    boost: float | None = None
-    alpha: float = 0.5
-    pgd_radius: float = 2.0
-    edge_fraction: float = 0.2
+    poison_rate: float = bounded("(0, 1]", 0.5)
+    boost: float | None = bounded("[1, inf)", None)
+    alpha: float = bounded("[0, 1]", 0.5)
+    # an infinite pgd_radius means no projection
+    pgd_radius: float = bounded("(0, inf]", 2.0)
+    edge_fraction: float = bounded("(0, 1)", 0.2)
 
     def __post_init__(self):
-        if self.kind not in ATTACK_KINDS:
-            raise ConfigError(
-                f"attack.kind must be one of {', '.join(ATTACK_KINDS)}; got {self.kind!r}"
-            )
-        if not 0 < self.poison_rate <= 1:
-            raise ConfigError(f"attack.poison_rate must be in (0, 1], got {self.poison_rate}")
-        if not 0 <= self.alpha <= 1:
-            raise ConfigError(f"attack.alpha must be in [0, 1], got {self.alpha}")
-        if self.boost is not None and not 1 <= self.boost < math.inf:
-            raise ConfigError(f"attack.boost must be finite and >= 1, got {self.boost}")
-        # an infinite pgd_radius means no projection
-        if not self.pgd_radius > 0:
-            raise ConfigError(f"attack.pgd_radius must be > 0, got {self.pgd_radius}")
-        if not 0 < self.edge_fraction < 1:
-            raise ConfigError(f"attack.edge_fraction must be in (0, 1), got {self.edge_fraction}")
+        check_bounds(self, "attack")
 
 
 def model_replacement(local_params, global_params, boost: float) -> np.ndarray:

@@ -8,12 +8,14 @@ The config dataclasses are the only description of the keys. Each field of
 sections is ``<section>.<field>``: ``data.`` (DataConfig), ``trigger.``
 (TriggerSpec), ``model.`` (ModelSpec), ``train.`` (TrainSpec), ``attack.``
 (AttackConfig) and ``defense.`` (DefenseConfig). A value is parsed by the
-field's annotation, and a key that is not set takes the field's default,
-which is the only place a default is written. Three fields are filled by
-the simulator and are not keys: ``model.input_dim`` and ``model.num_classes``
-(from ``data``) and ``train.seed`` (per client and round). The ``trigger``
-section builds ``attack.trigger``, the run's one trigger. Values are checked
-by the dataclasses themselves, each message naming the key.
+field's annotation, and an unset key takes the field's default. The field
+is the only place its default and its bound (``errors.bounded``: an
+interval such as ``(0, 1]``, or the kinds) are written; ``check_bounds``
+checks every bound, naming the key, and ``SimConfig.validate`` adds the
+limits that span fields. Three fields are filled by the simulator and are
+not keys: ``model.input_dim`` and ``model.num_classes`` (from ``data``) and
+``train.seed`` (per client and round). The ``trigger`` section builds
+``attack.trigger``, the run's one trigger.
 
 The ``compare.attacks`` / ``compare.defenses`` keys configure the comparison
 matrix and are not part of the single-run config.

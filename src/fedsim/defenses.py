@@ -18,12 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import (
-    ConfigError,
-    DegenerateCentroidError,
-    DimensionMismatchError,
-    EmptySetError,
-)
+from .errors import ConfigError, DegenerateCentroidError, DimensionMismatchError, EmptySetError
+from .errors import NonFiniteAggregateError, bounded, check_bounds
 
 DEFENSE_KINDS = ("fedavg", "multi_krum", "weak_dp", "scope_static", "faros")
 
@@ -50,53 +46,33 @@ class DefenseConfig:
 
     ``core_size`` (l) and ``accept_count`` (m) default to None, meaning
     "half the round's clients, rounded up" -- the honest-majority default.
-    Set counts must be at least 1 (``krum_f`` at least 0); the upper bound
-    is the round's client count, checked by ``SimConfig.validate`` against
-    ``clients_per_round`` and by :meth:`resolved` against a given k.
+    Their upper bound is the round's client count, checked by
+    ``SimConfig.validate`` against ``clients_per_round`` and by
+    :meth:`resolved` against a given k.
     """
 
-    kind: str = "fedavg"
-    phi_max: float = 3.0
-    kappa: float = 50.0
-    core_size: int | None = None
-    accept_count: int | None = None
-    krum_f: int = 2
-    clip_norm: float = 5.0
-    noise_std: float = 0.0
-    phi_static: float = 1.5
+    kind: str = bounded(DEFENSE_KINDS, "fedavg")
+    phi_max: float = bounded("(1, inf)", 3.0)
+    kappa: float = bounded("(0, inf)", 50.0)
+    core_size: int | None = bounded("[1, inf)", None)
+    accept_count: int | None = bounded("[1, inf)", None)
+    krum_f: int = bounded("[0, inf)", 2)
+    # an infinite clip_norm means no clipping
+    clip_norm: float = bounded("(0, inf]", 5.0)
+    noise_std: float = bounded("[0, inf)", 0.0)
+    phi_static: float = bounded("[1, inf)", 1.5)
 
     def __post_init__(self):
-        if self.kind not in DEFENSE_KINDS:
-            raise ConfigError(
-                f"defense.kind must be one of {', '.join(DEFENSE_KINDS)}; got {self.kind!r}"
-            )
-        if not 1 < self.phi_max < math.inf:
-            raise ConfigError(f"defense.phi_max must be finite and > 1, got {self.phi_max}")
-        if not 0 < self.kappa < math.inf:
-            raise ConfigError(f"defense.kappa must be finite and > 0, got {self.kappa}")
-        # an infinite clip_norm means no clipping
-        if not self.clip_norm > 0:
-            raise ConfigError(f"defense.clip_norm must be > 0, got {self.clip_norm}")
-        if not 0 <= self.noise_std < math.inf:
-            raise ConfigError(f"defense.noise_std must be finite and >= 0, got {self.noise_std}")
-        if not 1 <= self.phi_static < math.inf:
-            raise ConfigError(f"defense.phi_static must be finite and >= 1, got {self.phi_static}")
-        for key, count, low in (
-            ("defense.core_size", self.core_size, 1),
-            ("defense.accept_count", self.accept_count, 1),
-            ("defense.krum_f", self.krum_f, 0),
-        ):
-            if count is not None and count < low:
-                raise ConfigError(f"{key} must be >= {low}, got {count}")
+        check_bounds(self, "defense")
 
     def resolved(self, k: int) -> "DefenseConfig":
         """Fill the per-round defaults l = m = ceil(k/2) and validate against k."""
         l = self.core_size if self.core_size is not None else math.ceil(k / 2)
         m = self.accept_count if self.accept_count is not None else math.ceil(k / 2)
         if not 1 <= l <= k:
-            raise ConfigError(f"core_size must be in [1, {k}], got {l}")
+            raise ConfigError(f"defense.core_size must be in [1, {k}], got {l}")
         if not 1 <= m <= k:
-            raise ConfigError(f"accept_count must be in [1, {k}], got {m}")
+            raise ConfigError(f"defense.accept_count must be in [1, {k}], got {m}")
         return DefenseConfig(**{**self.__dict__, "core_size": l, "accept_count": m})
 
 
@@ -186,11 +162,16 @@ def multi_krum(updates, cfg: DefenseConfig) -> DefenseOutcome:
 def weak_dp(updates, cfg: DefenseConfig, seed: int) -> DefenseOutcome:
     """Clip each delta to norm ``cfg.clip_norm``, average, add seeded ``cfg.noise_std`` noise."""
     ids, deltas = _stack(updates)
-    # rows of the stacked copy are clipped in place; the callers' deltas stay as they are
-    for row in deltas:
-        norm = float(np.linalg.norm(row))
-        if norm > cfg.clip_norm:
-            row *= cfg.clip_norm / norm
+    # rows of the stacked copy are clipped in place, not the callers' deltas; a finite
+    # row's norm can overflow, and the row scaled to max magnitude 1 then gives a finite one
+    with np.errstate(over="ignore"):
+        for row in deltas:
+            norm = float(np.linalg.norm(row))
+            if norm > cfg.clip_norm:
+                if norm == math.inf:
+                    row /= np.abs(row).max()
+                    norm = float(np.linalg.norm(row))
+                row *= cfg.clip_norm / norm
     out = _mean_of(ids, deltas, range(len(ids)))
     if cfg.noise_std > 0:
         noise = np.random.default_rng(seed).normal(0.0, cfg.noise_std, size=deltas.shape[1])
@@ -352,19 +333,26 @@ def scope_static_aggregate(updates, cfg: DefenseConfig) -> DefenseOutcome:
     return _scaled_pipeline(updates, cfg, single_core=True)
 
 
-def aggregate(updates, cfg: DefenseConfig, seed: int = 0) -> DefenseOutcome:
+def aggregate(updates, cfg: DefenseConfig, seed: int = 0, round: int | None = None) -> DefenseOutcome:
     """Dispatch to the rule selected by ``cfg.kind``; ``seed`` keys ``weak_dp``'s noise.
 
     ``updates`` may be any iterable; an empty one raises :class:`EmptySetError`.
+    An aggregate that overflows raises :class:`NonFiniteAggregateError`,
+    naming ``round`` if given.
     """
-    if cfg.kind == "fedavg":
-        return fedavg(updates)
-    if cfg.kind == "multi_krum":
-        return multi_krum(updates, cfg)
-    if cfg.kind == "weak_dp":
-        return weak_dp(updates, cfg, seed)
-    if cfg.kind == "scope_static":
-        return scope_static_aggregate(updates, cfg)
-    if cfg.kind == "faros":
-        return faros_aggregate(updates, cfg)
-    raise ConfigError(f"unknown defense kind {cfg.kind!r}")
+    rules = {
+        "fedavg": lambda: fedavg(updates),
+        "multi_krum": lambda: multi_krum(updates, cfg),
+        "weak_dp": lambda: weak_dp(updates, cfg, seed),
+        "scope_static": lambda: scope_static_aggregate(updates, cfg),
+        "faros": lambda: faros_aggregate(updates, cfg),
+    }
+    if cfg.kind not in rules:
+        raise ConfigError(f"unknown defense kind {cfg.kind!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        outcome = rules[cfg.kind]()
+    if not np.isfinite(outcome.aggregated_delta).all():
+        where = "" if round is None else f"round {round}, "
+        raise NonFiniteAggregateError(f"{where}defense.kind {cfg.kind}: the aggregate of "
+                                      "finite updates overflows (NaN or Inf); not applied")
+    return outcome

@@ -22,14 +22,14 @@ where d = input_dim, h = hidden_dim, C = num_classes. Logits are
 ``W @ x + b`` (respectively ``W2 @ relu(W1 @ x + b1) + b2``).
 """
 
-import math
 import threading
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, EmptySetError, NoEligibleExamplesError
+from .errors import DimensionMismatchError, EmptySetError, NoEligibleExamplesError
+from .errors import bounded, check_bounds
 from .data import Samples, TriggerSpec, triggered_rows
 
 
@@ -37,22 +37,13 @@ from .data import Samples, TriggerSpec, triggered_rows
 class ModelSpec:
     """Architecture: a list of layers; ``hidden_dim == 0`` means one, softmax regression."""
 
-    input_dim: int
-    num_classes: int
-    hidden_dim: int = 0
+    # messages name the config key each field is built from
+    input_dim: int = bounded("[1, inf)", key="data.feature_dim")
+    num_classes: int = bounded("[2, inf)", key="data.num_classes")
+    hidden_dim: int = bounded("[0, inf)", 0)
 
     def __post_init__(self):
-        # messages name the config key each field is built from
-        if self.input_dim < 1:
-            raise ConfigError(
-                f"data.feature_dim (model input_dim) must be >= 1, got {self.input_dim}"
-            )
-        if self.num_classes < 2:
-            raise ConfigError(
-                f"data.num_classes (model num_classes) must be >= 2, got {self.num_classes}"
-            )
-        if self.hidden_dim < 0:
-            raise ConfigError(f"model.hidden_dim must be >= 0, got {self.hidden_dim}")
+        check_bounds(self, "model")
 
     @cached_property
     def layers(self) -> tuple[tuple[int, int], ...]:
@@ -72,20 +63,13 @@ class ModelSpec:
 class TrainSpec:
     """Local SGD schedule for one client."""
 
-    local_epochs: int = 2
-    batch_size: int = 32
-    learning_rate: float = 0.25
+    local_epochs: int = bounded("[1, inf)", 2)
+    batch_size: int = bounded("[1, inf)", 32)
+    learning_rate: float = bounded("[0, inf)", 0.25)
     seed: int = 0
 
     def __post_init__(self):
-        if self.local_epochs < 1:
-            raise ConfigError(f"train.local_epochs must be >= 1, got {self.local_epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"train.batch_size must be >= 1, got {self.batch_size}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ConfigError(
-                f"train.learning_rate must be finite and >= 0, got {self.learning_rate}"
-            )
+        check_bounds(self, "train")
 
 
 def init_params(spec: ModelSpec, seed: int) -> np.ndarray:

@@ -22,7 +22,7 @@ import numpy as np
 from .attacks import AttackConfig, malicious_local_train
 from .data import Samples, blob_arrays, dirichlet_partition, triggered_rows
 from .defenses import ClientUpdate, DefenseConfig, aggregate
-from .errors import ConfigError, FedsimError, NonFiniteUpdateError
+from .errors import ConfigError, FedsimError, NonFiniteUpdateError, bounded, check_bounds
 from .model import ModelSpec, TrainSpec, accuracy, init_params, local_train, philox
 
 # Elements in the largest array the blob draw or the model may build (512 MiB
@@ -37,26 +37,15 @@ _TAG_DATA, _TAG_PARTITION, _TAG_CLIENT, _TAG_DP_NOISE, _TAG_INIT = range(5)
 class DataConfig:
     """Synthetic dataset shape plus the heterogeneity setting."""
 
-    num_classes: int = 10
-    feature_dim: int = 16
-    n_per_class: int = 100
-    test_per_class: int = 40
-    class_sep: float = 6.0
-    dirichlet_q: float = 0.4
+    num_classes: int = bounded("[2, inf)", 10)
+    feature_dim: int = bounded("[2, inf)", 16)
+    n_per_class: int = bounded("[1, inf)", 100)
+    test_per_class: int = bounded("[1, inf)", 40)
+    class_sep: float = bounded("(0, inf)", 6.0)
+    dirichlet_q: float = bounded("(0, inf)", 0.4)
 
     def __post_init__(self):
-        if self.num_classes < 2:
-            raise ConfigError(f"data.num_classes must be >= 2, got {self.num_classes}")
-        if self.feature_dim < 2:
-            raise ConfigError(f"data.feature_dim must be >= 2, got {self.feature_dim}")
-        if self.n_per_class < 1:
-            raise ConfigError(f"data.n_per_class must be >= 1, got {self.n_per_class}")
-        if self.test_per_class < 1:
-            raise ConfigError(f"data.test_per_class must be >= 1, got {self.test_per_class}")
-        if not (0 < self.class_sep < math.inf):
-            raise ConfigError(f"data.class_sep must be finite and > 0, got {self.class_sep}")
-        if not (0 < self.dirichlet_q < math.inf):
-            raise ConfigError(f"data.dirichlet_q must be finite and > 0, got {self.dirichlet_q}")
+        check_bounds(self, "data")
 
 
 @dataclass
@@ -78,13 +67,14 @@ class SimConfig:
     data.num_classes * (data.n_per_class + data.test_per_class)``.
     """
 
-    total_clients: int = 50
-    clients_per_round: int = 10
-    malicious_count: int = 10
-    rounds: int = 100
-    eval_every: int = 1
-    master_seed: int = 7
-    force_c_per_round: int | None = None
+    total_clients: int = bounded("[1, inf)", 50)
+    clients_per_round: int = bounded("[1, inf)", 10)
+    malicious_count: int = bounded("[0, inf)", 10)
+    rounds: int = bounded("[1, inf)", 100)
+    eval_every: int = bounded("[1, inf)", 1)
+    # every per-purpose seed is a SeedSequence entropy word, which is non-negative
+    master_seed: int = bounded("[0, inf)", 7)
+    force_c_per_round: int | None = bounded("[0, inf)", None)
     parallel_clients: bool = False
     model: ModelSpec = field(
         default_factory=lambda: ModelSpec(DataConfig.feature_dim, DataConfig.num_classes)
@@ -95,19 +85,17 @@ class SimConfig:
     defense: DefenseConfig = field(default_factory=DefenseConfig)
 
     def validate(self):
-        for name in ("total_clients", "clients_per_round", "rounds", "eval_every"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        # every per-purpose seed is a SeedSequence entropy word, which is non-negative
-        if self.master_seed < 0:
-            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
+        # the sections too: a field set after construction skipped their check
+        for section in ("", "data", "model", "train", "attack", "defense"):
+            check_bounds(getattr(self, section) if section else self, section)
         if self.clients_per_round > self.total_clients:
             raise ConfigError(
                 f"clients_per_round {self.clients_per_round} exceeds "
                 f"total_clients {self.total_clients}"
             )
-        if self.malicious_count < 0 or self.malicious_count > self.total_clients:
-            raise ConfigError(f"malicious_count out of range: {self.malicious_count}")
+        if self.malicious_count > self.total_clients:
+            raise ConfigError(f"malicious_count must be in [0, total_clients] = "
+                              f"[0, {self.total_clients}], got {self.malicious_count}")
         if self.eval_every > self.rounds:
             raise ConfigError(
                 f"eval_every {self.eval_every} exceeds rounds {self.rounds}: no round would be evaluated"
@@ -163,8 +151,9 @@ class SimConfig:
             )
         if self.force_c_per_round is not None:
             c = self.force_c_per_round
-            if c < 0 or c > min(self.clients_per_round, self.malicious_count):
-                raise ConfigError(f"force_c_per_round out of range: {c}")
+            if c > (most := min(self.clients_per_round, self.malicious_count)):
+                raise ConfigError("force_c_per_round must be in [0, min(clients_per_round, "
+                                  f"malicious_count)] = [0, {most}], got {c}")
             honest = self.total_clients - self.malicious_count
             if honest < self.clients_per_round - c:
                 raise ConfigError(
@@ -398,7 +387,7 @@ def run_round(
 
     # only weak_dp reads the noise seed
     seed = _derive_seed(cfg.master_seed, _TAG_DP_NOISE, r) if cfg.defense.kind == "weak_dp" else 0
-    outcome = aggregate(updates, cfg.defense, seed=seed)
+    outcome = aggregate(updates, cfg.defense, seed=seed, round=r)
     new_params = state.global_params + outcome.aggregated_delta
 
     malicious = [i for i in ids if i < cfg.malicious_count]

@@ -1,16 +1,24 @@
 """The config key list, the config every shipped file builds, and bad values.
 
 Expected keys and values are written out here, not read from the config
-dataclasses, so a renamed key or a changed default fails a test.
+dataclasses, so a renamed key or a changed default fails a test. The bound
+tests at the end read each bound from its field and try its endpoints.
 """
 
 import dataclasses
+import math
+import typing
 from pathlib import Path
 
 import pytest
 
-from fedsim import config
+from fedsim import config, errors
+from fedsim.attacks import AttackConfig
 from fedsim.cli import main
+from fedsim.defenses import DefenseConfig
+from fedsim.errors import ConfigError
+from fedsim.model import ModelSpec, TrainSpec
+from fedsim.sim import DataConfig, SimConfig
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -300,3 +308,82 @@ def test_deleted_key_exit_2_naming_key(key, tmp_path, capsys):
         assert code == 2, (argv, err)
         assert f"unknown config key {key!r}" in err
         assert "Traceback" not in err
+
+
+SECTIONS = ((SimConfig, ""), (DataConfig, "data"), (ModelSpec, "model"), (TrainSpec, "train"),
+            (AttackConfig, "attack"), (DefenseConfig, "defense"))
+BOUNDED = [(cls, section, f) for cls, section in SECTIONS
+           for f in dataclasses.fields(cls) if "bound" in f.metadata]
+INTERVALS = [b for b in BOUNDED if isinstance(b[2].metadata["bound"], str)]
+KINDS = [b for b in BOUNDED if isinstance(b[2].metadata["bound"], tuple)]
+
+
+def _id(case):
+    return f"{case[0].__name__}.{case[2].name}"
+
+
+def _key(section, f):
+    return f.metadata["key"] or (f"{section}.{f.name}" if section else f.name)
+
+
+def _build(cls, name, value):
+    """``cls`` with ``name=value``; ModelSpec needs its two data-derived fields."""
+    if cls is ModelSpec:
+        return ModelSpec(**{"input_dim": 16, "num_classes": 10, name: value})
+    return cls(**{name: value})
+
+
+def _assert_rejected(cls, section, f, value):
+    """Building ``cls`` with the value fails, and so does SimConfig.validate on a config
+    whose field is set to it after construction."""
+    cfg = SimConfig()
+    object.__setattr__(getattr(cfg, section) if section else cfg, f.name, value)
+    attempts = [cfg.validate] + ([] if cls is SimConfig else [lambda: _build(cls, f.name, value)])
+    for attempt in attempts:
+        with pytest.raises(ConfigError) as info:
+            attempt()
+        assert str(info.value).startswith(f"{_key(section, f)} must be in "), (value, info.value)
+
+
+def _endpoints(f):
+    """(accepted, rejected) values at the two ends of ``f``'s interval, and NaN."""
+    bound = f.metadata["bound"]
+    is_int = int in (f.type, *typing.get_args(f.type))
+    accepted, rejected = [None] if f.default is None else [], [math.nan]
+    for end, closed, outward in ((bound[1:].split(",")[0], bound[0] == "[", -math.inf),
+                                 (bound[:-1].split(",")[1], bound[-1] == "]", math.inf)):
+        end = float(end)
+        if math.isfinite(end):
+            end = int(end) if is_int else end
+            rejected.append(end + (1 if outward > 0 else -1) if is_int else math.nextafter(end, outward))
+        (accepted if closed else rejected).append(end)
+    return accepted, rejected
+
+
+@pytest.mark.parametrize("case", INTERVALS, ids=_id)
+def test_bound_endpoints(case):
+    cls, section, f = case
+    accepted, rejected = _endpoints(f)
+    for value in accepted:
+        built = _build(cls, f.name, value)
+        # SimConfig's other defaults may break a limit that spans fields, so check only bounds
+        errors.check_bounds(built, section)
+        assert getattr(built, f.name) == value
+    for value in rejected:
+        _assert_rejected(cls, section, f, value)
+
+
+@pytest.mark.parametrize("case", KINDS, ids=_id)
+def test_kind_fields_accept_their_kinds_only(case):
+    cls, section, f = case
+    for kind in f.metadata["bound"]:
+        assert getattr(_build(cls, f.name, kind), f.name) == kind
+    for other in ("", "bogus", f.metadata["bound"][0].upper()):
+        _assert_rejected(cls, section, f, other)
+
+
+def test_every_numeric_field_carries_a_bound():
+    unbounded = [f"{cls.__name__}.{f.name}" for cls, _ in SECTIONS for f in dataclasses.fields(cls)
+                 if {int, float} & {f.type, *typing.get_args(f.type)} and "bound" not in f.metadata]
+    assert unbounded == ["TrainSpec.seed"]
+    assert len(INTERVALS) == 32 and len(KINDS) == 2

@@ -24,7 +24,12 @@ from fedsim.defenses import (
     select_core_set,
     weak_dp,
 )
-from fedsim.errors import ConfigError, DegenerateCentroidError, EmptySetError
+from fedsim.errors import (
+    ConfigError,
+    DegenerateCentroidError,
+    EmptySetError,
+    NonFiniteAggregateError,
+)
 
 from helpers import (
     brute_force_multi_krum,
@@ -129,6 +134,18 @@ class TestWeakDp:
         ups = _updates([[30.0, 40.0]])
         out = weak_dp(ups, DefenseConfig(clip_norm=5.0, noise_std=0.0), seed=0)
         assert np.allclose(out.aggregated_delta, [3.0, 4.0])
+
+    def test_clips_a_row_whose_norm_overflows_and_keeps_ordinary_rows(self):
+        # the first row's norm is inf in float64; the second's is 50
+        ups = _updates([[1e308, -1e308, 1e308], [30.0, 0.0, 40.0]])
+        out = weak_dp(ups, DefenseConfig(clip_norm=5.0, noise_std=0.0), seed=0)
+        root3 = math.sqrt(3.0)
+        expected = ([5 / root3, -5 / root3, 5 / root3] + np.array([3.0, 0.0, 4.0])) / 2
+        assert np.allclose(out.aggregated_delta, expected, rtol=1e-15, atol=0)
+        # with no clipping, the rows stay as they are and their sum overflows
+        with pytest.raises(NonFiniteAggregateError):
+            aggregate(_updates([[1e308, -1e308, 1e308]] * 2),
+                      DefenseConfig(kind="weak_dp", clip_norm=math.inf))
 
     def test_seeded_noise_reproducible(self):
         rng = np.random.default_rng(4)
@@ -455,6 +472,23 @@ class TestAggregateDispatch:
         before = [u.delta.tobytes() for u in ups]
         aggregate(ups, cfg, seed=5)
         assert [u.delta.tobytes() for u in ups] == before
+
+    @pytest.mark.parametrize("kind", DEFENSE_KINDS)
+    def test_finite_updates_whose_sum_overflows(self, kind):
+        # three finite updates whose row sum is inf: each rule averages all three
+        ups = _updates([[1.5e308] * 4] * 3)
+        cfg = DefenseConfig(kind=kind, core_size=1, accept_count=2, krum_f=0)
+        if kind == "weak_dp":
+            # the norm of each row overflows, yet each row clips to norm clip_norm
+            out = aggregate(ups, cfg, round=7)
+            assert np.array_equal(out.aggregated_delta, [2.5] * 4)
+            assert out.accepted == [0, 1, 2]
+        else:
+            with pytest.raises(NonFiniteAggregateError) as info:
+                aggregate(ups, cfg, round=7)
+            assert str(info.value).startswith(f"round 7, defense.kind {kind}: ")
+            with pytest.raises(NonFiniteAggregateError, match=f"^defense.kind {kind}: "):
+                aggregate(ups, cfg)
 
     def test_deterministic(self):
         rng = np.random.default_rng(15)

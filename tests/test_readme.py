@@ -1,9 +1,13 @@
-"""The README's Python examples run as written, so API docs that drift fail here."""
+"""The README's Python examples run as written and its key table matches the
+config fields, so API docs that drift fail here."""
 
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
+
+from fedsim import config
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
@@ -16,3 +20,30 @@ def test_readme_has_python_examples():
 @pytest.mark.parametrize("source", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
 def test_readme_python_block_runs(source):
     exec(compile(source, str(README), "exec"), {"__name__": "readme"})
+
+
+def _value(v) -> str:
+    """``v`` as a config file writes it."""
+    if isinstance(v, tuple):
+        return ",".join(map(_value, v))
+    return "none" if v is None else str(v).lower() if isinstance(v, bool) else str(v)
+
+
+def key_table() -> str:
+    """The README's "Config keys" table, rebuilt from the config dataclass fields."""
+    lines = ["| Key | Default | Bound |", "|---|---|---|"]
+    for key in config.KEY_PARSERS:
+        section, _, name = key.rpartition(".")
+        if section == "compare":
+            continue
+        f = next(f for f in dataclasses.fields(config._SECTIONS[section]) if f.name == name)
+        bound = f.metadata.get("bound", "")
+        bound = f"`{bound}`" if isinstance(bound, str) and bound else ", ".join(f"`{k}`" for k in bound)
+        if f.default is None:
+            bound += " or `none`"
+        lines.append(f"| `{key}` | `{_value(f.default)}` | {bound} |")
+    return "\n".join(lines) + "\n"
+
+
+def test_readme_key_table_matches_the_config_fields():
+    assert key_table() in README.read_text(), key_table()

@@ -121,6 +121,18 @@ class TestRunRound:
         assert info.value.client_id == ids[0]
         assert f"round 1, client {ids[0]}" in str(info.value)
 
+    def test_overflowing_aggregate_raises_typed_error_naming_round_and_rule(self, monkeypatch):
+        cfg = small_config()
+        state = build_state(cfg)
+        size = cfg.model.param_count()
+        # finite updates whose sum overflows, as no training here would produce them
+        monkeypatch.setattr(sim, "_train_clients", lambda state, cfg, acfg, plan, memo: [
+            sim.ClientUpdate(i, np.full(size, 1.5e308)) for i, _ in plan
+        ])
+        with pytest.raises(errors.NonFiniteAggregateError, match="^round 1, defense.kind fedavg: "):
+            run_round(state, cfg)
+        assert np.isfinite(state.global_params).all()
+
     @pytest.mark.parametrize("hidden_dim", [0, 8])
     @pytest.mark.parametrize("attack", ["none", "model_replacement"])
     def test_metrics_equal_the_list_evaluators(self, attack, hidden_dim):
