@@ -12,7 +12,8 @@ field's annotation, and an unset key takes the field's default. The field
 is the only place its default and its bound (``errors.bounded``: an
 interval such as ``(0, 1]``, or the kinds) are written; ``check_bounds``
 checks every bound, naming the key, and ``SimConfig.validate`` adds the
-limits that span fields. Three fields are filled by the simulator and are
+limits that span fields, each written once as a row of
+``SimConfig._limits``. Three fields are filled by the simulator and are
 not keys: ``model.input_dim`` and ``model.num_classes`` (from ``data``) and
 ``train.seed`` (per client and round). The ``trigger`` section builds
 ``attack.trigger``, the run's one trigger.

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, bounded, check_bounds
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,11 +58,14 @@ class TriggerSpec:
 
     positions: tuple[int, ...] = (13, 14, 15)
     values: tuple[float, ...] = (8.0, -8.0, 8.0)
-    target_label: int = 0
+    target_label: int = bounded("[0, inf)", 0)
 
     def __post_init__(self):
         object.__setattr__(self, "positions", tuple(int(p) for p in self.positions))
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        check_bounds(self, "trigger")
+        if any(p < 0 for p in self.positions):
+            raise ConfigError(f"trigger.positions must be non-negative, got {self.positions}")
         if len(self.positions) != len(set(self.positions)):
             raise ConfigError(f"trigger.positions must be distinct, got {self.positions}")
         if len(self.positions) != len(self.values):

@@ -112,9 +112,18 @@ def _stack(updates) -> tuple[list[int], np.ndarray]:
     return [u.client_id for u in updates], np.array([u.delta for u in updates])
 
 
-def _mean_of(ids, deltas, rows, diag=None) -> DefenseOutcome:
-    """Accept the clients at the ascending positions ``rows`` and average their deltas."""
-    return DefenseOutcome(deltas[rows].mean(axis=0), [ids[i] for i in rows], diag)
+def _mean_of(ids, deltas, rows, diag=None, noise=None) -> DefenseOutcome:
+    """Accept the clients at the ascending positions ``rows`` and average their deltas,
+    plus ``noise`` if given. A mean of finite deltas that overflows raises
+    :class:`NonFiniteAggregateError`."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = deltas[rows].mean(axis=0)
+        if noise is not None:
+            mean += noise
+    if not np.isfinite(mean).all():
+        raise NonFiniteAggregateError("the aggregate of finite updates overflows (NaN or Inf); "
+                                      "not applied")
+    return DefenseOutcome(mean, [ids[i] for i in rows], diag)
 
 
 def fedavg(updates) -> DefenseOutcome:
@@ -144,12 +153,14 @@ def multi_krum(updates, cfg: DefenseConfig) -> DefenseOutcome:
         )
     n_neighbors = min(max(k - f - 2, 1), k - 1) if k > 1 else 0
 
-    # math.fsum gives exactly rounded, order-independent neighbor sums.
+    # math.fsum gives exactly rounded, order-independent neighbor sums. A distance
+    # between finite deltas may overflow to inf, which scores the pair farthest.
     sq_dists = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            diff = deltas[i] - deltas[j]
-            sq_dists[i, j] = sq_dists[j, i] = float(np.dot(diff, diff))
+    with np.errstate(over="ignore"):
+        for i in range(k):
+            for j in range(i + 1, k):
+                diff = deltas[i] - deltas[j]
+                sq_dists[i, j] = sq_dists[j, i] = float(np.dot(diff, diff))
     scores = []
     for i in range(k):
         others = sorted(np.delete(sq_dists[i], i).tolist())
@@ -172,11 +183,10 @@ def weak_dp(updates, cfg: DefenseConfig, seed: int) -> DefenseOutcome:
                     row /= np.abs(row).max()
                     norm = float(np.linalg.norm(row))
                 row *= cfg.clip_norm / norm
-    out = _mean_of(ids, deltas, range(len(ids)))
+    noise = None
     if cfg.noise_std > 0:
         noise = np.random.default_rng(seed).normal(0.0, cfg.noise_std, size=deltas.shape[1])
-        out.aggregated_delta += noise
-    return out
+    return _mean_of(ids, deltas, range(len(ids)), noise=noise)
 
 
 def adaptive_phi(d_t: float, phi_max: float, kappa: float) -> float:
@@ -338,7 +348,7 @@ def aggregate(updates, cfg: DefenseConfig, seed: int = 0, round: int | None = No
 
     ``updates`` may be any iterable; an empty one raises :class:`EmptySetError`.
     An aggregate that overflows raises :class:`NonFiniteAggregateError`,
-    naming ``round`` if given.
+    naming ``cfg.kind`` and ``round`` if given.
     """
     rules = {
         "fedavg": lambda: fedavg(updates),
@@ -349,10 +359,8 @@ def aggregate(updates, cfg: DefenseConfig, seed: int = 0, round: int | None = No
     }
     if cfg.kind not in rules:
         raise ConfigError(f"unknown defense kind {cfg.kind!r}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        outcome = rules[cfg.kind]()
-    if not np.isfinite(outcome.aggregated_delta).all():
+    try:
+        return rules[cfg.kind]()
+    except NonFiniteAggregateError as e:
         where = "" if round is None else f"round {round}, "
-        raise NonFiniteAggregateError(f"{where}defense.kind {cfg.kind}: the aggregate of "
-                                      "finite updates overflows (NaN or Inf); not applied")
-    return outcome
+        raise NonFiniteAggregateError(f"{where}defense.kind {cfg.kind}: {e}") from None

@@ -57,14 +57,11 @@ class SimConfig:
     a thread pool over GIL-bound numpy calls on small vectors only slowed
     rounds down.
 
-    ``validate`` rejects data sizes whose blob draw would build an array of
-    more than ``MAX_DATA_ELEMENTS`` (2**26) elements: ``data.num_classes**2
-    * data.feature_dim`` for the class-center differences, and
-    ``data.num_classes * (data.n_per_class + data.test_per_class) *
-    data.feature_dim`` for the blob matrix. It holds the model to the same
-    cap: a round's update matrix, ``clients_per_round * param_count()``,
-    and its hidden activation over every blob row, ``model.hidden_dim *
-    data.num_classes * (data.n_per_class + data.test_per_class)``.
+    ``validate`` checks every field's bound, then each limit that spans
+    fields: the rows of ``_limits``. Four of them cap at
+    ``MAX_DATA_ELEMENTS`` (2**26) the arrays that the blob draw (the
+    class-center differences and the blob matrix) and the model (a round's
+    update matrix and the hidden activation over every blob row) build.
     """
 
     total_clients: int = bounded("[1, inf)", 50)
@@ -84,100 +81,65 @@ class SimConfig:
     attack: AttackConfig = field(default_factory=AttackConfig)
     defense: DefenseConfig = field(default_factory=DefenseConfig)
 
+    def _limits(self) -> tuple:
+        """The limits that span fields: rows ``(key, value, limit key, limit)``, each
+        meaning ``value <= limit``. A None value (an unset optional key) is not limited."""
+        d, t, c = self.data, self.attack.trigger, self.force_c_per_round
+        rows = d.num_classes * (d.n_per_class + d.test_per_class)
+        cap = ("2**26", MAX_DATA_ELEMENTS)
+        return (
+            ("clients_per_round", self.clients_per_round, "total_clients", self.total_clients),
+            ("malicious_count", self.malicious_count, "total_clients", self.total_clients),
+            ("eval_every", self.eval_every, "rounds", self.rounds),
+            ("defense.core_size", self.defense.core_size,
+             "clients_per_round", self.clients_per_round),
+            ("defense.accept_count", self.defense.accept_count,
+             "clients_per_round", self.clients_per_round),
+            ("data.num_classes * data.num_classes * data.feature_dim",
+             d.num_classes * d.num_classes * d.feature_dim, *cap),
+            ("data.num_classes * (data.n_per_class + data.test_per_class) * data.feature_dim",
+             rows * d.feature_dim, *cap),
+            # a round stacks its clients' update vectors into one matrix
+            ("clients_per_round * the parameter count for model.hidden_dim",
+             self.clients_per_round * self.model.param_count(), *cap),
+            ("model.hidden_dim * data.num_classes * (data.n_per_class + data.test_per_class)",
+             self.model.hidden_dim * rows, *cap),
+            ("total_clients", self.total_clients,
+             "data.n_per_class * data.num_classes", d.n_per_class * d.num_classes),
+            ("trigger.target_label", t.target_label, "data.num_classes - 1", d.num_classes - 1),
+            ("max(trigger.positions)", max(t.positions, default=None),
+             "data.feature_dim - 1", d.feature_dim - 1),
+            ("force_c_per_round", c, "min(clients_per_round, malicious_count)",
+             min(self.clients_per_round, self.malicious_count)),
+            # the round's other slots go to honest clients
+            ("clients_per_round - force_c_per_round",
+             None if c is None else self.clients_per_round - c,
+             "total_clients - malicious_count", self.total_clients - self.malicious_count),
+        )
+
     def validate(self):
         # the sections too: a field set after construction skipped their check
         for section in ("", "data", "model", "train", "attack", "defense"):
             check_bounds(getattr(self, section) if section else self, section)
-        if self.clients_per_round > self.total_clients:
-            raise ConfigError(
-                f"clients_per_round {self.clients_per_round} exceeds "
-                f"total_clients {self.total_clients}"
-            )
-        if self.malicious_count > self.total_clients:
-            raise ConfigError(f"malicious_count must be in [0, total_clients] = "
-                              f"[0, {self.total_clients}], got {self.malicious_count}")
-        if self.eval_every > self.rounds:
-            raise ConfigError(
-                f"eval_every {self.eval_every} exceeds rounds {self.rounds}: no round would be evaluated"
-            )
-        if self.model.input_dim != self.data.feature_dim:
-            raise ConfigError(
-                f"model input_dim {self.model.input_dim} != feature_dim "
-                f"{self.data.feature_dim}"
-            )
-        if self.model.num_classes != self.data.num_classes:
-            raise ConfigError(
-                f"model num_classes {self.model.num_classes} != data.num_classes "
-                f"{self.data.num_classes}"
-            )
-        for name in ("core_size", "accept_count"):
-            count = getattr(self.defense, name)
-            if count is not None and count > self.clients_per_round:
-                raise ConfigError(
-                    f"defense.{name} {count} exceeds clients_per_round {self.clients_per_round}"
-                )
-        d = self.data
-        rows = d.num_classes * (d.n_per_class + d.test_per_class)
-        for keys, elements in (
-            ("data.num_classes * data.num_classes * data.feature_dim",
-             d.num_classes * d.num_classes * d.feature_dim),
-            ("data.num_classes * (data.n_per_class + data.test_per_class) * data.feature_dim",
-             rows * d.feature_dim),
-            # a round stacks its clients' update vectors into one matrix
-            ("clients_per_round * the parameter count for model.hidden_dim",
-             self.clients_per_round * self.model.param_count()),
-            ("model.hidden_dim * data.num_classes * (data.n_per_class + data.test_per_class)",
-             self.model.hidden_dim * rows),
-        ):
-            if elements > MAX_DATA_ELEMENTS:
-                raise ConfigError(
-                    f"{keys} = {elements} exceeds the cap of {MAX_DATA_ELEMENTS} elements"
-                )
-        if d.n_per_class * d.num_classes < self.total_clients:
-            raise ConfigError(
-                f"data.n_per_class * data.num_classes = {d.n_per_class * d.num_classes} "
-                f"training examples cannot cover total_clients {self.total_clients}"
-            )
-        t = self.attack.trigger
-        if not 0 <= t.target_label < d.num_classes:
-            raise ConfigError(
-                f"trigger.target_label must be in [0, {d.num_classes}) for "
-                f"data.num_classes {d.num_classes}, got {t.target_label}"
-            )
-        if any(not 0 <= p < d.feature_dim for p in t.positions):
-            raise ConfigError(
-                f"trigger.positions must be in [0, {d.feature_dim}) for "
-                f"data.feature_dim {d.feature_dim}, got {t.positions}"
-            )
-        if self.force_c_per_round is not None:
-            c = self.force_c_per_round
-            if c > (most := min(self.clients_per_round, self.malicious_count)):
-                raise ConfigError("force_c_per_round must be in [0, min(clients_per_round, "
-                                  f"malicious_count)] = [0, {most}], got {c}")
-            honest = self.total_clients - self.malicious_count
-            if honest < self.clients_per_round - c:
-                raise ConfigError(
-                    f"force_c_per_round {c} leaves {self.clients_per_round - c} of "
-                    f"clients_per_round {self.clients_per_round} to honest clients, but only "
-                    f"{honest} are honest (total_clients {self.total_clients} - "
-                    f"malicious_count {self.malicious_count})"
-                )
-            # both warnings are filed under this file's lines, not the caller's:
-            # build_config and build_state both validate, and the default
-            # filter then shows each warning once per process
-            if c >= self.clients_per_round / 2:
-                warnings.warn(
-                    "forced malicious count is not an honest majority",
-                    RuntimeWarning,
-                    stacklevel=1,
-                )
+        # filled from the data section; only a library caller can set them apart
+        for name, field_ in (("input_dim", "feature_dim"), ("num_classes", "num_classes")):
+            got, want = getattr(self.model, name), getattr(self.data, field_)
+            if got != want:
+                raise ConfigError(f"model.{name} {got} != data.{field_} {want}")
+        for key, value, limit_key, limit in self._limits():
+            if value is not None and value > limit:
+                raise ConfigError(f"{key} must be at most {limit_key} = {limit}, got {value}")
+        # both warnings are filed under this file's lines, not the caller's:
+        # build_config and build_state both validate, and the default
+        # filter then shows each warning once per process
+        c = self.force_c_per_round
+        if c is not None and c >= self.clients_per_round / 2:
+            warnings.warn("forced malicious count is not an honest majority", RuntimeWarning,
+                          stacklevel=1)
         expected = self.clients_per_round * self.malicious_count / self.total_clients
         if expected >= self.clients_per_round / 2:
-            warnings.warn(
-                "expected malicious share per round is not an honest majority",
-                RuntimeWarning,
-                stacklevel=1,
-            )
+            warnings.warn("expected malicious share per round is not an honest majority",
+                          RuntimeWarning, stacklevel=1)
 
 
 @dataclass
@@ -210,9 +172,7 @@ class SimState:
     ``partition[i]``; every round trains on these arrays. ``asr_x`` holds
     the triggered test rows whose label is not the attack's target. All of
     them are built once by :func:`build_state` and are read-only, as is the
-    initial ``global_params``. ``plans`` memoizes each round's clients and
-    seeds (``_round_plan``); ``replace`` hands the same dict to every later
-    state, so all runs started from one state share it.
+    initial ``global_params``.
     """
 
     round: int
@@ -222,7 +182,6 @@ class SimState:
     partition: dict[int, list[int]]
     clients: list[Samples]
     asr_x: np.ndarray
-    plans: dict = field(default_factory=dict)
 
 
 def _derive_seed(master_seed: int, tag: int, *parts: int) -> int:
@@ -308,20 +267,19 @@ def _resolve_attack(cfg: SimConfig) -> AttackConfig:
     return acfg
 
 
-def _round_plan(state: SimState, cfg: SimConfig) -> list[tuple[int, int]]:
-    """``[(client_id, training_seed), ...]`` for ``state.round``, memoized in
-    ``state.plans`` under every config field that sampling and the seeds read."""
+def _round_plan(state: SimState, cfg: SimConfig, memo: dict) -> list[tuple[int, int]]:
+    """``[(client_id, training_seed), ...]`` for ``state.round``, memoized in the
+    round's ``memo`` under every config field that sampling and the seeds read."""
     r = state.round
-    key = (r, cfg.master_seed, cfg.total_clients, cfg.clients_per_round,
+    key = (cfg.master_seed, cfg.total_clients, cfg.clients_per_round,
            cfg.malicious_count, cfg.force_c_per_round)
-    plan = state.plans.get(key)
+    plan = memo.get(key)
     if plan is None:
         if cfg.force_c_per_round is not None:
             ids = _sample_forced(cfg, r)
         else:
             ids = sample_clients(cfg.total_clients, cfg.clients_per_round, r, cfg.master_seed)
-        plan = [(i, _derive_seed(cfg.master_seed, _TAG_CLIENT, r, i)) for i in ids]
-        state.plans[key] = plan
+        plan = memo[key] = [(i, _derive_seed(cfg.master_seed, _TAG_CLIENT, r, i)) for i in ids]
     return plan
 
 
@@ -373,17 +331,19 @@ def run_round(
     rounds divisible by eval_every (NaN otherwise).
 
     ``memo`` lets the runs of one round that share a state reuse each
-    other's client updates (see ``_train_clients``); it must live for one
-    round only. Without it the round starts an empty one of its own.
+    other's plan (``_round_plan``) and client updates (``_train_clients``);
+    it must live for one round only. Without it the round starts an empty
+    one of its own.
     """
     t0 = time.perf_counter()
     r = state.round
-    plan = _round_plan(state, cfg)
+    memo = {} if memo is None else memo
+    plan = _round_plan(state, cfg, memo)
     ids = [i for i, _ in plan]
     acfg = _resolve_attack(cfg)
     # a diverging client overflows inside numpy; _train_one reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        updates = _train_clients(state, cfg, acfg, plan, {} if memo is None else memo)
+        updates = _train_clients(state, cfg, acfg, plan, memo)
 
     # only weak_dp reads the noise seed
     seed = _derive_seed(cfg.master_seed, _TAG_DP_NOISE, r) if cfg.defense.kind == "weak_dp" else 0
@@ -425,8 +385,9 @@ def run_simulations(
 
     ``state`` must come from ``build_state`` on a config with the same data,
     model, trigger, ``master_seed`` and ``total_clients`` as each of
-    ``cfgs``. Within a round, byte-equal client inputs train once
-    (``run_round``'s memo); each run's records equal those of a run alone.
+    ``cfgs``. Within a round, each sampling config is planned once and
+    byte-equal client inputs train once (``run_round``'s memo); each run's
+    records equal those of a run alone.
 
     Returns the evaluated rounds of each run before the first, in order, to
     raise a :class:`FedsimError`, and that error (None if none did): the

@@ -7,7 +7,9 @@ tests at the end read each bound from its field and try its endpoints.
 
 import dataclasses
 import math
+import re
 import typing
+import warnings
 from pathlib import Path
 
 import pytest
@@ -387,3 +389,35 @@ def test_every_numeric_field_carries_a_bound():
                  if {int, float} & {f.type, *typing.get_args(f.type)} and "bound" not in f.metadata]
     assert unbounded == ["TrainSpec.seed"]
     assert len(INTERVALS) == 32 and len(KINDS) == 2
+
+
+# the cross-field limits whose value is one config key, at standard.cfg's values
+STANDARD = REPO_CONFIGS / "standard.cfg"
+PLAIN_LIMITS = [(key, limit) for key, _, _, limit
+                in config.build_config(config.load_config_file(STANDARD)).sim._limits()
+                if key in config.KEY_PARSERS]
+
+
+@pytest.mark.parametrize("key,limit", PLAIN_LIMITS, ids=[key for key, _ in PLAIN_LIMITS])
+def test_cross_field_limit_is_inclusive(key, limit, capsys):
+    validate = ["validate-config", "--config", str(STANDARD)]
+    with warnings.catch_warnings():
+        # malicious_count or force_c_per_round at its limit is not an honest majority
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main([*validate, "--set", f"{key}={limit}"]) == 0
+        assert main([*validate, "--set", f"{key}={limit + 1}"]) == 2
+    err = capsys.readouterr().err
+    assert f"{key} must be at most " in err
+    assert "Traceback" not in err
+
+
+def test_cross_field_limits_name_config_keys_only():
+    assert [key for key, _ in PLAIN_LIMITS] == [
+        "clients_per_round", "malicious_count", "eval_every", "defense.core_size",
+        "defense.accept_count", "total_clients", "trigger.target_label", "force_c_per_round",
+    ]
+    # the words of the key texts that are not keys, so a renamed key cannot leave a stale row
+    prose = {"max", "min", "the", "parameter", "count", "for"}
+    for key, _, limit_key, _ in SimConfig()._limits():
+        for text in (key, limit_key):
+            assert set(re.findall(r"[a-z][a-z_.]*", text)) - prose <= set(config.KEY_PARSERS), text

@@ -490,6 +490,20 @@ class TestAggregateDispatch:
             with pytest.raises(NonFiniteAggregateError, match=f"^defense.kind {kind}: "):
                 aggregate(ups, cfg)
 
+    @pytest.mark.parametrize("rule", [
+        fedavg, multi_krum, scope_static_aggregate, faros_aggregate,
+    ], ids=lambda rule: rule.__name__)
+    def test_rules_called_directly_raise_on_an_overflowing_aggregate(self, rule):
+        # finite updates whose mean overflows; warnings are errors, so none escapes either
+        ups = _updates([[1.5e308] * 4] * 3)
+        cfg = DefenseConfig(core_size=1, accept_count=2, krum_f=0)
+        with pytest.raises(NonFiniteAggregateError, match="^the aggregate of finite updates"):
+            rule(ups) if rule is fedavg else rule(ups, cfg)
+        # distances between finite deltas that overflow leave the mean finite
+        ups = _updates([[1e308] * 2, [-1e308] * 2, [1.0, 2.0]])
+        out = rule(ups) if rule is fedavg else rule(ups, cfg)
+        assert np.isfinite(out.aggregated_delta).all()
+
     def test_deterministic(self):
         rng = np.random.default_rng(15)
         ups = _random_updates(rng, 6, 8)

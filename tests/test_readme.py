@@ -1,5 +1,6 @@
-"""The README's Python examples run as written and its key table matches the
-config fields, so API docs that drift fail here."""
+"""The README's Python examples run as written, its key table matches the
+config fields and its cross-field limit table matches ``SimConfig._limits``,
+so API docs that drift fail here."""
 
 import dataclasses
 import re
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from fedsim import config
+from fedsim.sim import SimConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
@@ -47,3 +49,14 @@ def key_table() -> str:
 
 def test_readme_key_table_matches_the_config_fields():
     assert key_table() in README.read_text(), key_table()
+
+
+def limit_table() -> str:
+    """The README's "Cross-field limits" table, rebuilt from ``SimConfig._limits``."""
+    lines = ["| Value | At most |", "|---|---|"]
+    lines += [f"| `{key}` | `{limit_key}` |" for key, _, limit_key, _ in SimConfig()._limits()]
+    return "\n".join(lines) + "\n"
+
+
+def test_readme_limit_table_matches_the_limits():
+    assert limit_table() in README.read_text(), limit_table()

@@ -323,44 +323,59 @@ class TestSharedState:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
 
-    def test_runs_from_one_state_equal_fresh_runs(self):
+    def test_runs_from_one_state_equal_fresh_runs(self, monkeypatch):
         base = small_config(defense="faros", malicious=3, attack="model_replacement",
                             accept_count=3, core_size=2, force_c=1)
         state = build_state(base)
-        for attack, defense in [("model_replacement", "faros"), ("none", "fedavg"),
-                                ("model_replacement", "faros")]:
-            cfg = dataclasses.replace(
+        cfgs = [
+            dataclasses.replace(
                 base,
                 attack=dataclasses.replace(base.attack, kind=attack),
                 defense=dataclasses.replace(base.defense, kind=defense),
             )
-            shared, fresh = run_simulation(cfg, state), run_simulation(cfg)
-            assert [_no_wall(r) for r in shared] == [_no_wall(r) for r in fresh]
-        assert len(state.plans) == base.rounds
+            for attack, defense in [("model_replacement", "faros"), ("none", "fedavg"),
+                                    ("model_replacement", "faros")]
+        ]
+        fresh = [[_no_wall(r) for r in run_simulation(cfg)] for cfg in cfgs]
+        for cfg, want in zip(cfgs, fresh):
+            assert [_no_wall(r) for r in run_simulation(cfg, state)] == want
+        planned = []
+        real = sim._sample_forced
+        monkeypatch.setattr(sim, "_sample_forced",
+                            lambda cfg, r: planned.append(r) or real(cfg, r))
+        runs, error = run_simulations(cfgs, state)
+        assert error is None
+        assert [[_no_wall(r) for r in run] for run in runs] == fresh
+        # the runs sample alike, so each round is planned once, not once per run
+        assert planned == list(range(1, base.rounds + 1))
         assert state.round == 1
 
     def test_each_sampling_config_gets_its_own_plan(self, monkeypatch):
         forced = small_config(malicious=3, attack="model_replacement", force_c=1)
-        free = dataclasses.replace(forced, force_c_per_round=None, clients_per_round=6)
+        cfgs = {"forced": forced,
+                "free": dataclasses.replace(forced, force_c_per_round=None, clients_per_round=6)}
         state = build_state(forced)
-        seen = []
-        real = sim._train_one
-
-        def spy(state, cfg, acfg, client_id, seed):
-            seen.append((client_id, seed))
-            return real(state, cfg, acfg, client_id, seed)
-
-        monkeypatch.setattr(sim, "_train_one", spy)
-        for cfg, sample in [(forced, lambda: sim._sample_forced(forced, 1)),
-                            (free, lambda: sample_clients(12, 6, 1, free.master_seed)),
-                            (forced, lambda: sim._sample_forced(forced, 1))]:
-            seen.clear()
-            state2, rec = run_round(state, cfg)
-            want = [(i, sim._derive_seed(cfg.master_seed, sim._TAG_CLIENT, 1, i)) for i in sample()]
-            assert seen == want
-            assert state2.plans is state.plans
-        assert len(state.plans) == 2
-        assert sim._sample_forced(forced, 1) != sample_clients(12, 6, 1, free.master_seed)
+        ids = {"forced": sim._sample_forced(forced, 1),
+               "free": sample_clients(12, 6, 1, forced.master_seed)}
+        assert ids["forced"] != ids["free"]
+        plans = {k: [(i, sim._derive_seed(forced.master_seed, sim._TAG_CLIENT, 1, i)) for i in v]
+                 for k, v in ids.items()}
+        sampled, seen = [], []
+        for fn in ("_sample_forced", "sample_clients"):
+            real = getattr(sim, fn)
+            monkeypatch.setattr(sim, fn, lambda *a, real=real, fn=fn: sampled.append(fn) or real(*a))
+        real_train = sim._train_one
+        monkeypatch.setattr(sim, "_train_one", lambda state, cfg, acfg, i, seed:
+                            seen.append((i, seed)) or real_train(state, cfg, acfg, i, seed))
+        memo = {}
+        for name in ("forced", "free", "forced"):
+            _, rec = run_round(state, cfgs[name], memo)
+            assert sim._round_plan(state, cfgs[name], memo) == plans[name]
+            assert rec.malicious_selected == [i for i in ids[name] if i < 3]
+        # one plan per sampling config in the round; the repeated config reuses its own
+        assert sampled == ["_sample_forced", "sample_clients"]
+        # each planned client trained once; the two configs share the clients they both drew
+        assert sorted(seen) == sorted(set(plans["forced"]) | set(plans["free"]))
 
     @pytest.mark.parametrize("section,name,value", [
         ("train", "learning_rate", 0.05), ("attack", "boost", 3.0), ("attack", "poison_rate", 0.5),
