@@ -15,6 +15,7 @@ import numpy as np
 
 from .data import Samples, TriggerSpec, edge_case_pool, poison_dataset, triggered_rows
 from .errors import ConfigError, DimensionMismatchError, ZeroVectorError, bounded, check_bounds
+from .errors import check_in
 from .model import ModelSpec, TrainSpec, local_train, sgd
 
 
@@ -96,8 +97,7 @@ def constrain_and_scale_train(
     undefined) give plain poisoned training bit-for-bit; alpha = 1
     descends the stealth term alone.
     """
-    if not 0 <= alpha <= 1:
-        raise ConfigError(f"alpha must be in [0, 1], got {alpha}")
+    check_in("[0, 1]", "alpha", alpha)
     global_params = np.asarray(global_params, dtype=np.float64)
 
     def stealth(params, g_class):

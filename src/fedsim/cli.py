@@ -171,7 +171,7 @@ def cmd_compare(args) -> int:
         ).sim
         for a, d in cells
     ]
-    runs, error = simmod.run_simulations(cfgs, simmod.build_state(exp.sim))
+    runs, error = simmod.run_simulations(cfgs)
 
     rows = []
     for (attack, defense), records in zip(cells, runs):

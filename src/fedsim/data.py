@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, bounded, check_bounds
+from .errors import ConfigError, DimensionMismatchError, bounded, check_bounds, check_in
 
 
 @dataclass(frozen=True, eq=False)
@@ -91,11 +91,10 @@ def blob_arrays(
     then drawn in class order. Rows are class-blocked: ``n_per_class`` rows
     of class 0 first, then class 1, and so on.
     """
-    if num_classes < 2 or feature_dim < 2 or n_per_class < 1 or class_sep <= 0:
-        raise ConfigError(
-            f"invalid blob sizes: classes={num_classes} dim={feature_dim} "
-            f"n={n_per_class} sep={class_sep}"
-        )
+    check_in("[2, inf)", "num_classes", num_classes)
+    check_in("[2, inf)", "feature_dim", feature_dim)
+    check_in("[1, inf)", "n_per_class", n_per_class)
+    check_in("(0, inf)", "class_sep", class_sep)
     rng = np.random.default_rng(seed)
     centers = rng.normal(size=(num_classes, feature_dim))
     diffs = centers[:, None, :] - centers[None, :, :]
@@ -131,8 +130,7 @@ def dirichlet_partition(labels, num_clients: int, q: float, seed: int) -> dict[i
     client (a deterministic, seed-independent fix that keeps the partition
     a disjoint cover).
     """
-    if q <= 0:
-        raise ConfigError(f"dirichlet concentration must be positive, got {q}")
+    check_in("(0, inf)", "dirichlet concentration", q)
     if num_clients < 1:
         raise ConfigError(f"need at least one client, got {num_clients}")
     labels = np.asarray(labels if isinstance(labels, np.ndarray) else list(labels))
@@ -201,8 +199,7 @@ def poison_dataset(ds: Samples, t: TriggerSpec, rate: float, seed: int) -> Sampl
     ``default_rng(seed).choice(eligible_count, count, replace=False)`` over
     the eligible rows in ascending order.
     """
-    if not 0 < rate <= 1:
-        raise ConfigError(f"poison rate must be in (0, 1], got {rate}")
+    check_in("(0, 1]", "poison rate", rate)
     picked = np.flatnonzero(ds.y != t.target_label)
     if not picked.size:
         raise ConfigError("no examples eligible for poisoning")
@@ -225,8 +222,7 @@ def edge_case_pool(ds: Samples, source_label: int, fraction: float) -> Samples:
     first. Selection is deterministic and draws no random numbers (stable
     sort, ties to lower row).
     """
-    if not 0 < fraction < 1:
-        raise ConfigError(f"edge fraction must be in (0, 1), got {fraction}")
+    check_in("(0, 1)", "edge fraction", fraction)
     members = ds.take(np.flatnonzero(ds.y == source_label))
     if not len(members):
         raise ConfigError(f"no examples of label {source_label}")

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ConfigError, DegenerateCentroidError, DimensionMismatchError, EmptySetError
-from .errors import NonFiniteAggregateError, bounded, check_bounds
+from .errors import NonFiniteAggregateError, bounded, check_bounds, check_in
 
 DEFENSE_KINDS = ("fedavg", "multi_krum", "weak_dp", "scope_static", "faros")
 
@@ -78,7 +78,8 @@ class DefenseConfig:
 
 @dataclass
 class RoundDiagnostics:
-    """Per-round defense internals, keyed by client id where applicable."""
+    """Per-round defense internals, keyed by client id where applicable; a rule
+    that does not power-scale leaves ``d_t`` and ``phi_t`` NaN."""
 
     d_t: float = float("nan")
     phi_t: float = float("nan")
@@ -95,7 +96,7 @@ class DefenseOutcome:
 
     aggregated_delta: np.ndarray
     accepted: list[int]
-    diagnostics: RoundDiagnostics | None = None
+    diagnostics: RoundDiagnostics
 
 
 def _stack(updates) -> tuple[list[int], np.ndarray]:
@@ -112,7 +113,7 @@ def _stack(updates) -> tuple[list[int], np.ndarray]:
     return [u.client_id for u in updates], np.array([u.delta for u in updates])
 
 
-def _mean_of(ids, deltas, rows, diag=None, noise=None) -> DefenseOutcome:
+def _mean_of(ids, deltas, rows, diag, noise=None) -> DefenseOutcome:
     """Accept the clients at the ascending positions ``rows`` and average their deltas,
     plus ``noise`` if given. A mean of finite deltas that overflows raises
     :class:`NonFiniteAggregateError`."""
@@ -129,7 +130,7 @@ def _mean_of(ids, deltas, rows, diag=None, noise=None) -> DefenseOutcome:
 def fedavg(updates) -> DefenseOutcome:
     """Plain averaging: accept everyone, mean the deltas in client-id order."""
     ids, deltas = _stack(updates)
-    return _mean_of(ids, deltas, range(len(ids)))
+    return _mean_of(ids, deltas, range(len(ids)), RoundDiagnostics())
 
 
 def multi_krum(updates, cfg: DefenseConfig) -> DefenseOutcome:
@@ -186,7 +187,7 @@ def weak_dp(updates, cfg: DefenseConfig, seed: int) -> DefenseOutcome:
     noise = None
     if cfg.noise_std > 0:
         noise = np.random.default_rng(seed).normal(0.0, cfg.noise_std, size=deltas.shape[1])
-    return _mean_of(ids, deltas, range(len(ids)), noise=noise)
+    return _mean_of(ids, deltas, range(len(ids)), RoundDiagnostics(), noise)
 
 
 def adaptive_phi(d_t: float, phi_max: float, kappa: float) -> float:
@@ -196,12 +197,9 @@ def adaptive_phi(d_t: float, phi_max: float, kappa: float) -> float:
     scattered ones. Strictly decreasing and continuous in d_t; for very
     large d_t the exponential underflows and the value is exactly 1.0.
     """
-    if d_t < 0:
-        raise ConfigError(f"dispersion must be >= 0, got {d_t}")
-    if phi_max <= 1:
-        raise ConfigError(f"phi_max must be > 1, got {phi_max}")
-    if kappa <= 0:
-        raise ConfigError(f"kappa must be > 0, got {kappa}")
+    check_in("[0, inf]", "dispersion", d_t)
+    check_in("(1, inf)", "phi_max", phi_max)
+    check_in("(0, inf)", "kappa", kappa)
     return 1.0 + (phi_max - 1.0) * math.exp(-kappa * d_t)
 
 
@@ -217,11 +215,10 @@ def differential_scale(v, phi: float) -> np.ndarray:
 
 
 def pairwise_scores(scaled) -> list[float]:
-    """Mutual-dissimilarity score per vector: sum of cosine distances to all vectors.
+    """Mutual-dissimilarity score per row: sum of cosine distances to all rows.
 
-    ``scaled`` is a sequence of vectors or the rows of a 2-D matrix. The sum
-    runs over every vector including itself (the self term is 0 and never
-    affects the ranking).
+    ``scaled`` is a (k, P) matrix. The sum runs over every row including
+    itself (the self term is 0 and never affects the ranking).
     """
     # widened once, not on each cosine_distance call
     rows = list(linalg.as_matrix(scaled).astype(np.longdouble))
@@ -247,12 +244,11 @@ def select_core_set(scores, l: int) -> list[int]:
 
 
 def rcc_filter(scaled, core, m: int):
-    """Accept the ``m`` vectors nearest the core set's centroid.
+    """Accept the ``m`` rows nearest the core set's centroid.
 
-    Returns (centroid, accepted positions, per-vector cosine distances).
-    ``scaled`` is a sequence of vectors or the rows of a 2-D matrix. The
-    centroid averages the scaled vectors at the ``core`` positions; a zero
-    centroid is degenerate and raises.
+    Returns (centroid, accepted positions, per-row cosine distances).
+    ``scaled`` is a (k, P) matrix. The centroid averages its rows at the
+    ``core`` positions; a zero centroid is degenerate and raises.
     """
     scaled = linalg.as_matrix(scaled)
     core = list(core)

@@ -36,6 +36,7 @@ def bounded(bound, default=MISSING, *, key=None):
     return field(default=default, metadata={"bound": bound, "key": key})
 
 
+@functools.cache
 def _test(bound):
     """Membership test and its text for a ``bounded`` field's bound."""
     if not isinstance(bound, str):
@@ -58,6 +59,13 @@ def _bounds(cls, section: str) -> tuple:
         key = f.metadata["key"] or (f"{section}.{f.name}" if section else f.name)
         out.append((f.name, key, text, test))
     return tuple(out)
+
+
+def check_in(bound, key: str, v) -> None:
+    """Raise :class:`ConfigError` naming ``key`` unless ``v`` lies in ``bound`` (see bounded)."""
+    test, text = _test(bound)
+    if not test(v):
+        raise ConfigError(f"{key} must be in {text}, got {v!r}")
 
 
 def check_bounds(obj, section: str = "") -> None:

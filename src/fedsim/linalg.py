@@ -1,9 +1,9 @@
 """Flat-vector numerical kernels used by every aggregation rule.
 
 Model parameters, gradients and update deltas are all represented as 1-D
-float64 numpy arrays; a round's vectors can also be passed as the rows of
-one 2-D matrix, which is then validated once as a whole. Every function here
-is a pure function of its inputs and safe to call concurrently.
+float64 numpy arrays; a round's vectors are the rows of one (k, P) matrix,
+which is validated once as a whole. Every function here is a pure function
+of its inputs and safe to call concurrently.
 """
 
 import math
@@ -35,25 +35,19 @@ def as_vector(values) -> np.ndarray:
 
 
 def as_matrix(vs) -> np.ndarray:
-    """Rows of a C-contiguous float64 matrix, with non-finite entries rejected.
+    """``vs`` as a C-contiguous (k, P) float64 matrix, with non-finite entries rejected.
 
-    A 2-D array is converted and checked as a whole; any other iterable is
-    read as a sequence of vectors, each coerced by :func:`as_vector`. An
-    empty sequence gives a 0 x 0 matrix.
+    ``vs`` is a 2-D array or anything numpy converts to one, such as a list
+    of equal-length rows.
 
     Raises:
-        ValueError: for NaN or Inf entries.
-        DimensionMismatchError: if the vectors differ in length.
+        DimensionMismatchError: if ``vs`` is not 2-D (an empty list is 1-D).
+        ValueError: for NaN or Inf entries, or (numpy's) for ragged rows.
     """
-    if isinstance(vs, np.ndarray) and vs.ndim == 2:
-        return _check_finite(np.ascontiguousarray(vs, dtype=np.float64))
-    rows = [as_vector(v) for v in vs]
-    if not rows:
-        return np.empty((0, 0))
-    for r in rows[1:]:
-        if r.size != rows[0].size:
-            raise DimensionMismatchError(f"dim mismatch: {rows[0].size} vs {r.size}")
-    return np.stack(rows)
+    m = np.ascontiguousarray(vs, dtype=np.float64)
+    if m.ndim != 2:
+        raise DimensionMismatchError(f"expected a (k, P) matrix, got shape {m.shape}")
+    return _check_finite(m)
 
 
 def _row_scales(m: np.ndarray) -> np.ndarray:
@@ -78,7 +72,7 @@ def normalize(v) -> np.ndarray:
 
 
 def normalize_rows(m) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`normalize` applied to every row of a matrix that is not all zeros.
+    """:func:`normalize` applied to every row of a (k, P) matrix that is not all zeros.
 
     Returns the normalized nonzero rows, in order, and a boolean mask of the
     all-zero rows. Each row is divided by its own L-inf norm and gets the
@@ -139,15 +133,14 @@ def cosine_distance(a, b) -> float:
 def dispersion(vs) -> float:
     """Spread of a round's vectors: variance of cosine distances to their centroid.
 
-    Computes the centroid of ``vs`` (a sequence of vectors or the rows of a
-    2-D matrix) and returns the population variance of the per-vector
-    cosine distances to it. Scale-invariant per vector and invariant under
-    permutation of the inputs.
+    Computes the centroid of the rows of ``vs``, a (k, P) matrix, and
+    returns the population variance of the per-row cosine distances to it.
+    Scale-invariant per row and invariant under permutation of the rows.
 
     Raises:
-        EmptySetError: with fewer than 2 vectors.
+        EmptySetError: with fewer than 2 rows.
         DegenerateCentroidError: if the centroid is the zero vector.
-        ZeroVectorError: if any input vector is zero.
+        ZeroVectorError: if any row is zero.
     """
     vs = as_matrix(vs)
     if vs.shape[0] < 2:

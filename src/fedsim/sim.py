@@ -171,8 +171,8 @@ class SimState:
     client ``i``'s rows, cut from ``dataset`` once, in the order of
     ``partition[i]``; every round trains on these arrays. ``asr_x`` holds
     the triggered test rows whose label is not the attack's target. All of
-    them are built once by :func:`build_state` and are read-only, as is the
-    initial ``global_params``.
+    them are read-only, as is the initial ``global_params``: the runs of one
+    :func:`run_simulations` call share the one state that it builds.
     """
 
     round: int
@@ -361,13 +361,12 @@ def run_round(
         acc = accuracy(new_params, cfg.model, state.test_set.x, state.test_set.y)
         asr = accuracy(new_params, cfg.model, state.asr_x, acfg.trigger.target_label)
 
-    diag = outcome.diagnostics
     record = RoundRecord(
         round=r,
         acc=acc,
         asr=asr,
-        d_t=diag.d_t if diag is not None else float("nan"),
-        phi_t=diag.phi_t if diag is not None else float("nan"),
+        d_t=outcome.diagnostics.d_t,
+        phi_t=outcome.diagnostics.phi_t,
         accepted=sorted(outcome.accepted),
         malicious_selected=malicious,
         tp=tp,
@@ -378,27 +377,35 @@ def run_round(
     return replace(state, round=r + 1, global_params=new_params), record
 
 
-def run_simulations(
-    cfgs: list[SimConfig], state: SimState
-) -> tuple[list[list[RoundRecord]], FedsimError | None]:
-    """Run every config in ``cfgs`` from ``state``, all advancing one round at a time.
+def _shared(cfg: SimConfig) -> tuple:
+    """The config fields that :func:`build_state` reads."""
+    return (cfg.data, cfg.model, cfg.attack.trigger, cfg.master_seed, cfg.total_clients)
 
-    ``state`` must come from ``build_state`` on a config with the same data,
-    model, trigger, ``master_seed`` and ``total_clients`` as each of
-    ``cfgs``. Within a round, each sampling config is planned once and
-    byte-equal client inputs train once (``run_round``'s memo); each run's
-    records equal those of a run alone.
+
+def run_simulations(cfgs: list[SimConfig]) -> tuple[list[list[RoundRecord]], FedsimError | None]:
+    """Run every config in ``cfgs`` from one state, all advancing one round at a time.
+
+    The state is built once, from ``cfgs[0]``; an empty or invalid
+    ``cfgs`` raises :class:`ConfigError`, as does a config that differs from
+    ``cfgs[0]`` in a field that :func:`build_state` reads (``_shared``).
+    Within a round, each sampling config is planned once and byte-equal
+    client inputs train once (``run_round``'s memo); each run's records
+    equal those of a run alone.
 
     Returns the evaluated rounds of each run before the first, in order, to
     raise a :class:`FedsimError`, and that error (None if none did): the
     outcome of running ``cfgs`` one after another up to the first error.
     """
-    for cfg in cfgs:
+    if not cfgs:
+        raise ConfigError("no configs to run")
+    for j, cfg in enumerate(cfgs):
         cfg.validate()
-    states = [state] * len(cfgs)
+        if _shared(cfg) != _shared(cfgs[0]):
+            raise ConfigError(f"config {j} differs from config 0 in what its state is built from")
+    states = [build_state(cfgs[0])] * len(cfgs)
     records = [[] for _ in cfgs]
     live, error = len(cfgs), None
-    for step in range(max((cfg.rounds for cfg in cfgs), default=0)):
+    for step in range(max(cfg.rounds for cfg in cfgs)):
         memo = {}
         for j in range(live):
             cfg = cfgs[j]
@@ -415,13 +422,12 @@ def run_simulations(
     return records[:live], error
 
 
-def run_simulation(cfg: SimConfig, state: SimState | None = None) -> list[RoundRecord]:
-    """Run all rounds from ``state``, by default ``build_state(cfg)``; keep evaluated rounds.
+def run_simulation(cfg: SimConfig) -> list[RoundRecord]:
+    """Run all rounds of ``cfg`` from ``build_state(cfg)``; keep the evaluated rounds.
 
-    The one-run case of :func:`run_simulations`, whose contract a given
-    ``state`` must meet.
+    The one-run case of :func:`run_simulations`, whose error it raises.
     """
-    runs, error = run_simulations([cfg], build_state(cfg) if state is None else state)
+    runs, error = run_simulations([cfg])
     if error is not None:
         raise error
     return runs[0]

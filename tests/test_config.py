@@ -12,12 +12,14 @@ import typing
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedsim import config, errors
 from fedsim.attacks import AttackConfig
 from fedsim.cli import main
-from fedsim.defenses import DefenseConfig
+from fedsim.data import blob_arrays, dirichlet_partition
+from fedsim.defenses import DefenseConfig, adaptive_phi
 from fedsim.errors import ConfigError
 from fedsim.model import ModelSpec, TrainSpec
 from fedsim.sim import DataConfig, SimConfig
@@ -389,6 +391,32 @@ def test_every_numeric_field_carries_a_bound():
                  if {int, float} & {f.type, *typing.get_args(f.type)} and "bound" not in f.metadata]
     assert unbounded == ["TrainSpec.seed"]
     assert len(INTERVALS) == 32 and len(KINDS) == 2
+
+
+# public functions that take a value of a bounded field: (function, args), each
+# with one NaN or infinite argument that the field's interval excludes
+NON_FINITE_CALLS = [
+    (adaptive_phi, (0.1, math.nan, 50.0)),  # phi_max in (1, inf)
+    (adaptive_phi, (0.1, math.inf, 50.0)),
+    (adaptive_phi, (0.1, 3.0, math.nan)),  # kappa in (0, inf)
+    (adaptive_phi, (0.1, 3.0, math.inf)),
+    (adaptive_phi, (math.nan, 3.0, 50.0)),  # d_t in [0, inf]
+    (blob_arrays, (3, 4, 5, math.nan, 0)),  # class_sep in (0, inf)
+    (blob_arrays, (3, 4, 5, math.inf, 0)),
+    (dirichlet_partition, (np.repeat(np.arange(3), 8), 4, math.nan, 0)),  # q in (0, inf)
+    (dirichlet_partition, (np.repeat(np.arange(3), 8), 4, math.inf, 0)),
+]
+
+
+@pytest.mark.parametrize("fn,args", NON_FINITE_CALLS,
+                         ids=[f"{fn.__name__}{i}" for i, (fn, _) in enumerate(NON_FINITE_CALLS)])
+def test_functions_reject_what_the_field_rejects(fn, args):
+    with pytest.raises(ConfigError, match=r"must be in [\[(]"):
+        fn(*args)
+
+
+def test_infinite_dispersion_gives_the_least_power():
+    assert adaptive_phi(math.inf, 3.0, 50.0) == 1.0
 
 
 # the cross-field limits whose value is one config key, at standard.cfg's values

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fedsim import linalg
@@ -12,6 +13,7 @@ from fedsim.defenses import (
     DISPERSION_SENTINEL,
     ClientUpdate,
     DefenseConfig,
+    RoundDiagnostics,
     adaptive_phi,
     aggregate,
     differential_scale,
@@ -28,6 +30,7 @@ from fedsim.errors import (
     ConfigError,
     DegenerateCentroidError,
     EmptySetError,
+    FedsimError,
     NonFiniteAggregateError,
 )
 
@@ -642,3 +645,105 @@ class TestStagesMatchPerPairReference:
         assert dists == [longdouble_cosine(v, centroid) for v in m]
         mean = np.mean(m, axis=0)
         assert linalg.dispersion(m) == float(np.var([longdouble_cosine(v, mean) for v in m]))
+
+
+# one unit in the last place of 1.0: a row times (1 + _ULP) is a near-tie of the row
+_ULP = 2.0**-52
+_TINY, _HUGE = float(np.finfo(np.float64).tiny), float(np.finfo(np.float64).max)
+# each entry 0 or of magnitude 1e-3..1, so a row times 10**e (|e| <= 300) stays normal
+_direction = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+
+
+@st.composite
+def _round_matrices(draw):
+    """A (k, P) delta matrix with rows of magnitude 1e-300 to 1e300, about 10% of
+    them zero and 15% repeating an earlier row exactly or within one ulp."""
+    k, dim = draw(st.integers(2, 9)), draw(st.integers(1, 12))
+    rows = []
+    for _ in range(k):
+        pick = draw(st.integers(0, 19))
+        if pick < 2:
+            rows.append(np.zeros(dim))
+        elif pick < 5 and rows:
+            row = draw(st.sampled_from(rows))
+            rows.append(row * (1.0 + _ULP) if pick == 4 else row.copy())
+        else:
+            direction = draw(st.lists(_direction, min_size=dim, max_size=dim))
+            rows.append(np.array(direction) * 10.0 ** draw(st.integers(-300, 300)))
+    return np.array(rows)
+
+
+def _rule_cfg(draw, k: int, kind: str) -> DefenseConfig:
+    return DefenseConfig(
+        kind=kind,
+        core_size=draw(st.none() | st.integers(1, k)),
+        accept_count=draw(st.none() | st.integers(1, k)),
+        krum_f=draw(st.integers(0, 2)),
+        noise_std=draw(st.sampled_from([0.0, 0.5])),
+        clip_norm=draw(st.sampled_from([1.0, math.inf])),
+    )
+
+
+def _aggregate(m: np.ndarray, cfg: DefenseConfig, ids=None):
+    """The rule's outcome on the rows of ``m`` sent as clients ``ids`` (by default
+    0, 1, ...) in that order, and what it carries (or its error's type and text).
+    Any warning other than a rule's own fails."""
+    ids = list(range(len(m))) if ids is None else ids
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = aggregate(_updates(m[ids], ids), cfg, seed=5)
+        except FedsimError as e:
+            out = None
+            got = (type(e).__name__, str(e))
+        else:
+            got = outcome_bytes(out)
+    assert all(str(w.message).startswith(("client ", "multi-krum ")) for w in caught)
+    return out, got
+
+
+class TestRuleProperties:
+    """Properties every aggregation rule keeps on any finite (k, P) matrix."""
+
+    @given(_round_matrices(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_permutation_finiteness_and_accepted_ids(self, m, data):
+        k = len(m)
+        perm = data.draw(st.permutations(range(k)))
+        for kind in DEFENSE_KINDS:
+            cfg = _rule_cfg(data.draw, k, kind)
+            out, got = _aggregate(m, cfg)
+            assert _aggregate(m, cfg, perm)[1] == got, kind
+            if out is not None:
+                assert np.isfinite(out.aggregated_delta).all(), kind
+                assert set(out.accepted) <= set(range(k)), kind
+                assert isinstance(out.diagnostics, RoundDiagnostics)
+
+    @given(_round_matrices(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_power_of_two_row_scale_keeps_the_filter_choices(self, m, data):
+        k = len(m)
+        row = data.draw(st.integers(0, k - 1))
+        live = np.abs(m[row][m[row] != 0]).tolist() or [1.0]
+        # 2**j keeps every entry of the row normal and the sum of k such rows finite
+        low = math.ceil(math.log2(_TINY) - math.log2(min(live)))
+        high = math.floor(math.log2(_HUGE) - math.log2(k * max(live)))
+        j = data.draw(st.integers(max(low, -64), min(high, 64)))
+        scaled = m.copy()
+        scaled[row] *= 2.0**j
+        assume(np.all(np.abs(scaled[row][scaled[row] != 0]) >= _TINY))
+        for kind in ("faros", "scope_static"):
+            cfg = _rule_cfg(data.draw, k, kind)
+            a, b = _aggregate(m, cfg)[0], _aggregate(scaled, cfg)[0]
+            assert (a.accepted, a.diagnostics.core_set) == (b.accepted, b.diagnostics.core_set)
+
+    @given(_round_matrices(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_faros_accepting_everyone_is_fedavg(self, m, data):
+        k = len(m)
+        cfg = dataclasses.replace(_rule_cfg(data.draw, k, "faros"), accept_count=k)
+        # rows of at most 1e300 cannot overflow a mean, so both rules return
+        out = _aggregate(m, cfg)[0]
+        want = _aggregate(m, DefenseConfig(kind="fedavg"))[0]
+        assert out.aggregated_delta.tobytes() == want.aggregated_delta.tobytes()
+        assert out.accepted == want.accepted

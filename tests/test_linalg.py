@@ -194,10 +194,14 @@ class TestMatrixInputs:
         assert out.dtype == np.float64 and out.flags.c_contiguous
         assert np.array_equal(out, m)
         assert np.array_equal(linalg.as_matrix([[1, 2], (3, 4)]), [[1.0, 2.0], [3.0, 4.0]])
-        assert linalg.as_matrix([]).shape == (0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="NaN or Inf"):
             linalg.as_matrix(np.array([[1.0, np.inf]]))
-        with pytest.raises(DimensionMismatchError):
+        # only a 2-D input is a matrix; an empty list converts to shape (0,)
+        for not_2d in ([], [1.0, 2.0], np.ones((2, 2, 2))):
+            with pytest.raises(DimensionMismatchError):
+                linalg.as_matrix(not_2d)
+        # numpy refuses ragged rows
+        with pytest.raises(ValueError, match="inhomogeneous"):
             linalg.as_matrix([[1.0, 2.0], [3.0]])
 
     def test_normalize_rows_equals_normalize(self):

@@ -313,9 +313,7 @@ class TestSharedState:
     def test_arrays_are_read_only(self):
         cfg = small_config(malicious=3, attack="model_replacement", force_c=1)
         state = build_state(cfg)
-        arrays = [state.global_params, state.dataset.x, state.dataset.y, state.test_set.x,
-                  state.test_set.y, state.asr_x]
-        arrays += [a for c in state.clients for a in (c.x, c.y)]
+        arrays = _state_arrays(state)
         # a trained update may be handed to several runs
         arrays += [sim._train_one(state, cfg, sim._resolve_attack(cfg), i, 11).delta
                    for i in (0, 5)]
@@ -326,7 +324,6 @@ class TestSharedState:
     def test_runs_from_one_state_equal_fresh_runs(self, monkeypatch):
         base = small_config(defense="faros", malicious=3, attack="model_replacement",
                             accept_count=3, core_size=2, force_c=1)
-        state = build_state(base)
         cfgs = [
             dataclasses.replace(
                 base,
@@ -337,18 +334,68 @@ class TestSharedState:
                                     ("model_replacement", "faros")]
         ]
         fresh = [[_no_wall(r) for r in run_simulation(cfg)] for cfg in cfgs]
-        for cfg, want in zip(cfgs, fresh):
-            assert [_no_wall(r) for r in run_simulation(cfg, state)] == want
-        planned = []
+        planned, built = [], []
         real = sim._sample_forced
         monkeypatch.setattr(sim, "_sample_forced",
                             lambda cfg, r: planned.append(r) or real(cfg, r))
-        runs, error = run_simulations(cfgs, state)
+        real_build = sim.build_state
+        monkeypatch.setattr(sim, "build_state", lambda cfg: built.append(cfg) or real_build(cfg))
+        runs, error = run_simulations(cfgs)
         assert error is None
         assert [[_no_wall(r) for r in run] for run in runs] == fresh
+        assert built == [cfgs[0]]
         # the runs sample alike, so each round is planned once, not once per run
         assert planned == list(range(1, base.rounds + 1))
-        assert state.round == 1
+
+    @pytest.mark.parametrize("section,name,value", [
+        ("data", "class_sep", 5.0), ("model", "hidden_dim", 4),
+        ("attack", "trigger", TriggerSpec((1, 2), (3.0, -3.0))),
+        ("", "master_seed", 8), ("", "total_clients", 13),
+    ])
+    def test_configs_that_differ_in_what_the_state_reads_raise(self, monkeypatch, section, name,
+                                                               value):
+        base = small_config(malicious=3, attack="model_replacement", force_c=1)
+        other = _changed(base, section, name, value)
+        other.validate()
+        monkeypatch.setattr(sim, "build_state", lambda cfg: pytest.fail("state built"))
+        with pytest.raises(ConfigError, match="config 2 differs"):
+            run_simulations([base, base, other])
+
+    def test_no_configs_raise(self):
+        with pytest.raises(ConfigError):
+            run_simulations([])
+
+    def test_fields_outside_shared_leave_the_state_unchanged(self):
+        # every field but data, model, attack.trigger, master_seed and total_clients,
+        # set to another valid value
+        others = {
+            ("", "clients_per_round"): 5, ("", "malicious_count"): 2, ("", "rounds"): 7,
+            ("", "eval_every"): 2, ("", "force_c_per_round"): None,
+            ("", "parallel_clients"): True,
+            ("train", "local_epochs"): 3, ("train", "batch_size"): 16,
+            ("train", "learning_rate"): 0.1, ("train", "seed"): 5,
+            ("attack", "kind"): "data_poison", ("attack", "poison_rate"): 0.25,
+            ("attack", "boost"): 3.0, ("attack", "alpha"): 0.25, ("attack", "pgd_radius"): 1.0,
+            ("attack", "edge_fraction"): 0.5,
+            ("defense", "kind"): "faros", ("defense", "phi_max"): 2.0,
+            ("defense", "kappa"): 10.0, ("defense", "core_size"): 2,
+            ("defense", "accept_count"): 3, ("defense", "krum_f"): 1,
+            ("defense", "clip_norm"): 1.0, ("defense", "noise_std"): 0.1,
+            ("defense", "phi_static"): 2.0,
+        }
+        base = small_config(malicious=3, attack="model_replacement", force_c=1)
+        sections = ("train", "attack", "defense")
+        every = {("", f.name) for f in dataclasses.fields(base) if f.name not in sections}
+        every |= {(s, f.name) for s in sections for f in dataclasses.fields(getattr(base, s))}
+        shared = {("", "data"), ("", "model"), ("attack", "trigger"), ("", "master_seed"),
+                  ("", "total_clients")}
+        assert set(others) == every - shared
+        want = _state_bytes(build_state(base))
+        for (section, name), value in others.items():
+            cfg = _changed(base, section, name, value)
+            assert _field(cfg, section, name) != _field(base, section, name)
+            assert sim._shared(cfg) == sim._shared(base)
+            assert _state_bytes(build_state(cfg)) == want, (section, name)
 
     def test_each_sampling_config_gets_its_own_plan(self, monkeypatch):
         forced = small_config(malicious=3, attack="model_replacement", force_c=1)
@@ -382,14 +429,37 @@ class TestSharedState:
     ])
     def test_runs_that_differ_in_what_training_reads_equal_fresh_runs(self, section, name, value):
         base = small_config(malicious=3, attack="model_replacement", force_c=1)
-        changed = dataclasses.replace(getattr(base, section), **{name: value})
-        other = dataclasses.replace(base, **{section: changed})
-        runs, error = run_simulations([base, other], build_state(base))
+        other = _changed(base, section, name, value)
+        runs, error = run_simulations([base, other])
         assert error is None
         fresh = [[_no_wall(r) for r in run_simulation(cfg)] for cfg in (base, other)]
         # the field moves the records, so a run handed the other's updates would show
         assert fresh[0] != fresh[1], name
         assert [[_no_wall(r) for r in records] for records in runs] == fresh
+
+
+def _field(cfg, section: str, name: str):
+    """Field ``name`` of ``section`` of ``cfg``; section "" is the top level."""
+    return getattr(getattr(cfg, section) if section else cfg, name)
+
+
+def _changed(cfg, section: str, name: str, value):
+    """A copy of ``cfg`` with field ``name`` of ``section`` set to ``value``."""
+    if not section:
+        return dataclasses.replace(cfg, **{name: value})
+    changed = dataclasses.replace(getattr(cfg, section), **{name: value})
+    return dataclasses.replace(cfg, **{section: changed})
+
+
+def _state_arrays(state) -> list:
+    """Every array of a state."""
+    return [state.global_params, state.dataset.x, state.dataset.y, state.test_set.x,
+            state.test_set.y, state.asr_x, *(a for c in state.clients for a in (c.x, c.y))]
+
+
+def _state_bytes(state) -> list:
+    """Every array of a state, as bytes, and its partition."""
+    return [a.tobytes() for a in _state_arrays(state)] + [state.partition]
 
 
 def _no_wall(record) -> str:
