@@ -111,28 +111,36 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} lists {repeated[0]!r} more than once")
 
 
+def _key_value(item: str, where: str) -> tuple[str, str]:
+    """``item`` split at its first ``=``, both sides stripped; the key must be known.
+    ``where`` opens each error message."""
+    key, eq, value = item.partition("=")
+    key = key.strip()
+    if not eq:
+        raise ConfigError(f"{where}expected key = value, got {item!r}")
+    if key not in KEY_PARSERS:
+        raise ConfigError(f"{where}unknown config key {key!r}")
+    return key, value.strip()
+
+
 def parse_config_text(text: str, source: str = "<config>") -> dict:
     """Parse key = value lines into a raw string map; unknown keys are fatal."""
     raw = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{source}:{lineno}: expected key = value, got {line!r}")
-        key, value = stripped.split("=", 1)
-        key = key.strip()
-        if key not in KEY_PARSERS:
-            raise ConfigError(f"{source}:{lineno}: unknown config key {key!r}")
-        raw[key] = value.strip()
+        if stripped:
+            key, value = _key_value(stripped, f"{source}:{lineno}: ")
+            raw[key] = value
     return raw
 
 
 def load_config_file(path) -> dict:
+    """Parse the UTF-8 config file at ``path``; a file that cannot be read or
+    decoded raises ConfigError."""
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:
             text = f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     return parse_config_text(text, source=str(path))
 
@@ -141,13 +149,8 @@ def apply_overrides(raw: dict, overrides) -> dict:
     """Apply ``key=value`` override strings; last one wins; unknown keys are fatal."""
     out = dict(raw)
     for item in overrides or ():
-        if "=" not in item:
-            raise ConfigError(f"override must look like key=value, got {item!r}")
-        key, value = item.split("=", 1)
-        key = key.strip()
-        if key not in KEY_PARSERS:
-            raise ConfigError(f"unknown config key {key!r}")
-        out[key] = value.strip()
+        key, value = _key_value(item, "override: ")
+        out[key] = value
     return out
 
 

@@ -11,6 +11,7 @@ bit-identical under permutation of the input, reductions have a fixed
 summation order, and every tie-break goes to the lower client id.
 """
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -162,10 +163,8 @@ def multi_krum(updates, cfg: DefenseConfig) -> DefenseOutcome:
             for j in range(i + 1, k):
                 diff = deltas[i] - deltas[j]
                 sq_dists[i, j] = sq_dists[j, i] = float(np.dot(diff, diff))
-    scores = []
-    for i in range(k):
-        others = sorted(np.delete(sq_dists[i], i).tolist())
-        scores.append(math.fsum(others[:n_neighbors]))
+    # the zero self-distance sorts first in its row
+    scores = [math.fsum(row[1 : n_neighbors + 1]) for row in np.sort(sq_dists, axis=1).tolist()]
 
     diag = RoundDiagnostics(scores=dict(zip(ids, scores)))
     return _mean_of(ids, deltas, select_core_set(scores, select), diag)
@@ -256,12 +255,7 @@ def rcc_filter(scaled, core, m: int):
         raise EmptySetError("core set is empty")
     if not 1 <= m <= len(scaled):
         raise ConfigError(f"accept count must be in [1, {len(scaled)}], got {m}")
-    centroid = np.mean(scaled[core], axis=0)
-    if not np.any(centroid):
-        raise DegenerateCentroidError("core-set centroid is the zero vector")
-    # widened once, not on each cosine_distance call
-    wide_centroid = centroid.astype(np.longdouble)
-    dists = [linalg.cosine_distance(v, wide_centroid) for v in scaled.astype(np.longdouble)]
+    centroid, dists = linalg.centroid_distances(scaled, core, "core-set")
     return centroid, select_core_set(dists, m), dists
 
 
@@ -288,33 +282,32 @@ def _scaled_pipeline(updates, cfg: DefenseConfig, single_core: bool) -> DefenseO
             RuntimeWarning,
             stacklevel=3,
         )
-    # row positions of the clients that take part in filtering
+    # row positions of the clients that take part in filtering, and their ids
     live = np.flatnonzero(~zero).tolist()
+    live_ids = [ids[p] for p in live]
 
     core_size = 1 if single_core else cfg.core_size
-    if len(live) < 2 or len(live) < max(core_size, cfg.accept_count):
-        diag.fallback = True
-        return _mean_of(ids, deltas, range(len(ids)), diag)
+    accepted = None  # positions among live; None falls back to plain averaging
+    if len(live) >= max(2, core_size, cfg.accept_count):
+        try:
+            diag.d_t = linalg.dispersion(normalized)
+        except DegenerateCentroidError:
+            diag.d_t = DISPERSION_SENTINEL
+        diag.phi_t = (cfg.phi_static if single_core
+                      else adaptive_phi(diag.d_t, cfg.phi_max, cfg.kappa))
 
-    try:
-        diag.d_t = linalg.dispersion(normalized)
-    except DegenerateCentroidError:
-        diag.d_t = DISPERSION_SENTINEL
-    diag.phi_t = cfg.phi_static if single_core else adaptive_phi(diag.d_t, cfg.phi_max, cfg.kappa)
+        scaled = differential_scale(normalized, diag.phi_t)
+        scores = pairwise_scores(scaled)
+        diag.scores = dict(zip(live_ids, scores))
+        core = select_core_set(scores, core_size)
+        diag.core_set = [live_ids[i] for i in core]
+        with contextlib.suppress(DegenerateCentroidError):
+            _, accepted, dists = rcc_filter(scaled, core, cfg.accept_count)
+            diag.distances = dict(zip(live_ids, dists))
 
-    scaled = differential_scale(normalized, diag.phi_t)
-    scores = pairwise_scores(scaled)
-    diag.scores = {ids[p]: s for p, s in zip(live, scores)}
-    core = select_core_set(scores, core_size)
-    diag.core_set = [ids[live[i]] for i in core]
-
-    try:
-        _, accepted, dists = rcc_filter(scaled, core, cfg.accept_count)
-    except DegenerateCentroidError:
-        diag.fallback = True
-        return _mean_of(ids, deltas, range(len(ids)), diag)
-    diag.distances = {ids[p]: d for p, d in zip(live, dists)}
-    return _mean_of(ids, deltas, [live[i] for i in accepted], diag)
+    diag.fallback = accepted is None
+    rows = range(len(ids)) if diag.fallback else [live[i] for i in accepted]
+    return _mean_of(ids, deltas, rows, diag)
 
 
 def faros_aggregate(updates, cfg: DefenseConfig) -> DefenseOutcome:

@@ -2,8 +2,9 @@
 
 Model parameters, gradients and update deltas are all represented as 1-D
 float64 numpy arrays; a round's vectors are the rows of one (k, P) matrix,
-which is validated once as a whole. Every function here is a pure function
-of its inputs and safe to call concurrently.
+which is validated once as a whole. ADS's dispersion and RCC's filter
+share one centroid-distance routine, ``centroid_distances``. Every function
+here is a pure function of its inputs and safe to call concurrently.
 """
 
 import math
@@ -50,36 +51,30 @@ def as_matrix(vs) -> np.ndarray:
     return _check_finite(m)
 
 
-def _row_scales(m: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(m), axis=1, initial=0.0)
-
-
 def normalize(v) -> np.ndarray:
     """Rescale a vector so its dominant coordinates have unit magnitude.
 
     Divides by the L-inf norm, leaving every entry in [-1, 1] with at least
     one entry of magnitude exactly 1; this is what the power-scaling step
-    expects.
+    expects. The one-row case of :func:`normalize_rows`.
 
     Raises:
         ZeroVectorError: if ``v`` is all zeros.
     """
-    v = as_vector(v)
-    scale = float(_row_scales(v[None, :])[0])
-    if scale == 0.0:
+    rows, zero = normalize_rows(_flat(v)[None, :])
+    if zero[0]:
         raise ZeroVectorError("cannot normalize an all-zero vector")
-    return v / scale
+    return rows[0]
 
 
 def normalize_rows(m) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`normalize` applied to every row of a (k, P) matrix that is not all zeros.
+    """Divide every row of a (k, P) matrix that is not all zeros by its own L-inf norm.
 
     Returns the normalized nonzero rows, in order, and a boolean mask of the
-    all-zero rows. Each row is divided by its own L-inf norm and gets the
-    same bits as :func:`normalize` gives it.
+    all-zero rows.
     """
     m = as_matrix(m)
-    scales = _row_scales(m)
+    scales = np.max(np.abs(m), axis=1, initial=0.0)
     zero = scales == 0.0
     live = ~zero
     return m[live] / scales[live, None], zero
@@ -130,6 +125,20 @@ def cosine_distance(a, b) -> float:
     return min(max(d, 0.0), 2.0)
 
 
+def centroid_distances(m: np.ndarray, rows=slice(None), name: str = "round") -> tuple:
+    """The centroid of the rows ``rows`` of the (k, P) matrix ``m`` (all rows for
+    :func:`dispersion`, the core rows for ``defenses.rcc_filter``), and the
+    cosine distance of every row of ``m`` to it. A zero centroid raises
+    :class:`DegenerateCentroidError`, whose message calls it ``name``.
+    """
+    centroid = np.mean(m[rows], axis=0)
+    if not np.any(centroid):
+        raise DegenerateCentroidError(f"{name} centroid is the zero vector")
+    # widened once, not on each cosine_distance call
+    wide_centroid = centroid.astype(np.longdouble)
+    return centroid, [cosine_distance(v, wide_centroid) for v in m.astype(np.longdouble)]
+
+
 def dispersion(vs) -> float:
     """Spread of a round's vectors: variance of cosine distances to their centroid.
 
@@ -145,10 +154,4 @@ def dispersion(vs) -> float:
     vs = as_matrix(vs)
     if vs.shape[0] < 2:
         raise EmptySetError("dispersion needs at least 2 vectors")
-    centroid = np.mean(vs, axis=0)
-    if not np.any(centroid):
-        raise DegenerateCentroidError("round centroid is the zero vector")
-    # widened once, not on each cosine_distance call
-    wide_centroid = centroid.astype(np.longdouble)
-    dists = [cosine_distance(v, wide_centroid) for v in vs.astype(np.longdouble)]
-    return float(np.var(dists))
+    return float(np.var(centroid_distances(vs)[1]))

@@ -51,12 +51,8 @@ class ModelSpec:
         d, c, h = self.input_dim, self.num_classes, self.hidden_dim
         return ((c, d),) if h == 0 else ((h, d), (c, h))
 
-    @cached_property
-    def _size(self) -> int:
-        return sum(fan_out * (fan_in + 1) for fan_out, fan_in in self.layers)
-
     def param_count(self) -> int:
-        return self._size
+        return sum(fan_out * (fan_in + 1) for fan_out, fan_in in self.layers)
 
 
 @dataclass(frozen=True)
@@ -84,8 +80,9 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
 
 def _forward(params: np.ndarray, spec: ModelSpec, x: np.ndarray):
     """Logits of the rows ``x``, shape (n, input_dim), and each layer's (weights, input)."""
-    if params.size != spec._size:
-        raise DimensionMismatchError(f"params have dim {params.size}, spec needs {spec._size}")
+    if params.size != spec.param_count():
+        raise DimensionMismatchError(f"params have dim {params.size}, spec needs "
+                                     f"{spec.param_count()}")
     trace, end = [], 0
     for fan_out, fan_in in spec.layers:
         if trace:

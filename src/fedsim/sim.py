@@ -260,8 +260,12 @@ def build_state(cfg: SimConfig) -> SimState:
     )
 
 
-def _resolve_attack(cfg: SimConfig) -> AttackConfig:
+def _resolve_attack(cfg: SimConfig) -> AttackConfig | None:
+    """The attack a roster member trains with: None under ``attack.kind = none``,
+    and an unset boost resolved to ``clients_per_round``."""
     acfg = cfg.attack
+    if acfg.kind == "none":
+        return None
     if acfg.boost is None:
         acfg = replace(acfg, boost=float(cfg.clients_per_round))
     return acfg
@@ -283,13 +287,15 @@ def _round_plan(state: SimState, cfg: SimConfig, memo: dict) -> list[tuple[int, 
     return plan
 
 
-def _train_one(state: SimState, cfg: SimConfig, acfg: AttackConfig, client_id: int, seed: int):
+def _train_one(state: SimState, cfg: SimConfig, attack: AttackConfig | None, client_id: int,
+               seed: int):
+    """Client ``client_id``'s update: honest training if ``attack`` is None, else ``attack``'s."""
     data = state.clients[client_id]
     tspec = replace(cfg.train, seed=seed)
-    if client_id < cfg.malicious_count and acfg.kind != "none":
-        params = malicious_local_train(state.global_params, cfg.model, data, tspec, acfg)
-    else:
+    if attack is None:
         params = local_train(state.global_params, cfg.model, data, tspec)
+    else:
+        params = malicious_local_train(state.global_params, cfg.model, data, tspec, attack)
     delta = params - state.global_params
     if not np.isfinite(delta).all():
         raise NonFiniteUpdateError(state.round, client_id)
@@ -298,23 +304,25 @@ def _train_one(state: SimState, cfg: SimConfig, acfg: AttackConfig, client_id: i
     return ClientUpdate(client_id, delta)
 
 
-def _train_clients(state: SimState, cfg: SimConfig, acfg: AttackConfig, plan, memo):
+def _train_clients(state: SimState, cfg: SimConfig, acfg: AttackConfig | None, plan, memo):
     """Each planned client's update, trained once per distinct input in ``memo``.
 
+    The one place that decides how a client trains: ``attack`` is ``acfg``
+    for a roster member and None, honest training, for the others.
     ``memo[(global bytes, cfg.train, cfg.model, attack)][(client_id, seed)]``
-    is an update; ``attack`` is ``acfg`` for an attacking roster member and
-    None for honest training. With the client's rows, which the runs sharing
-    a memo share through one state, that is all ``_train_one`` reads.
+    is an update. With the client's rows, which the runs sharing a memo
+    share through one state, that is all ``_train_one`` reads.
     """
-    head =(state.global_params.tobytes(), cfg.train, cfg.model)
+    head = (state.global_params.tobytes(), cfg.train, cfg.model)
+    # under attack none (acfg None) both are the one honest table
     honest = memo.setdefault((*head, None), {})
-    attacked = honest if acfg.kind == "none" else memo.setdefault((*head, acfg), {})
+    attacked = memo.setdefault((*head, acfg), {})
     updates = []
     for i, seed in plan:
-        trained = attacked if i < cfg.malicious_count else honest
+        attack, trained = (acfg, attacked) if i < cfg.malicious_count else (None, honest)
         update = trained.get((i, seed))
         if update is None:
-            update = trained[i, seed] = _train_one(state, cfg, acfg, i, seed)
+            update = trained[i, seed] = _train_one(state, cfg, attack, i, seed)
         updates.append(update)
     return updates
 
@@ -351,15 +359,15 @@ def run_round(
     new_params = state.global_params + outcome.aggregated_delta
 
     malicious = [i for i in ids if i < cfg.malicious_count]
-    accepted = set(outcome.accepted)
-    tp = sum(1 for i in malicious if i not in accepted)
-    fp = sum(1 for i in ids if i >= cfg.malicious_count and i not in accepted)
+    rejected = set(ids).difference(outcome.accepted)
+    tp = len(rejected.intersection(malicious))
+    fp = len(rejected) - tp
     fn = len(malicious) - tp
 
     acc = asr = float("nan")
     if r % cfg.eval_every == 0:
         acc = accuracy(new_params, cfg.model, state.test_set.x, state.test_set.y)
-        asr = accuracy(new_params, cfg.model, state.asr_x, acfg.trigger.target_label)
+        asr = accuracy(new_params, cfg.model, state.asr_x, cfg.attack.trigger.target_label)
 
     record = RoundRecord(
         round=r,
@@ -438,8 +446,6 @@ def _fmt(x: float) -> str:
 
 
 def _round_sig(x: float) -> float:
-    if isinstance(x, float) and math.isnan(x):
-        return x
     return float(_fmt(x))
 
 
@@ -462,26 +468,17 @@ def _row(record: RoundRecord, formats: dict) -> dict:
 
 
 def summarize(records) -> dict:
-    """Final metrics plus mean detection precision/recall over defined rounds."""
-    if not records:
-        return {
-            "final_acc": float("nan"),
-            "final_asr": float("nan"),
-            "mean_detection_precision": float("nan"),
-            "mean_detection_recall": float("nan"),
-        }
+    """Final metrics plus mean detection precision/recall over defined rounds, at
+    9 significant digits; NaN where no record defines one."""
     precisions = [r.tp / (r.tp + r.fp) for r in records if r.tp + r.fp > 0]
     recalls = [r.tp / (r.tp + r.fn) for r in records if r.tp + r.fn > 0]
-    return {
-        "final_acc": _round_sig(records[-1].acc),
-        "final_asr": _round_sig(records[-1].asr),
-        "mean_detection_precision": (
-            _round_sig(float(np.mean(precisions))) if precisions else float("nan")
-        ),
-        "mean_detection_recall": (
-            _round_sig(float(np.mean(recalls))) if recalls else float("nan")
-        ),
+    summary = {
+        "final_acc": records[-1].acc if records else math.nan,
+        "final_asr": records[-1].asr if records else math.nan,
+        "mean_detection_precision": float(np.mean(precisions)) if precisions else math.nan,
+        "mean_detection_recall": float(np.mean(recalls)) if recalls else math.nan,
     }
+    return {key: _round_sig(value) for key, value in summary.items()}
 
 
 def write_results(records, path, format: str = "csv", config_echo: dict | None = None):

@@ -238,11 +238,9 @@ class TestCompare:
         trained = []
         real_train = sim._train_one
 
-        def train(state, cfg, acfg, client_id, seed):
-            attacked = client_id < cfg.malicious_count and acfg.kind != "none"
-            trained.append((state.round, state.global_params.tobytes(), client_id,
-                            acfg if attacked else None))
-            return real_train(state, cfg, acfg, client_id, seed)
+        def train(state, cfg, attack, client_id, seed):
+            trained.append((state.round, state.global_params.tobytes(), client_id, attack))
+            return real_train(state, cfg, attack, client_id, seed)
 
         monkeypatch.setattr(sim, "_train_one", train)
         # 4 clients a round: krum_f=0 keeps Multi-Krum within k >= 2f + 3
@@ -277,11 +275,10 @@ class TestCompare:
         fail_at = {"data_poison": 4, "model_replacement": 2}
         real_train = sim._train_one
 
-        def train(state, cfg, acfg, client_id, seed):
-            if (client_id < cfg.malicious_count
-                    and fail_at.get(cfg.attack.kind) == state.round):
+        def train(state, cfg, attack, client_id, seed):
+            if attack is not None and fail_at.get(attack.kind) == state.round:
                 raise NonFiniteUpdateError(state.round, client_id)
-            return real_train(state, cfg, acfg, client_id, seed)
+            return real_train(state, cfg, attack, client_id, seed)
 
         monkeypatch.setattr(sim, "_train_one", train)
         code = main(["compare", "--config", str(tiny_cfg), "--out", str(tmp_path),
@@ -379,6 +376,21 @@ class TestValidateConfig:
         cfg.write_text("rounds = many\n")
         assert main(["validate-config", "--config", str(cfg)]) == 2
         assert "rounds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,overrides,message", [
+        (b"\xff\xfe rounds = 3\n", [], "cannot read config {path}: 'utf-8' codec can't decode"),
+        (b"rounds = 3\nrounds 4  # no equals sign\n", [],
+         "{path}:2: expected key = value, got 'rounds 4'"),
+        (b"rounds = 3\n", ["--set", "rounds"], "override: expected key = value, got 'rounds'"),
+    ], ids=["not-utf8", "line-without-equals", "set-without-equals"])
+    def test_unreadable_or_malformed_input_exit_2(self, tmp_path, capsys, text, overrides,
+                                                  message):
+        cfg = tmp_path / "in.cfg"
+        cfg.write_bytes(text)
+        assert main(["validate-config", "--config", str(cfg), *overrides]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: " + message.format(path=cfg))
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize(
         "key,value",

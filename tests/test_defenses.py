@@ -29,6 +29,7 @@ from fedsim.defenses import (
 from fedsim.errors import (
     ConfigError,
     DegenerateCentroidError,
+    DimensionMismatchError,
     EmptySetError,
     FedsimError,
     NonFiniteAggregateError,
@@ -458,6 +459,13 @@ class TestAggregateDispatch:
     def test_empty_input_raises_empty_set_error(self, kind):
         with pytest.raises(EmptySetError):
             aggregate([], DefenseConfig(kind=kind))
+
+    @pytest.mark.parametrize("kind", DEFENSE_KINDS)
+    def test_deltas_of_different_lengths_raise_dimension_mismatch(self, kind):
+        ups = _updates([[1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0]], ids=[4, 2, 9])
+        # the message names the first client, in id order, that differs from the lowest id's
+        with pytest.raises(DimensionMismatchError, match="^client 4 delta has dim 2, expected 3$"):
+            aggregate(ups, DefenseConfig(kind=kind))
 
     @pytest.mark.parametrize("kind,read_only", [
         pytest.param(kind, read_only, id=kind + ("-read_only" if read_only else ""))

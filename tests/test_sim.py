@@ -314,9 +314,9 @@ class TestSharedState:
         cfg = small_config(malicious=3, attack="model_replacement", force_c=1)
         state = build_state(cfg)
         arrays = _state_arrays(state)
-        # a trained update may be handed to several runs
-        arrays += [sim._train_one(state, cfg, sim._resolve_attack(cfg), i, 11).delta
-                   for i in (0, 5)]
+        # a trained update, an attacker's or an honest one, may be handed to several runs
+        arrays += [sim._train_one(state, cfg, attack, i, 11).delta
+                   for i, attack in ((0, sim._resolve_attack(cfg)), (5, None))]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
@@ -346,6 +346,19 @@ class TestSharedState:
         assert built == [cfgs[0]]
         # the runs sample alike, so each round is planned once, not once per run
         assert planned == list(range(1, base.rounds + 1))
+
+    def test_runs_of_different_lengths_equal_fresh_runs(self):
+        base = small_config(defense="faros", malicious=3, attack="model_replacement",
+                            accept_count=3, core_size=2, force_c=1)
+        # a run that ends early sits before, between and after longer ones
+        cfgs = [dataclasses.replace(base, rounds=rounds, eval_every=every)
+                for rounds, every in [(2, 1), (5, 2), (3, 1), (4, 4), (1, 1)]]
+        runs, error = run_simulations(cfgs)
+        assert error is None
+        for cfg, run in zip(cfgs, runs):
+            assert [r.round for r in run] == list(range(cfg.eval_every, cfg.rounds + 1,
+                                                        cfg.eval_every))
+            assert [_no_wall(r) for r in run] == [_no_wall(r) for r in run_simulation(cfg)]
 
     @pytest.mark.parametrize("section,name,value", [
         ("data", "class_sep", 5.0), ("model", "hidden_dim", 4),
@@ -412,8 +425,8 @@ class TestSharedState:
             real = getattr(sim, fn)
             monkeypatch.setattr(sim, fn, lambda *a, real=real, fn=fn: sampled.append(fn) or real(*a))
         real_train = sim._train_one
-        monkeypatch.setattr(sim, "_train_one", lambda state, cfg, acfg, i, seed:
-                            seen.append((i, seed)) or real_train(state, cfg, acfg, i, seed))
+        monkeypatch.setattr(sim, "_train_one", lambda state, cfg, attack, i, seed:
+                            seen.append((i, seed)) or real_train(state, cfg, attack, i, seed))
         memo = {}
         for name in ("forced", "free", "forced"):
             _, rec = run_round(state, cfgs[name], memo)
