@@ -5,8 +5,11 @@ model replacement (boosted updates), constrain-and-scale (stealth-regularized
 training), and edge-case PGD (tail-data backdoor with norm-ball projection).
 Every trainer here runs ``model.sgd`` on a ``data.Samples``: constrain-and-scale
 mixes a stealth gradient into each step, edge-case PGD projects after each
-epoch. Attackers collude only through a shared config and trigger; every
-routine is a pure function of its arguments.
+epoch. Like ``sgd``, each trainer takes one global model, shape (P,), or a
+stack of G of them, shape (G, P), and returns the same shape; every hook acts
+on each row against that row's own global model, so a row of a stack equals
+the one-model result bit for bit. Attackers collude only through a shared
+config and trigger; every routine is a pure function of its arguments.
 """
 
 from dataclasses import dataclass, field
@@ -46,7 +49,8 @@ class AttackConfig:
 
 
 def model_replacement(local_params, global_params, boost: float) -> np.ndarray:
-    """Amplify a local update: global + boost * (local - global)."""
+    """Amplify a local update: global + boost * (local - global), elementwise, so
+    row by row for (G, P) stacks."""
     local_params = np.asarray(local_params, dtype=np.float64)
     global_params = np.asarray(global_params, dtype=np.float64)
     if local_params.shape != global_params.shape:
@@ -57,16 +61,20 @@ def model_replacement(local_params, global_params, boost: float) -> np.ndarray:
 
 
 def pgd_project(params, center, radius: float) -> np.ndarray:
-    """Project ``params`` onto the L2 ball of ``radius`` around ``center``."""
+    """Project ``params`` onto the L2 ball of ``radius`` around ``center``; a
+    (G, P) stack row by row, each row onto the ball around its row of ``center``."""
     params = np.asarray(params, dtype=np.float64)
     center = np.asarray(center, dtype=np.float64)
     if params.shape != center.shape:
         raise DimensionMismatchError(f"dim mismatch: {params.size} vs {center.size}")
-    diff = params - center
-    norm = float(np.linalg.norm(diff))
-    if norm <= radius:
-        return params
-    return center + (radius / norm) * diff
+    out = params.copy()
+    for row, c in zip(np.atleast_2d(out), np.atleast_2d(center)):
+        diff = row - c
+        norm = float(np.linalg.norm(diff))
+        # a NaN norm projects too, to NaN
+        if not norm <= radius:
+            row[:] = c + (radius / norm) * diff
+    return out
 
 
 def cosine_loss_and_grad(params, global_params) -> tuple[float, np.ndarray]:
@@ -95,17 +103,25 @@ def constrain_and_scale_train(
 
     alpha = 0 and an all-zero global model (where the stealth term is
     undefined) give plain poisoned training bit-for-bit; alpha = 1
-    descends the stealth term alone.
+    descends the stealth term alone. In a (G, P) stack each row mixes in
+    the stealth term against its own global model, and an all-zero row
+    trains plain.
     """
     check_in("[0, 1]", "alpha", alpha)
     global_params = np.asarray(global_params, dtype=np.float64)
+    # each row a fresh array, so a BLAS dot that aligns its operands first
+    # sees what it sees for one model alone
+    centers = [center.copy() for center in np.atleast_2d(global_params)]
+    mixed = [g for g, center in enumerate(centers) if np.any(center)] if alpha else []
 
-    def stealth(params, g_class):
-        _, g_cos = cosine_loss_and_grad(params, global_params)
-        return (1.0 - alpha) * g_class + alpha * g_cos
+    def stealth(params, grad):
+        for g in mixed:
+            _, g_cos = cosine_loss_and_grad(params[g].copy(), centers[g])
+            grad[g] = (1.0 - alpha) * grad[g] + alpha * g_cos
+        return grad
 
     return sgd(global_params, spec, poisoned_data.x, poisoned_data.y, tspec,
-               step=stealth if alpha and np.any(global_params) else None)
+               step=stealth if mixed else None)
 
 
 def _edge_source_label(local_data: Samples, target_label: int) -> int:
@@ -126,7 +142,8 @@ def edge_case_pgd_train(
     data; its triggered copies are appended after the local rows. After
     every epoch the params are projected back into the L2 ball of
     ``pgd_radius`` around the global model, so the returned model always
-    lies within that ball.
+    lies within that ball; in a (G, P) stack each row is projected onto the
+    ball around its own global model.
     """
     source = _edge_source_label(local_data, acfg.trigger.target_label)
     pool = edge_case_pool(local_data, source, acfg.edge_fraction)
@@ -134,17 +151,20 @@ def edge_case_pgd_train(
     target = np.full(len(pool), acfg.trigger.target_label, dtype=np.intp)
     y = np.concatenate([local_data.y, target])
     global_params = np.asarray(global_params, dtype=np.float64)
+    centers = np.atleast_2d(global_params)
     return sgd(global_params, spec, x, y, tspec,
-               end_epoch=lambda params: pgd_project(params, global_params, acfg.pgd_radius))
+               end_epoch=lambda params: pgd_project(params, centers, acfg.pgd_radius))
 
 
 def malicious_local_train(
     global_params, spec: ModelSpec, local_data: Samples, tspec: TrainSpec, acfg: AttackConfig
 ) -> np.ndarray:
-    """Dispatch local training by attack kind.
+    """Dispatch local training by attack kind, for one global model (P,) or a
+    stack (G, P).
 
     ``none`` is byte-identical to honest training. The poisoning kinds
-    train on a seeded poisoned copy of the local data (``poison_dataset``).
+    train on a seeded poisoned copy of the local data (``poison_dataset``),
+    made once for the whole stack.
     """
     if acfg.kind == "none":
         return local_train(global_params, spec, local_data, tspec)

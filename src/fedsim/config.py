@@ -135,10 +135,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
 
 
 def load_config_file(path) -> dict:
-    """Parse the UTF-8 config file at ``path``; a file that cannot be read or
-    decoded raises ConfigError."""
+    """Parse the UTF-8 config file at ``path``, skipping a leading byte-order
+    mark; a file that cannot be read or decoded raises ConfigError."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             text = f.read()
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e

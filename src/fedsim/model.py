@@ -5,7 +5,9 @@ two: one layer (hidden_dim == 0) is softmax regression, two are a
 one-hidden-layer MLP. Its parameters are one flat float64 vector, so the
 aggregation rules treat every model alike. Datasets are ``data.Samples``, and
 every client, honest or malicious, trains through ``sgd``: the attacks change
-only its per-batch gradient or its per-epoch params, through two hooks. Its
+only its per-batch gradient or its per-epoch params, through two hooks.
+``sgd`` trains one model or a (G, P) stack of models on the same rows, each
+row bit for bit as it would train alone. Its
 epoch orders, and the simulator's client samples, come from ``philox``: each
 thread keeps one Philox generator and re-keys it per call, so a returned
 stream is valid until the next ``philox`` call on the same thread, and no two
@@ -79,45 +81,59 @@ def init_params(spec: ModelSpec, seed: int) -> np.ndarray:
 
 
 def _forward(params: np.ndarray, spec: ModelSpec, x: np.ndarray):
-    """Logits of the rows ``x``, shape (n, input_dim), and each layer's (weights, input)."""
-    if params.size != spec.param_count():
-        raise DimensionMismatchError(f"params have dim {params.size}, spec needs "
-                                     f"{spec.param_count()}")
-    trace, end = [], 0
+    """Logits of the rows ``x``, shape (n, input_dim), under each model of the
+    stack ``params``, shape (G, P): shape (G, n, num_classes); and each
+    layer's (weights, input), weights shape (G, fan_out, fan_in).
+
+    Every product is one stacked ``np.matmul``, whose slices equal the 2-D
+    products of one model bit for bit, so row g of the logits does not
+    depend on the other rows.
+    """
+    if params.ndim != 2 or params.shape[1] != spec.param_count():
+        raise DimensionMismatchError(f"params have shape {params.shape}, spec needs "
+                                     f"(G, {spec.param_count()})")
+    g, trace, end = len(params), [], 0
     for fan_out, fan_in in spec.layers:
         if trace:
             x = np.maximum(x, 0.0)
         start, end = end, end + fan_out * fan_in
-        w = params[start:end].reshape(fan_out, fan_in)
+        w = params[:, start:end].reshape(g, fan_out, fan_in)
         trace.append((w, x))
-        x = x @ w.T + params[end : end + fan_out]
+        x = np.matmul(x, w.transpose(0, 2, 1))
+        x += params[:, None, end : end + fan_out]
         end += fan_out
     return x, trace
 
 
 def _log_softmax_grad(params, spec, x, y):
-    """Log-softmax of the logits of rows ``x``, and the mean cross-entropy gradient for ``y``."""
-    z, trace = _forward(params, spec, x)
-    zs = z - z.max(axis=1, keepdims=True)
-    log_probs = zs - np.log(np.exp(zs).sum(axis=1))[:, None]
+    """Log-softmax of the logits of rows ``x`` under each model of the stack
+    ``params``, and each model's mean cross-entropy gradient for ``y``: shapes
+    (G, n, num_classes) and (G, P)."""
+    # in place on the fresh logits, the same operations as out of place
+    log_probs, trace = _forward(params, spec, x)
+    log_probs -= log_probs.max(axis=2, keepdims=True)
+    log_probs -= np.log(np.exp(log_probs).sum(axis=2, keepdims=True))
     g = np.exp(log_probs)
-    g[np.arange(len(g)), y] -= 1.0
-    g /= len(g)
+    n = g.shape[1]
+    g[:, np.arange(n), y] -= 1.0
+    g /= n
     grads = []
     for w, inp in trace[:0:-1]:  # the layers after the first, last to first
-        grads += (g.sum(axis=0), (g.T @ inp).ravel())
+        grads += (g.sum(axis=1), (g.transpose(0, 2, 1) @ inp).reshape(len(g), -1))
+        g = g @ w
         # relu(pre) > 0 exactly where pre > 0; the subgradient at 0 is 0
-        g = (g @ w) * (inp > 0.0)
-    grads += (g.sum(axis=0), (g.T @ x).ravel())
-    return log_probs, np.concatenate(grads[::-1])
+        g *= inp > 0.0
+    grads += (g.sum(axis=1), (g.transpose(0, 2, 1) @ x).reshape(len(g), -1))
+    return log_probs, np.concatenate(grads[::-1], axis=1)
 
 
 def loss_and_grad(params: np.ndarray, spec: ModelSpec, batch: Samples) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the rows of ``batch`` and its exact analytic gradient."""
     if not len(batch):
         raise EmptySetError("loss over an empty batch")
-    log_probs, grad = _log_softmax_grad(np.asarray(params, np.float64), spec, batch.x, batch.y)
-    return float(np.mean(-log_probs[np.arange(len(batch)), batch.y])), grad
+    params = np.asarray(params, np.float64)[None]
+    log_probs, grad = _log_softmax_grad(params, spec, batch.x, batch.y)
+    return float(np.mean(-log_probs[0, np.arange(len(batch)), batch.y])), grad[0]
 
 
 class _Stream(threading.local):
@@ -156,19 +172,27 @@ def philox(seed: int, counter: int) -> np.random.Generator:
 def sgd(params, spec: ModelSpec, x, y, tspec: TrainSpec, step=None, end_epoch=None) -> np.ndarray:
     """Mini-batch SGD on the rows ``x``, labels ``y`` from ``params``; the final params.
 
+    ``params`` is one model, shape (P,), or a stack of G models, shape
+    (G, P); the result has the same shape. Every model of a stack trains on
+    the same rows in the same order, and its row of the result equals, bit
+    for bit, a ``(P,)`` call from that row alone.
+
     Epoch ``e`` walks ``philox(tspec.seed, e).permutation(n)`` ``batch_size``
     rows at a time and steps ``params - learning_rate * grad``, with ``grad``
     the cross-entropy gradient on those rows. ``step(params, grad)``, if
     given, replaces each batch's gradient before the step; ``end_epoch(params)``,
-    if given, maps the params after each epoch. Each epoch's order is drawn
-    in full before the steps, so the re-keyed stream is used up before the
-    next ``philox`` call; repeated calls, on any thread, are bit-identical.
-    Only the gradient is computed on a step, never the loss.
+    if given, maps the params after each epoch. Both hooks get and return
+    (G, P) stacks, a single model as a stack of one, and act on each row
+    alone. Each epoch's order is drawn in full before the steps, so the
+    re-keyed stream is used up before the next ``philox`` call; repeated
+    calls, on any thread, are bit-identical. Only the gradient is computed
+    on a step, never the loss.
     """
     n = x.shape[0]
     if not n:
         raise EmptySetError("cannot train on an empty dataset")
-    params = np.array(params, dtype=np.float64, copy=True)
+    single = np.ndim(params) == 1
+    params = np.array(params, dtype=np.float64, ndmin=2, copy=True)
     for epoch in range(tspec.local_epochs):
         order = philox(tspec.seed, epoch).permutation(n)
         for start in range(0, n, tspec.batch_size):
@@ -179,13 +203,14 @@ def sgd(params, spec: ModelSpec, x, y, tspec: TrainSpec, step=None, end_epoch=No
             params = params - tspec.learning_rate * grad
         if end_epoch is not None:
             params = end_epoch(params)
-    return params
+    return params[0] if single else params
 
 
 def local_train(
     global_params: np.ndarray, spec: ModelSpec, dataset: Samples, tspec: TrainSpec
 ) -> np.ndarray:
-    """Honest local training: ``sgd`` on ``dataset`` from ``global_params``."""
+    """Honest local training: ``sgd`` on ``dataset`` from ``global_params``, one
+    model (P,) or a stack (G, P) trained row by row."""
     return sgd(global_params, spec, dataset.x, dataset.y, tspec)
 
 
@@ -196,7 +221,7 @@ def accuracy(params: np.ndarray, spec: ModelSpec, x: np.ndarray, labels) -> floa
     for the attack success rate). The prediction is the argmax class; ties
     break to the lowest class index (numpy argmax takes the first max).
     """
-    logits = _forward(np.asarray(params, dtype=np.float64), spec, x)[0]
+    logits = _forward(np.asarray(params, dtype=np.float64)[None], spec, x)[0][0]
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 

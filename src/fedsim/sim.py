@@ -26,7 +26,7 @@ from .errors import ConfigError, FedsimError, NonFiniteUpdateError, bounded, che
 from .model import ModelSpec, TrainSpec, accuracy, init_params, local_train, philox
 
 # Elements in the largest array the blob draw or the model may build (512 MiB
-# of float64); see SimConfig.
+# of float64); see SimConfig. It also bounds a training stack (_train_round).
 MAX_DATA_ELEMENTS = 2**26
 
 # Seed-stream tags (see _derive_seed).
@@ -287,44 +287,95 @@ def _round_plan(state: SimState, cfg: SimConfig, memo: dict) -> list[tuple[int, 
     return plan
 
 
-def _train_one(state: SimState, cfg: SimConfig, attack: AttackConfig | None, client_id: int,
-               seed: int):
-    """Client ``client_id``'s update: honest training if ``attack`` is None, else ``attack``'s."""
+def _train_group(state: SimState, cfg: SimConfig, attack: AttackConfig | None, client_id: int,
+                 seed: int, global_params: np.ndarray) -> np.ndarray:
+    """Client ``client_id``'s deltas from each global model of the (G, P) stack
+    ``global_params``: honest training if ``attack`` is None, else ``attack``'s.
+
+    The one training path: the models train as one stack, each row exactly
+    as it would alone. The (G, P) result is read-only, because a memo may
+    hand its rows to several runs; non-finite rows are left for the run that
+    takes them to report.
+    """
     data = state.clients[client_id]
     tspec = replace(cfg.train, seed=seed)
     if attack is None:
-        params = local_train(state.global_params, cfg.model, data, tspec)
+        params = local_train(global_params, cfg.model, data, tspec)
     else:
-        params = malicious_local_train(state.global_params, cfg.model, data, tspec, attack)
-    delta = params - state.global_params
-    if not np.isfinite(delta).all():
-        raise NonFiniteUpdateError(state.round, client_id)
-    # a memo may hand this update to several runs: a write must raise, not leak
-    delta.flags.writeable = False
-    return ClientUpdate(client_id, delta)
+        params = malicious_local_train(global_params, cfg.model, data, tspec, attack)
+    deltas = params - global_params
+    deltas.flags.writeable = False
+    return deltas
 
 
-def _train_clients(state: SimState, cfg: SimConfig, acfg: AttackConfig | None, plan, memo):
-    """Each planned client's update, trained once per distinct input in ``memo``.
+def _inputs(cfg: SimConfig, acfg: AttackConfig | None, plan, memo):
+    """``(client_id, seed, attack, trained)`` for each planned client.
 
     The one place that decides how a client trains: ``attack`` is ``acfg``
     for a roster member and None, honest training, for the others.
-    ``memo[(global bytes, cfg.train, cfg.model, attack)][(client_id, seed)]``
-    is an update. With the client's rows, which the runs sharing a memo
-    share through one state, that is all ``_train_one`` reads.
+    ``trained`` is the client's table ``memo[(cfg.train, cfg.model,
+    attack)][(client_id, seed)]``, which maps a global model's bytes to the
+    client's delta from it. With the client's rows, which the runs sharing a
+    memo share through one state, that is all ``_train_group`` reads.
     """
-    head = (state.global_params.tobytes(), cfg.train, cfg.model)
+    head = (cfg.train, cfg.model)
     # under attack none (acfg None) both are the one honest table
     honest = memo.setdefault((*head, None), {})
     attacked = memo.setdefault((*head, acfg), {})
-    updates = []
     for i, seed in plan:
-        attack, trained = (acfg, attacked) if i < cfg.malicious_count else (None, honest)
-        update = trained.get((i, seed))
-        if update is None:
-            update = trained[i, seed] = _train_one(state, cfg, attack, i, seed)
-        updates.append(update)
+        attack, table = (acfg, attacked) if i < cfg.malicious_count else (None, honest)
+        yield i, seed, attack, table.setdefault((i, seed), {})
+
+
+def _train_clients(state: SimState, cfg: SimConfig, acfg: AttackConfig | None, plan, memo):
+    """Each planned client's update, taken from ``memo`` or, on a miss, trained
+    alone (a stack of one) and put there.
+
+    A non-finite delta raises :class:`NonFiniteUpdateError` here, where the
+    run takes it, so each run reports its own divergence.
+    """
+    key = state.global_params.tobytes()
+    updates = []
+    for i, seed, attack, trained in _inputs(cfg, acfg, plan, memo):
+        delta = trained.get(key)
+        if delta is None:
+            delta = trained[key] = _train_group(state, cfg, attack, i, seed,
+                                                state.global_params[None])[0]
+        try:
+            updates.append(ClientUpdate(i, delta))
+        except ValueError as e:  # ClientUpdate's one check: a NaN or Inf entry
+            raise NonFiniteUpdateError(state.round, i) from e
     return updates
+
+
+def _train_round(states: list[SimState], cfgs: list[SimConfig], memo: dict):
+    """Fill ``memo`` with every update the runs will take this round.
+
+    Each (client, seed, training config, attack) input trains once, over
+    the stack of the distinct global models of the runs that need it, in
+    slices of at most ``MAX_DATA_ELEMENTS`` elements of rows x params. A
+    group whose training raises a :class:`FedsimError` is left out: each
+    run that needs it trains it alone and raises the error itself, in
+    run order.
+    """
+    groups = {}  # per client table in the memo: its input and the models to train from
+    for state, cfg in zip(states, cfgs):
+        key = state.global_params.tobytes()
+        plan = _round_plan(state, cfg, memo)
+        for i, seed, attack, trained in _inputs(cfg, _resolve_attack(cfg), plan, memo):
+            *_, models = groups.setdefault(id(trained), (state, cfg, attack, i, seed, trained, {}))
+            models.setdefault(key, state.global_params)
+    for state, cfg, attack, i, seed, trained, models in groups.values():
+        keys = list(models)
+        step = max(1, MAX_DATA_ELEMENTS // (len(state.clients[i]) * cfg.model.param_count()))
+        for at in range(0, len(keys), step):
+            chunk = keys[at : at + step]
+            try:
+                deltas = _train_group(state, cfg, attack, i, seed,
+                                      np.stack([models[k] for k in chunk]))
+            except FedsimError:
+                break
+            trained.update(zip(chunk, deltas))
 
 
 def run_round(
@@ -341,7 +392,9 @@ def run_round(
     ``memo`` lets the runs of one round that share a state reuse each
     other's plan (``_round_plan``) and client updates (``_train_clients``);
     it must live for one round only. Without it the round starts an empty
-    one of its own.
+    one of its own. A client whose update is not in the memo trains here;
+    under :func:`run_simulations` with several runs, ``_train_round`` has
+    trained them all before, and ``wall_ms`` leaves that training out.
     """
     t0 = time.perf_counter()
     r = state.round
@@ -349,7 +402,7 @@ def run_round(
     plan = _round_plan(state, cfg, memo)
     ids = [i for i, _ in plan]
     acfg = _resolve_attack(cfg)
-    # a diverging client overflows inside numpy; _train_one reports it
+    # a diverging client overflows inside numpy; _train_clients reports it
     with np.errstate(over="ignore", invalid="ignore"):
         updates = _train_clients(state, cfg, acfg, plan, memo)
 
@@ -396,9 +449,10 @@ def run_simulations(cfgs: list[SimConfig]) -> tuple[list[list[RoundRecord]], Fed
     The state is built once, from ``cfgs[0]``; an empty or invalid
     ``cfgs`` raises :class:`ConfigError`, as does a config that differs from
     ``cfgs[0]`` in a field that :func:`build_state` reads (``_shared``).
-    Within a round, each sampling config is planned once and byte-equal
-    client inputs train once (``run_round``'s memo); each run's records
-    equal those of a run alone.
+    Within a round, each sampling config is planned once, and each client
+    input trains once over the stack of the distinct global models that
+    need it (``_train_round``) before the runs take their updates from the
+    round's memo; each run's records equal those of a run alone.
 
     Returns the evaluated rounds of each run before the first, in order, to
     raise a :class:`FedsimError`, and that error (None if none did): the
@@ -415,10 +469,12 @@ def run_simulations(cfgs: list[SimConfig]) -> tuple[list[list[RoundRecord]], Fed
     live, error = len(cfgs), None
     for step in range(max(cfg.rounds for cfg in cfgs)):
         memo = {}
-        for j in range(live):
+        due = [j for j in range(live) if step < cfgs[j].rounds]
+        if len(due) > 1:
+            with np.errstate(over="ignore", invalid="ignore"):
+                _train_round([states[j] for j in due], [cfgs[j] for j in due], memo)
+        for j in due:
             cfg = cfgs[j]
-            if step >= cfg.rounds:
-                continue
             r = states[j].round
             try:
                 states[j], record = run_round(states[j], cfg, memo)

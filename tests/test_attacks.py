@@ -342,3 +342,46 @@ class TestArrayInput:
         empty = Samples(np.empty((0, SPEC.input_dim)), np.empty(0))
         with pytest.raises(EmptySetError):
             constrain_and_scale_train(init_params(SPEC, 0), SPEC, empty, _tspec(), 0.5)
+
+
+class TestStackedTraining:
+    """A (G, P) stack trains each row exactly as that row alone, hooks included."""
+
+    @staticmethod
+    def _globals(spec, data):
+        # a fresh model, an all-zero one (constrain-and-scale trains it plain),
+        # a model already fitted to the data (small updates) and a random one
+        start = init_params(spec, 1)
+        fitted = local_train(start, spec, data, _tspec(local_epochs=40, batch_size=64, seed=2))
+        rng = np.random.default_rng(3)
+        return np.stack([start, np.zeros(spec.param_count()), fitted,
+                         rng.normal(scale=0.5, size=spec.param_count())])
+
+    @pytest.mark.parametrize("batch_size", [16, 64], ids=["batch_below_n", "batch_above_n"])
+    @pytest.mark.parametrize("spec", [SPEC, ModelSpec(8, 4, hidden_dim=5)], ids=["softmax", "mlp"])
+    @pytest.mark.parametrize("kind", ["honest", *ATTACK_KINDS[1:]])
+    def test_each_row_equals_training_it_alone(self, kind, spec, batch_size):
+        data = _local_data(25)
+        assert 16 < len(data) <= 64
+        tspec = _tspec(batch_size=batch_size)
+        starts = self._globals(spec, data)
+        acfg = AttackConfig(kind=kind if kind != "honest" else "none", trigger=TRIGGER,
+                            poison_rate=0.6, boost=3.0, alpha=0.5, edge_fraction=0.4)
+
+        def train(global_params, acfg=acfg):
+            if kind == "honest":
+                return local_train(global_params, spec, data, tspec)
+            return malicious_local_train(global_params, spec, data, tspec, acfg)
+
+        if kind == "edge_case_pgd":
+            # a radius that the fitted model's updates stay inside and the fresh
+            # model's leave, so the stack holds a projected and an unprojected row
+            free = replace(acfg, pgd_radius=math.inf)
+            fresh, fitted = (np.linalg.norm(train(starts[g], free) - starts[g]) for g in (0, 2))
+            acfg = replace(acfg, pgd_radius=math.sqrt(fresh * fitted))
+            assert train(starts[2], acfg).tobytes() == train(starts[2], free).tobytes()
+            assert train(starts[0], acfg).tobytes() != train(starts[0], free).tobytes()
+        stacked_rows = train(starts, acfg)
+        assert stacked_rows.shape == starts.shape
+        for row, start in zip(stacked_rows, starts, strict=True):
+            assert row.tobytes() == train(start, acfg).tobytes()

@@ -5,12 +5,12 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fedsim import sim
 from fedsim.cli import main
 from fedsim.config import build_config, load_config_file
-from fedsim.errors import NonFiniteUpdateError
 
 REPO = Path(__file__).resolve().parent.parent
 REPO_CONFIGS = REPO / "configs"
@@ -234,15 +234,17 @@ class TestCompare:
         built = []
         real_build = sim.build_state
         monkeypatch.setattr(sim, "build_state", lambda cfg: built.append(cfg) or real_build(cfg))
-        # every training's (round, global bytes, client, attack-or-None) input
-        trained = []
-        real_train = sim._train_one
+        # every trained row's (round, global bytes, client, attack-or-None) input,
+        # and the number of stacks the rows came in
+        trained, stacks = [], []
+        real_train = sim._train_group
 
-        def train(state, cfg, attack, client_id, seed):
-            trained.append((state.round, state.global_params.tobytes(), client_id, attack))
-            return real_train(state, cfg, attack, client_id, seed)
+        def train(state, cfg, attack, client_id, seed, global_params):
+            trained.extend((state.round, g.tobytes(), client_id, attack) for g in global_params)
+            stacks.append(len(global_params))
+            return real_train(state, cfg, attack, client_id, seed, global_params)
 
-        monkeypatch.setattr(sim, "_train_one", train)
+        monkeypatch.setattr(sim, "_train_group", train)
         # 4 clients a round: krum_f=0 keeps Multi-Krum within k >= 2f + 3
         code = main(["compare", "--config", str(tiny_cfg), "--out", str(tmp_path),
                      "--set", "defense.krum_f=0",
@@ -252,8 +254,9 @@ class TestCompare:
         assert len(built) == 1
         rows = (tmp_path / "compare_matrix.csv").read_text().splitlines()[1:]
         assert len(rows) == 25
-        shared = list(trained)
+        shared, shared_stacks = list(trained), list(stacks)
         trained.clear()
+        stacks.clear()
         monkeypatch.setattr(sim, "build_state", real_build)
         raw = {**load_config_file(tiny_cfg), "defense.krum_f": "0"}
         for row in rows:
@@ -261,10 +264,12 @@ class TestCompare:
             cell = build_config({**raw, "attack.kind": attack, "defense.kind": defense}).sim
             summary = sim.summarize(sim.run_simulation(cell))
             assert (acc, asr) == (f"{summary['final_acc']:.9g}", f"{summary['final_asr']:.9g}")
-        # compare trains each distinct input of the 25 fresh runs once a round
-        assert len(trained) == 25 * 5 * 4
+        # compare trains each distinct input of the 25 fresh runs once a round,
+        # as rows of stacks; a run alone trains stacks of one
+        assert len(trained) == 25 * 5 * 4 == len(stacks) and set(stacks) == {1}
         assert len(shared) == len(set(trained)) < len(trained)
         assert set(shared) == set(trained)
+        assert len(shared_stacks) < len(shared) and max(shared_stacks) > 1
 
     def test_first_failed_cell_in_order_is_reported(self, tiny_cfg, tmp_path, monkeypatch,
                                                     capsys):
@@ -273,14 +278,15 @@ class TestCompare:
         # and model_replacement's, which comes later in order, at round 2.
         # constrain_and_scale, first in order, finishes.
         fail_at = {"data_poison": 4, "model_replacement": 2}
-        real_train = sim._train_one
+        real_train = sim._train_group
 
-        def train(state, cfg, attack, client_id, seed):
+        def train(state, cfg, attack, client_id, seed, global_params):
+            deltas = real_train(state, cfg, attack, client_id, seed, global_params)
             if attack is not None and fail_at.get(attack.kind) == state.round:
-                raise NonFiniteUpdateError(state.round, client_id)
-            return real_train(state, cfg, attack, client_id, seed)
+                deltas = np.full_like(deltas, np.nan)
+            return deltas
 
-        monkeypatch.setattr(sim, "_train_one", train)
+        monkeypatch.setattr(sim, "_train_group", train)
         code = main(["compare", "--config", str(tiny_cfg), "--out", str(tmp_path),
                      "--set", "compare.attacks=constrain_and_scale,data_poison,model_replacement",
                      "--set", "compare.defenses=fedavg"])
@@ -288,6 +294,38 @@ class TestCompare:
         out, err = capsys.readouterr()
         assert [line.split(":")[0] for line in out.splitlines()] == ["constrain_and_scale vs fedavg"]
         assert "round 4" in err and "round 2" not in err
+        assert not (tmp_path / "compare_matrix.csv").exists()
+
+    def test_one_diverging_row_of_a_shared_stack_fails_only_its_cell(
+            self, tiny_cfg, tmp_path, monkeypatch, capsys):
+        # From round 2 the faros and fedavg cells hold different global models,
+        # so each client trains as one stack of two rows, faros's first. At
+        # round 3 only fedavg's rows diverge: fedavg fails at its first client,
+        # and faros, before it in order, keeps the records of a run alone.
+        real_train = sim._train_group
+
+        def train(state, cfg, attack, client_id, seed, global_params):
+            deltas = real_train(state, cfg, attack, client_id, seed, global_params)
+            if state.round == 3:
+                assert len(global_params) == 2
+                deltas = deltas.copy()
+                deltas[1] = np.inf
+            return deltas
+
+        monkeypatch.setattr(sim, "_train_group", train)
+        code = main(["compare", "--config", str(tiny_cfg), "--out", str(tmp_path),
+                     "--set", "compare.attacks=data_poison",
+                     "--set", "compare.defenses=faros,fedavg"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        monkeypatch.setattr(sim, "_train_group", real_train)
+        cell = build_config({**load_config_file(tiny_cfg), "attack.kind": "data_poison",
+                             "defense.kind": "faros"}).sim
+        summary = sim.summarize(sim.run_simulation(cell))
+        assert out.splitlines() == [f"data_poison vs faros: acc={summary['final_acc']:.9g} "
+                                    f"asr={summary['final_asr']:.9g}"]
+        first = sim._sample_forced(cell, 3)[0]
+        assert f"round 3, client {first}" in err
         assert not (tmp_path / "compare_matrix.csv").exists()
 
     @pytest.mark.parametrize("key", ["compare.attacks", "compare.defenses"])
@@ -376,6 +414,14 @@ class TestValidateConfig:
         cfg.write_text("rounds = many\n")
         assert main(["validate-config", "--config", str(cfg)]) == 2
         assert "rounds" in capsys.readouterr().err
+
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        # some editors save UTF-8 with a leading byte-order mark
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfrounds = 3\n")
+        assert main(["validate-config", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().out.startswith("ok: 1 keys")
+        assert load_config_file(cfg) == {"rounds": "3"}
 
     @pytest.mark.parametrize("text,overrides,message", [
         (b"\xff\xfe rounds = 3\n", [], "cannot read config {path}: 'utf-8' codec can't decode"),

@@ -105,8 +105,12 @@ class TestFlatteningOrder:
     def test_forward_reads_the_documented_slices(self, spec):
         # integer params and inputs keep every logit exact, whatever the summation order
         params = np.arange(spec.param_count(), dtype=float)
+        stack = np.stack([params, params[::-1]])
         x = np.random.default_rng(0).integers(-3, 4, size=(7, spec.input_dim)).astype(float)
-        assert np.array_equal(_forward(params, spec, x)[0], _documented_logits(params, spec, x))
+        logits = _forward(stack, spec, x)[0]
+        assert logits.shape == (2, 7, spec.num_classes)
+        for row, p in zip(logits, stack, strict=True):
+            assert np.array_equal(row, _documented_logits(p, spec, x))
 
 
 class TestLossAndGrad:
@@ -247,7 +251,7 @@ class TestEvaluate:
         params = init_params(spec, 2)
         x = np.stack([e.features for e in ds])
         y = np.array([e.label for e in ds])
-        preds = np.array([np.argmax(_forward(params, spec, row[None])[0]) for row in x])
+        preds = np.array([np.argmax(_forward(params[None], spec, row[None])[0]) for row in x])
         assert evaluate_acc(params, spec, ds) == accuracy(params, spec, x, y) == np.mean(preds == y)
         t = TriggerSpec((0,), (6.0,), 1)
         eligible = y != 1

@@ -1,5 +1,6 @@
 """Records are portable across BLAS kernels: a run under another OpenBLAS
-kernel matches the stored reference records."""
+kernel matches the stored reference records. ``compare_matrix`` is the
+workload whose training stacks hold more than one model."""
 
 import json
 import os
@@ -22,7 +23,8 @@ def _kernel(blas_config: str) -> str:
     return next(w for w, after in zip(words, words[1:]) if after.startswith("MAX_THREADS="))
 
 
-def test_records_match_the_reference_under_another_blas_kernel():
+@pytest.mark.parametrize("workload", ["desk_faros_mr", "compare_matrix"])
+def test_records_match_the_reference_under_another_blas_kernel(workload):
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
     if "openblas" not in blas.lower():
         pytest.skip(f"numpy's BLAS is {blas}, not OpenBLAS: OPENBLAS_CORETYPE selects nothing")
@@ -35,7 +37,7 @@ def test_records_match_the_reference_under_another_blas_kernel():
     forced = "Nehalem" if _kernel(host) in ("Prescott", "Katmai") else "Prescott"
     env = {**os.environ, "OPENBLAS_CORETYPE": forced, "PYTHONPATH": str(REPO / "src")}
     run = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "desk_faros_mr", "--seed", "7",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "7",
          "--seconds", "0"],
         cwd=REPO, env=env, capture_output=True, text=True, timeout=300,
     )

@@ -243,18 +243,19 @@ class TestRunSimulation:
         serial = run_simulation(cfg)
 
         seen = []
-        real_train = sim._train_one
+        real_train = sim._train_group
 
         def watched(*args, **kwargs):
-            seen.append((threading.active_count(), threading.get_ident()))
+            seen.append((len(args[5]), threading.active_count(), threading.get_ident()))
             return real_train(*args, **kwargs)
 
-        monkeypatch.setattr(sim, "_train_one", watched)
+        monkeypatch.setattr(sim, "_train_group", watched)
         before = threading.active_count()
         parallel = run_simulation(dataclasses.replace(cfg, parallel_clients=True))
         assert threading.active_count() == before
+        # a run alone trains each client as a stack of one
         assert len(seen) == cfg.rounds * cfg.clients_per_round
-        assert set(seen) == {(before, threading.get_ident())}
+        assert set(seen) == {(1, before, threading.get_ident())}
         assert len(serial) == len(parallel) == cfg.rounds
         for ra, rb in zip(serial, parallel):
             da, db = vars(ra).copy(), vars(rb).copy()
@@ -315,8 +316,9 @@ class TestSharedState:
         state = build_state(cfg)
         arrays = _state_arrays(state)
         # a trained update, an attacker's or an honest one, may be handed to several runs
-        arrays += [sim._train_one(state, cfg, attack, i, 11).delta
-                   for i, attack in ((0, sim._resolve_attack(cfg)), (5, None))]
+        stack = np.stack([state.global_params, state.global_params * 0.5])
+        arrays += [row for i, attack in ((0, sim._resolve_attack(cfg)), (5, None))
+                   for row in sim._train_group(state, cfg, attack, i, 11, stack)]
         for arr in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 1
@@ -424,9 +426,10 @@ class TestSharedState:
         for fn in ("_sample_forced", "sample_clients"):
             real = getattr(sim, fn)
             monkeypatch.setattr(sim, fn, lambda *a, real=real, fn=fn: sampled.append(fn) or real(*a))
-        real_train = sim._train_one
-        monkeypatch.setattr(sim, "_train_one", lambda state, cfg, attack, i, seed:
-                            seen.append((i, seed)) or real_train(state, cfg, attack, i, seed))
+        real_train = sim._train_group
+        monkeypatch.setattr(sim, "_train_group", lambda state, cfg, attack, i, seed, stack:
+                            seen.extend([(i, seed)] * len(stack))
+                            or real_train(state, cfg, attack, i, seed, stack))
         memo = {}
         for name in ("forced", "free", "forced"):
             _, rec = run_round(state, cfgs[name], memo)
@@ -436,6 +439,57 @@ class TestSharedState:
         assert sampled == ["_sample_forced", "sample_clients"]
         # each planned client trained once; the two configs share the clients they both drew
         assert sorted(seen) == sorted(set(plans["forced"]) | set(plans["free"]))
+
+    def test_a_group_error_is_raised_by_the_run_that_needs_it(self, monkeypatch):
+        base = small_config(defense="faros", malicious=3, attack="model_replacement",
+                            accept_count=3, core_size=2, force_c=1)
+        cfgs = [dataclasses.replace(base, defense=dataclasses.replace(base.defense, kind=kind))
+                for kind in ("faros", "fedavg")]
+        fresh = [_no_wall(r) for r in run_simulation(cfgs[0])]
+        state = build_state(cfgs[1])
+        for _ in range(2):
+            state, _ = run_round(state, cfgs[1])
+        poisoned = state.global_params.tobytes()
+        real_train = sim._train_group
+        stacks = []
+
+        def train(state, cfg, attack, i, seed, stack):
+            # a training from the fedavg run's round-3 model fails, in a stack or alone
+            stacks.append(len(stack))
+            if any(g.tobytes() == poisoned for g in stack):
+                raise errors.ZeroVectorError(f"planted, client {i}")
+            return real_train(state, cfg, attack, i, seed, stack)
+
+        monkeypatch.setattr(sim, "_train_group", train)
+        runs, error = run_simulations(cfgs)
+        # the failed stacks of round 3 left the faros run to train its clients alone
+        assert isinstance(error, errors.ZeroVectorError) and max(stacks) == 2
+        ids = sim._sample_forced(base, 3)
+        assert str(error) == f"planted, client {ids[0]}"
+        assert [[_no_wall(r) for r in run] for run in runs] == [fresh]
+
+    def test_stacks_are_cut_to_the_element_cap(self, monkeypatch):
+        cfg = small_config(defense="faros", malicious=3, attack="constrain_and_scale", force_c=1)
+        state = build_state(cfg)
+        # three runs' global models, one of them shared by two runs
+        scaled = [dataclasses.replace(state, global_params=state.global_params * f)
+                  for f in (1.0, 0.5, 0.5, 2.0)]
+        real_train = sim._train_group
+        stacks = []
+        monkeypatch.setattr(sim, "_train_group", lambda *a: stacks.append(len(a[5])) or real_train(*a))
+
+        def trained(cap):
+            monkeypatch.setattr(sim, "MAX_DATA_ELEMENTS", cap)
+            stacks.clear()
+            memo = {}
+            sim._train_round(scaled, [cfg] * 4, memo)
+            return {k: {c: {g: d.tobytes() for g, d in t.items()} for c, t in v.items()}
+                    for k, v in memo.items() if isinstance(v, dict)}
+
+        whole = trained(sim.MAX_DATA_ELEMENTS)
+        assert set(stacks) == {3}
+        # one client's rows times the parameter count already exceed a cap of 1
+        assert trained(1) == whole and set(stacks) == {1} and len(stacks) == 3 * cfg.clients_per_round
 
     @pytest.mark.parametrize("section,name,value", [
         ("train", "learning_rate", 0.05), ("attack", "boost", 3.0), ("attack", "poison_rate", 0.5),
