@@ -134,6 +134,14 @@ def fedavg(updates) -> DefenseOutcome:
     return _mean_of(ids, deltas, range(len(ids)), RoundDiagnostics())
 
 
+def _fsum_or_inf(values: list[float]) -> float:
+    """The exactly rounded sum of non-negative ``values``; inf where it overflows."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
+
+
 def multi_krum(updates, cfg: DefenseConfig) -> DefenseOutcome:
     """Score clients by summed squared distance to nearest neighbors, keep the best.
 
@@ -156,7 +164,8 @@ def multi_krum(updates, cfg: DefenseConfig) -> DefenseOutcome:
     n_neighbors = min(max(k - f - 2, 1), k - 1) if k > 1 else 0
 
     # math.fsum gives exactly rounded, order-independent neighbor sums. A distance
-    # between finite deltas may overflow to inf, which scores the pair farthest.
+    # between finite deltas may overflow to inf, which scores the pair farthest;
+    # so may a sum of finite distances, which fsum raises on instead.
     sq_dists = np.zeros((k, k))
     with np.errstate(over="ignore"):
         for i in range(k):
@@ -164,7 +173,7 @@ def multi_krum(updates, cfg: DefenseConfig) -> DefenseOutcome:
                 diff = deltas[i] - deltas[j]
                 sq_dists[i, j] = sq_dists[j, i] = float(np.dot(diff, diff))
     # the zero self-distance sorts first in its row
-    scores = [math.fsum(row[1 : n_neighbors + 1]) for row in np.sort(sq_dists, axis=1).tolist()]
+    scores = [_fsum_or_inf(row[1 : n_neighbors + 1]) for row in np.sort(sq_dists, axis=1).tolist()]
 
     diag = RoundDiagnostics(scores=dict(zip(ids, scores)))
     return _mean_of(ids, deltas, select_core_set(scores, select), diag)

@@ -125,6 +125,14 @@ class TestMultiKrum:
         with pytest.raises(ConfigError, match="accept_count"):
             multi_krum(_updates([[1.0], [2.0]]), _krum(0, 3))
 
+    def test_overflowing_neighbor_sum_scores_inf(self):
+        # each squared distance from the far client is finite; their sum is not
+        far = 7.8125e153
+        ups = _updates([[far, far], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+        out = multi_krum(ups, _krum(0, 3))
+        assert out.diagnostics.scores[0] == math.inf
+        assert out.accepted == [1, 2, 3]
+
 
 class TestWeakDp:
     def test_noop_equals_fedavg_bitwise(self):
