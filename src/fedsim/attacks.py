@@ -189,6 +189,5 @@ def malicious_local_train(
             raise ConfigError("attack.boost must be resolved before training")
         trained = local_train(global_params, spec, poisoned, tspec)
         return model_replacement(trained, global_params, acfg.boost)
-    if acfg.kind == "constrain_and_scale":
-        return constrain_and_scale_train(global_params, spec, poisoned, tspec, acfg.alpha)
-    raise ConfigError(f"unknown attack kind {acfg.kind!r}")
+    # constrain_and_scale: AttackConfig is frozen and its kind checked against ATTACK_KINDS
+    return constrain_and_scale_train(global_params, spec, poisoned, tspec, acfg.alpha)

@@ -152,11 +152,11 @@ def cmd_compare(args) -> int:
     """Run every attack x defense cell and write ``compare_matrix.csv``.
 
     The cells differ only in ``attack.kind`` and ``defense.kind``, so they
-    all run from one state, round by round (``sim.run_simulations``), and
-    a client whose inputs are byte-equal in several cells trains once per
-    round. The cell lines print when every cell is done. If a cell fails,
-    the lines of the cells before it print and its error is raised, as if
-    the cells had run one after another.
+    all run from one state, round by round (``sim.run_simulations``). Each
+    round trains a client input that several cells share once, over the
+    stack of their global models. The cell lines print when every cell is
+    done. If a cell fails, the lines of the cells before it print and its
+    error is raised, as if the cells had run one after another.
     """
     exp = _load(args)
     if not exp.compare_attacks or not exp.compare_defenses:

@@ -26,7 +26,7 @@ from .errors import ConfigError, FedsimError, NonFiniteUpdateError, bounded, che
 from .model import ModelSpec, TrainSpec, accuracy, init_params, local_train, philox
 
 # Elements in the largest array the blob draw or the model may build (512 MiB
-# of float64); see SimConfig. It also bounds a training stack (_train_round).
+# of float64); see SimConfig. It also bounds a training stack (_round_updates).
 MAX_DATA_ELEMENTS = 2**26
 
 # Seed-stream tags (see _derive_seed).
@@ -271,31 +271,15 @@ def _resolve_attack(cfg: SimConfig) -> AttackConfig | None:
     return acfg
 
 
-def _round_plan(state: SimState, cfg: SimConfig, memo: dict) -> list[tuple[int, int]]:
-    """``[(client_id, training_seed), ...]`` for ``state.round``, memoized in the
-    round's ``memo`` under every config field that sampling and the seeds read."""
-    r = state.round
-    key = (cfg.master_seed, cfg.total_clients, cfg.clients_per_round,
-           cfg.malicious_count, cfg.force_c_per_round)
-    plan = memo.get(key)
-    if plan is None:
-        if cfg.force_c_per_round is not None:
-            ids = _sample_forced(cfg, r)
-        else:
-            ids = sample_clients(cfg.total_clients, cfg.clients_per_round, r, cfg.master_seed)
-        plan = memo[key] = [(i, _derive_seed(cfg.master_seed, _TAG_CLIENT, r, i)) for i in ids]
-    return plan
-
-
 def _train_group(state: SimState, cfg: SimConfig, attack: AttackConfig | None, client_id: int,
                  seed: int, global_params: np.ndarray) -> np.ndarray:
     """Client ``client_id``'s deltas from each global model of the (G, P) stack
     ``global_params``: honest training if ``attack`` is None, else ``attack``'s.
 
     The one training path: the models train as one stack, each row exactly
-    as it would alone. The (G, P) result is read-only, because a memo may
-    hand its rows to several runs; non-finite rows are left for the run that
-    takes them to report.
+    as it would alone. The (G, P) result is read-only, because a row may be
+    handed to several runs; non-finite rows are left for the run that takes
+    them to report.
     """
     data = state.clients[client_id]
     tspec = replace(cfg.train, seed=seed)
@@ -308,107 +292,96 @@ def _train_group(state: SimState, cfg: SimConfig, attack: AttackConfig | None, c
     return deltas
 
 
-def _inputs(cfg: SimConfig, acfg: AttackConfig | None, plan, memo):
-    """``(client_id, seed, attack, trained)`` for each planned client.
+def _round_updates(states: list[SimState], cfgs: list[SimConfig]) -> list[list[tuple]]:
+    """Each run's ``[(client_id, delta), ...]`` for its round, in plan order.
 
-    The one place that decides how a client trains: ``attack`` is ``acfg``
-    for a roster member and None, honest training, for the others.
-    ``trained`` is the client's table ``memo[(cfg.train, cfg.model,
-    attack)][(client_id, seed)]``, which maps a global model's bytes to the
-    client's delta from it. With the client's rows, which the runs sharing a
-    memo share through one state, that is all ``_train_group`` reads.
-    """
-    head = (cfg.train, cfg.model)
-    # under attack none (acfg None) both are the one honest table
-    honest = memo.setdefault((*head, None), {})
-    attacked = memo.setdefault((*head, acfg), {})
-    for i, seed in plan:
-        attack, table = (acfg, attacked) if i < cfg.malicious_count else (None, honest)
-        yield i, seed, attack, table.setdefault((i, seed), {})
-
-
-def _train_clients(state: SimState, cfg: SimConfig, acfg: AttackConfig | None, plan, memo):
-    """Each planned client's update, taken from ``memo`` or, on a miss, trained
-    alone (a stack of one) and put there.
-
-    A non-finite delta raises :class:`NonFiniteUpdateError` here, where the
-    run takes it, so each run reports its own divergence.
-    """
-    key = state.global_params.tobytes()
-    updates = []
-    for i, seed, attack, trained in _inputs(cfg, acfg, plan, memo):
-        delta = trained.get(key)
-        if delta is None:
-            delta = trained[key] = _train_group(state, cfg, attack, i, seed,
-                                                state.global_params[None])[0]
-        try:
-            updates.append(ClientUpdate(i, delta))
-        except ValueError as e:  # ClientUpdate's one check: a NaN or Inf entry
-            raise NonFiniteUpdateError(state.round, i) from e
-    return updates
-
-
-def _train_round(states: list[SimState], cfgs: list[SimConfig], memo: dict):
-    """Fill ``memo`` with every update the runs will take this round.
-
-    Each (client, seed, training config, attack) input trains once, over
+    The runs share their clients' rows (one :func:`build_state`). Each
+    sampling config is planned once: its client ids and their training
+    seeds. A roster member (id below ``malicious_count``) trains with the
+    resolved attack, every other client honestly (attack None). Each input,
+    a (client, seed, ``cfg.train``, ``cfg.model``, attack), trains once over
     the stack of the distinct global models of the runs that need it, in
     slices of at most ``MAX_DATA_ELEMENTS`` elements of rows x params. A
-    group whose training raises a :class:`FedsimError` is left out: each
-    run that needs it trains it alone and raises the error itself, in
-    run order.
+    :class:`FedsimError` stands in for the delta of a model whose training
+    raised it; a slice that raises trains again one model at a time.
     """
-    groups = {}  # per client table in the memo: its input and the models to train from
+    plans, heads, groups, runs = {}, {}, {}, []
     for state, cfg in zip(states, cfgs):
-        key = state.global_params.tobytes()
-        plan = _round_plan(state, cfg, memo)
-        for i, seed, attack, trained in _inputs(cfg, _resolve_attack(cfg), plan, memo):
-            *_, models = groups.setdefault(id(trained), (state, cfg, attack, i, seed, trained, {}))
-            models.setdefault(key, state.global_params)
-    for state, cfg, attack, i, seed, trained, models in groups.values():
-        keys = list(models)
-        step = max(1, MAX_DATA_ELEMENTS // (len(state.clients[i]) * cfg.model.param_count()))
-        for at in range(0, len(keys), step):
-            chunk = keys[at : at + step]
-            try:
-                deltas = _train_group(state, cfg, attack, i, seed,
-                                      np.stack([models[k] for k in chunk]))
-            except FedsimError:
-                break
-            trained.update(zip(chunk, deltas))
+        r, c = state.round, cfg.force_c_per_round
+        sampling = (r, cfg.master_seed, cfg.total_clients, cfg.clients_per_round,
+                    cfg.malicious_count, c)
+        if sampling not in plans:
+            ids = (_sample_forced(cfg, r) if c is not None else
+                   sample_clients(cfg.total_clients, cfg.clients_per_round, r, cfg.master_seed))
+            plans[sampling] = [(i, _derive_seed(cfg.master_seed, _TAG_CLIENT, r, i)) for i in ids]
+        acfg = _resolve_attack(cfg)
+        # the training configs hash once per run, to a number that the client keys
+        # hold; under attack none (acfg None) both numbers are the honest one
+        honest = heads.setdefault((cfg.train, cfg.model, None), len(heads))
+        attacked = heads.setdefault((cfg.train, cfg.model, acfg), len(heads))
+        row_cap = MAX_DATA_ELEMENTS // cfg.model.param_count()
+        model = state.global_params.tobytes()
+        run = []
+        for i, seed in plans[sampling]:
+            attack, head = (acfg, attacked) if i < cfg.malicious_count else (None, honest)
+            # the input's global models, by their bytes; training swaps each for its delta
+            models = groups.setdefault((head, i, seed), (state, cfg, attack, row_cap, {}))[-1]
+            models.setdefault(model, state.global_params)
+            run.append((i, models))
+        runs.append((model, run))
+    # a diverging client overflows inside numpy; the run that takes its delta reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for (_, i, seed), (state, cfg, attack, row_cap, models) in groups.items():
+            keys = list(models)
+            step = max(1, row_cap // len(state.clients[i]))
+            chunks = [keys[at : at + step] for at in range(0, len(keys), step)]
+            for chunk in chunks:  # grows by the models of each slice that raises
+                try:
+                    deltas = _train_group(state, cfg, attack, i, seed,
+                                          np.array([models[k] for k in chunk]))
+                except FedsimError as e:
+                    if len(chunk) > 1:
+                        chunks += [[k] for k in chunk]
+                        continue
+                    deltas = [e]
+                models.update(zip(chunk, deltas))
+    return [[(i, models[model]) for i, models in run] for model, run in runs]
 
 
 def run_round(
-    state: SimState, cfg: SimConfig, memo: dict | None = None
+    state: SimState, cfg: SimConfig, updates: list[tuple] | None = None
 ) -> tuple[SimState, RoundRecord]:
     """Execute one full round and report it.
 
-    Sampled clients train one after another in ascending id order. Roster
-    members (ids below malicious_count) train maliciously, everyone else
-    honestly; the configured defense aggregates the deltas and the
-    aggregated delta is added to the global model. ACC/ASR are evaluated on
-    rounds divisible by eval_every (NaN otherwise).
+    Sampled clients train in ascending id order. Roster members (ids below
+    malicious_count) train maliciously, everyone else honestly; the
+    configured defense aggregates the deltas and the aggregated delta is
+    added to the global model. ACC/ASR are evaluated on rounds divisible by
+    eval_every (NaN otherwise).
 
-    ``memo`` lets the runs of one round that share a state reuse each
-    other's plan (``_round_plan``) and client updates (``_train_clients``);
-    it must live for one round only. Without it the round starts an empty
-    one of its own. A client whose update is not in the memo trains here;
-    under :func:`run_simulations` with several runs, ``_train_round`` has
-    trained them all before, and ``wall_ms`` leaves that training out.
+    ``updates`` is this run's entry of :func:`_round_updates`; without it
+    the round trains its clients itself. The first client, in plan order,
+    whose entry is an error raises it, or :class:`NonFiniteUpdateError` if
+    its delta is not finite. ``wall_ms`` covers the training only when the
+    round does it.
     """
     t0 = time.perf_counter()
     r = state.round
-    memo = {} if memo is None else memo
-    plan = _round_plan(state, cfg, memo)
-    ids = [i for i, _ in plan]
-    acfg = _resolve_attack(cfg)
-    # a diverging client overflows inside numpy; _train_clients reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        updates = _train_clients(state, cfg, acfg, plan, memo)
+    if updates is None:
+        (updates,) = _round_updates([state], [cfg])
+    ids = [i for i, _ in updates]
+    client_updates = []
+    for i, delta in updates:
+        if isinstance(delta, FedsimError):
+            raise delta
+        try:
+            client_updates.append(ClientUpdate(i, delta))
+        except ValueError as e:  # ClientUpdate's one check: a NaN or Inf entry
+            raise NonFiniteUpdateError(r, i) from e
 
     # only weak_dp reads the noise seed
     seed = _derive_seed(cfg.master_seed, _TAG_DP_NOISE, r) if cfg.defense.kind == "weak_dp" else 0
-    outcome = aggregate(updates, cfg.defense, seed=seed, round=r)
+    outcome = aggregate(client_updates, cfg.defense, seed=seed, round=r)
     new_params = state.global_params + outcome.aggregated_delta
 
     malicious = [i for i in ids if i < cfg.malicious_count]
@@ -449,10 +422,10 @@ def run_simulations(cfgs: list[SimConfig]) -> tuple[list[list[RoundRecord]], Fed
     The state is built once, from ``cfgs[0]``; an empty or invalid
     ``cfgs`` raises :class:`ConfigError`, as does a config that differs from
     ``cfgs[0]`` in a field that :func:`build_state` reads (``_shared``).
-    Within a round, each sampling config is planned once, and each client
-    input trains once over the stack of the distinct global models that
-    need it (``_train_round``) before the runs take their updates from the
-    round's memo; each run's records equal those of a run alone.
+    With more than one run due, one :func:`_round_updates` call trains the
+    round for all of them, and their ``wall_ms`` leaves that training out;
+    a lone run trains in :func:`run_round`. Each run's records, ``wall_ms``
+    aside, equal those of a run alone.
 
     Returns the evaluated rounds of each run before the first, in order, to
     raise a :class:`FedsimError`, and that error (None if none did): the
@@ -468,16 +441,15 @@ def run_simulations(cfgs: list[SimConfig]) -> tuple[list[list[RoundRecord]], Fed
     records = [[] for _ in cfgs]
     live, error = len(cfgs), None
     for step in range(max(cfg.rounds for cfg in cfgs)):
-        memo = {}
         due = [j for j in range(live) if step < cfgs[j].rounds]
+        shared = [None] * len(due)
         if len(due) > 1:
-            with np.errstate(over="ignore", invalid="ignore"):
-                _train_round([states[j] for j in due], [cfgs[j] for j in due], memo)
-        for j in due:
+            shared = _round_updates([states[j] for j in due], [cfgs[j] for j in due])
+        for j, updates in zip(due, shared):
             cfg = cfgs[j]
             r = states[j].round
             try:
-                states[j], record = run_round(states[j], cfg, memo)
+                states[j], record = run_round(states[j], cfg, updates)
             except FedsimError as e:
                 live, error = j, e
                 break

@@ -1,13 +1,16 @@
 """The README's Python examples run as written, its key table matches the
-config fields and its cross-field limit table matches ``SimConfig._limits``,
-so API docs that drift fail here."""
+config fields, its cross-field limit table matches ``SimConfig._limits``
+and the module names it cites exist, so API docs that drift fail here."""
 
 import dataclasses
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
 import pytest
 
+import fedsim
 from fedsim import config
 from fedsim.sim import SimConfig
 
@@ -60,3 +63,21 @@ def limit_table() -> str:
 
 def test_readme_limit_table_matches_the_limits():
     assert limit_table() in README.read_text(), limit_table()
+
+
+def _resolves(module: str, name: str) -> bool:
+    """``<module>.<name>`` is a config key, a field of section ``module``'s dataclass
+    (the data and model sections share their module's name) or an attribute of
+    ``fedsim.<module>``."""
+    section = config._SECTIONS.get(module)
+    return (f"{module}.{name}" in config.KEY_PARSERS
+            or section is not None and name in {f.name for f in dataclasses.fields(section)}
+            or hasattr(importlib.import_module(f"fedsim.{module}"), name))
+
+
+def test_readme_module_names_resolve():
+    modules = {m.name for m in pkgutil.iter_modules(fedsim.__path__)}
+    cited = [(m, n) for m, n in re.findall(r"`(\w+)\.(\w+)`", README.read_text()) if m in modules]
+    assert len(cited) >= 10
+    unknown = [f"{m}.{n}" for m, n in cited if not _resolves(m, n)]
+    assert not unknown, unknown

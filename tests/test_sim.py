@@ -8,8 +8,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedsim import errors, sim
+from fedsim.attacks import ATTACK_KINDS, AttackConfig
+from fedsim.defenses import DEFENSE_KINDS, DefenseConfig
 from fedsim.errors import ConfigError
 from fedsim.data import TriggerSpec
 from fedsim.model import ModelSpec, TrainSpec, evaluate_acc, evaluate_asr
@@ -121,16 +125,38 @@ class TestRunRound:
         assert info.value.client_id == ids[0]
         assert f"round 1, client {ids[0]}" in str(info.value)
 
-    def test_overflowing_aggregate_raises_typed_error_naming_round_and_rule(self, monkeypatch):
+    @pytest.mark.parametrize("diverging_first", [True, False])
+    def test_a_lone_round_raises_the_first_client_error_in_plan_order(self, monkeypatch,
+                                                                     diverging_first):
         cfg = small_config()
         state = build_state(cfg)
-        size = cfg.model.param_count()
+        ids = sample_clients(cfg.total_clients, cfg.clients_per_round, 1, cfg.master_seed)
+        diverging, failing = (ids[0], ids[-1]) if diverging_first else (ids[-1], ids[0])
+        real_train = sim._train_group
+
+        def train(state, cfg, attack, i, seed, stack):
+            if i == failing:
+                raise errors.ZeroVectorError(f"planted, client {i}")
+            deltas = real_train(state, cfg, attack, i, seed, stack)
+            return np.full_like(deltas, np.nan) if i == diverging else deltas
+
+        monkeypatch.setattr(sim, "_train_group", train)
+        if diverging_first:
+            with pytest.raises(errors.NonFiniteUpdateError) as info:
+                run_round(state, cfg)
+            assert (info.value.round, info.value.client_id) == (1, ids[0])
+        else:
+            with pytest.raises(errors.ZeroVectorError, match=f"^planted, client {ids[0]}$"):
+                run_round(state, cfg)
+
+    def test_overflowing_aggregate_raises_typed_error_naming_round_and_rule(self):
+        cfg = small_config()
+        state = build_state(cfg)
+        ids = sample_clients(cfg.total_clients, cfg.clients_per_round, 1, cfg.master_seed)
         # finite updates whose sum overflows, as no training here would produce them
-        monkeypatch.setattr(sim, "_train_clients", lambda state, cfg, acfg, plan, memo: [
-            sim.ClientUpdate(i, np.full(size, 1.5e308)) for i, _ in plan
-        ])
+        updates = [(i, np.full(cfg.model.param_count(), 1.5e308)) for i in ids]
         with pytest.raises(errors.NonFiniteAggregateError, match="^round 1, defense.kind fedavg: "):
-            run_round(state, cfg)
+            run_round(state, cfg, updates)
         assert np.isfinite(state.global_params).all()
 
     @pytest.mark.parametrize("hidden_dim", [0, 8])
@@ -310,7 +336,69 @@ class TestRunSimulation:
         assert recs[-1].asr >= 0.80
 
 
+def _pick(draw, strategy):
+    """One of one or two values drawn from ``strategy``, so that configs often share it."""
+    return draw(st.sampled_from(draw(st.lists(strategy, min_size=1, max_size=2))))
+
+
+@st.composite
+def _shared_state_configs(draw):
+    """2-5 valid configs on tiny data that agree on ``sim._shared`` and differ in
+    sampling, training, attack, defense, ``rounds`` and ``eval_every``."""
+    total = draw(st.integers(3, 6))
+    data = sim.DataConfig(num_classes=3, feature_dim=4, n_per_class=4, test_per_class=2)
+    model = ModelSpec(4, 3, hidden_dim=draw(st.sampled_from([0, 3])))
+    trigger = TriggerSpec((0, 3), (4.0, -4.0), draw(st.integers(0, 2)))
+    seed = draw(st.integers(0, 2**40))
+    # a client holds 2 to 4 rows: one batch size is below that, one above
+    trains = st.builds(TrainSpec, st.integers(1, 2), st.sampled_from([1, 64]),
+                       st.sampled_from([0.1, 0.7, 1e300]))
+    attacks = st.builds(
+        AttackConfig, st.sampled_from(ATTACK_KINDS), st.just(trigger),
+        poison_rate=st.sampled_from([0.3, 1.0]), boost=st.sampled_from([None, 1.0, 6.0]),
+        alpha=st.sampled_from([0.0, 0.6]), pgd_radius=st.sampled_from([0.5, math.inf]),
+        edge_fraction=st.sampled_from([0.3, 0.9]),
+    )
+    cfgs = []
+    for _ in range(draw(st.integers(2, 5))):
+        k = draw(st.integers(1, total))
+        malicious = draw(st.integers(0, total))
+        forced = st.integers(max(0, k - total + malicious), min(k, malicious))
+        defenses = st.builds(
+            DefenseConfig, st.sampled_from(DEFENSE_KINDS), phi_max=st.sampled_from([1.5, 4.0]),
+            kappa=st.sampled_from([5.0, 50.0]), core_size=st.none() | st.integers(1, k),
+            accept_count=st.none() | st.integers(1, k), krum_f=st.integers(0, 1),
+            clip_norm=st.sampled_from([0.5, math.inf]), noise_std=st.sampled_from([0.0, 0.1]),
+            phi_static=st.sampled_from([1.0, 2.5]),
+        )
+        rounds = draw(st.integers(1, 3))
+        cfgs.append(sim.SimConfig(
+            total_clients=total, clients_per_round=k, malicious_count=malicious,
+            rounds=rounds, eval_every=draw(st.integers(1, rounds)), master_seed=seed,
+            force_c_per_round=draw(st.none() | forced), model=model,
+            train=_pick(draw, trains), data=data, attack=_pick(draw, attacks),
+            defense=draw(defenses),
+        ))
+    return cfgs
+
+
 class TestSharedState:
+    @given(_shared_state_configs())
+    @settings(max_examples=80, deadline=None)
+    def test_runs_equal_the_configs_run_one_after_another(self, cfgs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            runs, error = run_simulations(cfgs)
+            want, want_error = [], None
+            for cfg in cfgs:
+                try:
+                    want.append([_no_wall(r) for r in run_simulation(cfg)])
+                except errors.FedsimError as e:
+                    want_error = e
+                    break
+        assert [[_no_wall(r) for r in run] for run in runs] == want
+        assert repr(error) == repr(want_error)
+
     def test_arrays_are_read_only(self):
         cfg = small_config(malicious=3, attack="model_replacement", force_c=1)
         state = build_state(cfg)
@@ -430,10 +518,10 @@ class TestSharedState:
         monkeypatch.setattr(sim, "_train_group", lambda state, cfg, attack, i, seed, stack:
                             seen.extend([(i, seed)] * len(stack))
                             or real_train(state, cfg, attack, i, seed, stack))
-        memo = {}
-        for name in ("forced", "free", "forced"):
-            _, rec = run_round(state, cfgs[name], memo)
-            assert sim._round_plan(state, cfgs[name], memo) == plans[name]
+        names = ("forced", "free", "forced")
+        for name, updates in zip(names, sim._round_updates([state] * 3, [cfgs[n] for n in names])):
+            assert [i for i, _ in updates] == ids[name]
+            _, rec = run_round(state, cfgs[name], updates)
             assert rec.malicious_selected == [i for i in ids[name] if i < 3]
         # one plan per sampling config in the round; the repeated config reuses its own
         assert sampled == ["_sample_forced", "sample_clients"]
@@ -481,10 +569,8 @@ class TestSharedState:
         def trained(cap):
             monkeypatch.setattr(sim, "MAX_DATA_ELEMENTS", cap)
             stacks.clear()
-            memo = {}
-            sim._train_round(scaled, [cfg] * 4, memo)
-            return {k: {c: {g: d.tobytes() for g, d in t.items()} for c, t in v.items()}
-                    for k, v in memo.items() if isinstance(v, dict)}
+            return [[(i, d.tobytes()) for i, d in updates]
+                    for updates in sim._round_updates(scaled, [cfg] * 4)]
 
         whole = trained(sim.MAX_DATA_ELEMENTS)
         assert set(stacks) == {3}
