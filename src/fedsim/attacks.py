@@ -96,9 +96,8 @@ def cosine_loss_and_grad(params, global_params) -> tuple[float, np.ndarray]:
     return 1.0 - cos, grad
 
 
-def constrain_and_scale_train(
-    global_params, spec: ModelSpec, poisoned_data: Samples, tspec: TrainSpec, alpha: float
-) -> np.ndarray:
+def constrain_and_scale_train(global_params, spec: ModelSpec, poisoned_data: Samples,
+                              tspec: TrainSpec, seed: int, alpha: float) -> np.ndarray:
     """SGD on (1-alpha) * classification loss + alpha * cosine stealth loss.
 
     alpha = 0 and an all-zero global model (where the stealth term is
@@ -120,7 +119,7 @@ def constrain_and_scale_train(
             grad[g] = (1.0 - alpha) * grad[g] + alpha * g_cos
         return grad
 
-    return sgd(global_params, spec, poisoned_data.x, poisoned_data.y, tspec,
+    return sgd(global_params, spec, poisoned_data.x, poisoned_data.y, tspec, seed,
                step=stealth if mixed else None)
 
 
@@ -133,9 +132,8 @@ def _edge_source_label(local_data: Samples, target_label: int) -> int:
     return int(np.argmax(counts))
 
 
-def edge_case_pgd_train(
-    global_params, spec: ModelSpec, local_data: Samples, tspec: TrainSpec, acfg: AttackConfig
-) -> np.ndarray:
+def edge_case_pgd_train(global_params, spec: ModelSpec, local_data: Samples, tspec: TrainSpec,
+                        seed: int, acfg: AttackConfig) -> np.ndarray:
     """Backdoor training on local data plus a triggered edge-case tail.
 
     The pool is the far tail of the dominant non-target class in the local
@@ -152,22 +150,21 @@ def edge_case_pgd_train(
     y = np.concatenate([local_data.y, target])
     global_params = np.asarray(global_params, dtype=np.float64)
     centers = np.atleast_2d(global_params)
-    return sgd(global_params, spec, x, y, tspec,
+    return sgd(global_params, spec, x, y, tspec, seed,
                end_epoch=lambda params: pgd_project(params, centers, acfg.pgd_radius))
 
 
-def malicious_local_train(
-    global_params, spec: ModelSpec, local_data: Samples, tspec: TrainSpec, acfg: AttackConfig
-) -> np.ndarray:
+def malicious_local_train(global_params, spec: ModelSpec, local_data: Samples, tspec: TrainSpec,
+                          seed: int, acfg: AttackConfig) -> np.ndarray:
     """Dispatch local training by attack kind, for one global model (P,) or a
     stack (G, P).
 
-    ``none`` is byte-identical to honest training. The poisoning kinds
-    train on a seeded poisoned copy of the local data (``poison_dataset``),
-    made once for the whole stack.
+    ``none`` is byte-identical to honest training. ``seed`` keys the epoch
+    orders and, for the poisoning kinds, the rows that ``poison_dataset``
+    poisons in a copy of the local data, made once for the whole stack.
     """
     if acfg.kind == "none":
-        return local_train(global_params, spec, local_data, tspec)
+        return local_train(global_params, spec, local_data, tspec, seed)
 
     # an attacker holding only target-label data has nothing to poison and
     # falls back to its unmodified local set (boost/projection still apply)
@@ -175,19 +172,19 @@ def malicious_local_train(
 
     if acfg.kind == "edge_case_pgd":
         if not eligible:
-            params = local_train(global_params, spec, local_data, tspec)
+            params = local_train(global_params, spec, local_data, tspec, seed)
             return pgd_project(params, np.asarray(global_params, dtype=np.float64), acfg.pgd_radius)
-        return edge_case_pgd_train(global_params, spec, local_data, tspec, acfg)
+        return edge_case_pgd_train(global_params, spec, local_data, tspec, seed, acfg)
 
     poisoned = local_data
     if eligible:
-        poisoned = poison_dataset(local_data, acfg.trigger, acfg.poison_rate, tspec.seed)
+        poisoned = poison_dataset(local_data, acfg.trigger, acfg.poison_rate, seed)
     if acfg.kind == "data_poison":
-        return local_train(global_params, spec, poisoned, tspec)
+        return local_train(global_params, spec, poisoned, tspec, seed)
     if acfg.kind == "model_replacement":
         if acfg.boost is None:
             raise ConfigError("attack.boost must be resolved before training")
-        trained = local_train(global_params, spec, poisoned, tspec)
+        trained = local_train(global_params, spec, poisoned, tspec, seed)
         return model_replacement(trained, global_params, acfg.boost)
     # constrain_and_scale: AttackConfig is frozen and its kind checked against ATTACK_KINDS
-    return constrain_and_scale_train(global_params, spec, poisoned, tspec, acfg.alpha)
+    return constrain_and_scale_train(global_params, spec, poisoned, tspec, seed, acfg.alpha)

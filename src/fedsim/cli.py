@@ -107,13 +107,12 @@ def _safe_name(value: str) -> str:
 
 
 def cmd_sweep(args) -> int:
-    if "=" not in args.axis:
-        raise ConfigError(f"sweep axis must look like key=v1,v2,..., got {args.axis!r}")
-    key, values_text = args.axis.split("=", 1)
-    key = key.strip()
+    key, values_text = cfgmod._key_value(args.axis, "sweep axis: ")
+    if key.startswith("compare."):
+        raise ConfigError(f"sweep axis: {key} configures compare, not a run")
     values = [v.strip() for v in values_text.split(",") if v.strip()]
     if not values:
-        raise ConfigError("sweep axis has no values")
+        raise ConfigError("sweep axis: no values")
 
     raw = _raw(args)
     base_seed = cfgmod.parse_values(raw).get("master_seed", simmod.SimConfig.master_seed)
@@ -121,7 +120,7 @@ def cmd_sweep(args) -> int:
 
     rows, failures = [], []
     for idx, value in enumerate(values):
-        per_run = cfgmod.apply_overrides(raw, [f"{key}={value}"])
+        per_run = {**raw, key: value}
         if key != "master_seed":
             per_run["master_seed"] = str(base_seed + idx)
         try:

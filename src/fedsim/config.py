@@ -13,10 +13,9 @@ is the only place its default and its bound (``errors.bounded``: an
 interval such as ``(0, 1]``, or the kinds) are written; ``check_bounds``
 checks every bound, naming the key, and ``SimConfig.validate`` adds the
 limits that span fields, each written once as a row of
-``SimConfig._limits``. Three fields are filled by the simulator and are
-not keys: ``model.input_dim`` and ``model.num_classes`` (from ``data``) and
-``train.seed`` (per client and round). The ``trigger`` section builds
-``attack.trigger``, the run's one trigger.
+``SimConfig._limits``. Two fields are filled by the simulator and are
+not keys: ``model.input_dim`` and ``model.num_classes`` (from ``data``).
+The ``trigger`` section builds ``attack.trigger``, the run's one trigger.
 
 The ``compare.attacks`` / ``compare.defenses`` keys configure the comparison
 matrix and are not part of the single-run config.
@@ -43,7 +42,7 @@ _SECTIONS = {
     "attack": AttackConfig,
     "defense": DefenseConfig,
 }
-_FILLED_BY_SIMULATOR = ("model.input_dim", "model.num_classes", "train.seed")
+_FILLED_BY_SIMULATOR = ("model.input_dim", "model.num_classes")
 
 
 def _parse_bool(s: str) -> bool:

@@ -49,7 +49,7 @@ class DefenseConfig:
     "half the round's clients, rounded up" -- the honest-majority default.
     Their upper bound is the round's client count, checked by
     ``SimConfig.validate`` against ``clients_per_round`` and by
-    :meth:`resolved` against a given k.
+    :meth:`sizes` against a given k.
     """
 
     kind: str = bounded(DEFENSE_KINDS, "fedavg")
@@ -66,15 +66,16 @@ class DefenseConfig:
     def __post_init__(self):
         check_bounds(self, "defense")
 
-    def resolved(self, k: int) -> "DefenseConfig":
-        """Fill the per-round defaults l = m = ceil(k/2) and validate against k."""
+    def sizes(self, k: int) -> tuple[int, int]:
+        """``(core_size, accept_count)`` for a round of k clients: an unset one is
+        ceil(k/2), and each must lie in [1, k]."""
         l = self.core_size if self.core_size is not None else math.ceil(k / 2)
         m = self.accept_count if self.accept_count is not None else math.ceil(k / 2)
         if not 1 <= l <= k:
             raise ConfigError(f"defense.core_size must be in [1, {k}], got {l}")
         if not 1 <= m <= k:
             raise ConfigError(f"defense.accept_count must be in [1, {k}], got {m}")
-        return DefenseConfig(**{**self.__dict__, "core_size": l, "accept_count": m})
+        return l, m
 
 
 @dataclass
@@ -154,7 +155,7 @@ def multi_krum(updates, cfg: DefenseConfig) -> DefenseOutcome:
     ids, deltas = _stack(updates)
     k = len(ids)
     f = cfg.krum_f
-    select = cfg.resolved(k).accept_count
+    select = cfg.sizes(k)[1]
     if k < 2 * f + 3:
         warnings.warn(
             f"multi-krum has k={k} < 2f+3={2 * f + 3}; scores are not Byzantine-safe",
@@ -280,7 +281,7 @@ def _scaled_pipeline(updates, cfg: DefenseConfig, single_core: bool) -> DefenseO
     plain averaging over all updates, flagged in the diagnostics.
     """
     ids, deltas = _stack(updates)
-    cfg = cfg.resolved(len(ids))
+    core_size, accept_count = cfg.sizes(len(ids))
     diag = RoundDiagnostics()
 
     normalized, zero = linalg.normalize_rows(deltas)
@@ -295,9 +296,9 @@ def _scaled_pipeline(updates, cfg: DefenseConfig, single_core: bool) -> DefenseO
     live = np.flatnonzero(~zero).tolist()
     live_ids = [ids[p] for p in live]
 
-    core_size = 1 if single_core else cfg.core_size
+    core_size = 1 if single_core else core_size
     accepted = None  # positions among live; None falls back to plain averaging
-    if len(live) >= max(2, core_size, cfg.accept_count):
+    if len(live) >= max(2, core_size, accept_count):
         try:
             diag.d_t = linalg.dispersion(normalized)
         except DegenerateCentroidError:
@@ -311,7 +312,7 @@ def _scaled_pipeline(updates, cfg: DefenseConfig, single_core: bool) -> DefenseO
         core = select_core_set(scores, core_size)
         diag.core_set = [live_ids[i] for i in core]
         with contextlib.suppress(DegenerateCentroidError):
-            _, accepted, dists = rcc_filter(scaled, core, cfg.accept_count)
+            _, accepted, dists = rcc_filter(scaled, core, accept_count)
             diag.distances = dict(zip(live_ids, dists))
 
     diag.fallback = accepted is None

@@ -59,12 +59,12 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class TrainSpec:
-    """Local SGD schedule for one client."""
+    """Local SGD schedule, the same for every client; the seed of a client's
+    epoch orders is an argument of the trainers (``sgd``, ``local_train``)."""
 
     local_epochs: int = bounded("[1, inf)", 2)
     batch_size: int = bounded("[1, inf)", 32)
     learning_rate: float = bounded("[0, inf)", 0.25)
-    seed: int = 0
 
     def __post_init__(self):
         check_bounds(self, "train")
@@ -169,7 +169,8 @@ def philox(seed: int, counter: int) -> np.random.Generator:
     return _stream.gen
 
 
-def sgd(params, spec: ModelSpec, x, y, tspec: TrainSpec, step=None, end_epoch=None) -> np.ndarray:
+def sgd(params, spec: ModelSpec, x, y, tspec: TrainSpec, seed: int, step=None,
+        end_epoch=None) -> np.ndarray:
     """Mini-batch SGD on the rows ``x``, labels ``y`` from ``params``; the final params.
 
     ``params`` is one model, shape (P,), or a stack of G models, shape
@@ -177,7 +178,7 @@ def sgd(params, spec: ModelSpec, x, y, tspec: TrainSpec, step=None, end_epoch=No
     the same rows in the same order, and its row of the result equals, bit
     for bit, a ``(P,)`` call from that row alone.
 
-    Epoch ``e`` walks ``philox(tspec.seed, e).permutation(n)`` ``batch_size``
+    Epoch ``e`` walks ``philox(seed, e).permutation(n)`` ``batch_size``
     rows at a time and steps ``params - learning_rate * grad``, with ``grad``
     the cross-entropy gradient on those rows. ``step(params, grad)``, if
     given, replaces each batch's gradient before the step; ``end_epoch(params)``,
@@ -194,7 +195,7 @@ def sgd(params, spec: ModelSpec, x, y, tspec: TrainSpec, step=None, end_epoch=No
     single = np.ndim(params) == 1
     params = np.array(params, dtype=np.float64, ndmin=2, copy=True)
     for epoch in range(tspec.local_epochs):
-        order = philox(tspec.seed, epoch).permutation(n)
+        order = philox(seed, epoch).permutation(n)
         for start in range(0, n, tspec.batch_size):
             idx = order[start : start + tspec.batch_size]
             grad = _log_softmax_grad(params, spec, x[idx], y[idx])[1]
@@ -206,12 +207,12 @@ def sgd(params, spec: ModelSpec, x, y, tspec: TrainSpec, step=None, end_epoch=No
     return params[0] if single else params
 
 
-def local_train(
-    global_params: np.ndarray, spec: ModelSpec, dataset: Samples, tspec: TrainSpec
-) -> np.ndarray:
-    """Honest local training: ``sgd`` on ``dataset`` from ``global_params``, one
-    model (P,) or a stack (G, P) trained row by row."""
-    return sgd(global_params, spec, dataset.x, dataset.y, tspec)
+def local_train(global_params: np.ndarray, spec: ModelSpec, dataset: Samples, tspec: TrainSpec,
+                seed: int) -> np.ndarray:
+    """Honest local training: ``sgd`` on ``dataset`` from ``global_params`` with
+    epoch orders keyed by ``seed``, one model (P,) or a stack (G, P) trained
+    row by row."""
+    return sgd(global_params, spec, dataset.x, dataset.y, tspec, seed)
 
 
 def accuracy(params: np.ndarray, spec: ModelSpec, x: np.ndarray, labels) -> float:

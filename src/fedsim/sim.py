@@ -22,7 +22,7 @@ import numpy as np
 from .attacks import AttackConfig, malicious_local_train
 from .data import Samples, blob_arrays, dirichlet_partition, triggered_rows
 from .defenses import ClientUpdate, DefenseConfig, aggregate
-from .errors import ConfigError, FedsimError, NonFiniteUpdateError, bounded, check_bounds
+from .errors import ConfigError, FedsimError, NonFiniteUpdateError, bounded, check_bounds, check_in
 from .model import ModelSpec, TrainSpec, accuracy, init_params, local_train, philox
 
 # Elements in the largest array the blob draw or the model may build (512 MiB
@@ -201,8 +201,8 @@ def _derive_seed(master_seed: int, tag: int, *parts: int) -> int:
 
 def sample_clients(total: int, k: int, round_idx: int, master_seed: int) -> list[int]:
     """k distinct client ids for a round, from a Philox stream keyed by (seed, round)."""
-    if k > total:
-        raise ConfigError(f"cannot sample {k} of {total} clients")
+    check_in(f"[0, {total}]", "k", k)
+    check_in("[0, inf)", "round_idx", round_idx)
     return sorted(int(i) for i in philox(master_seed, round_idx).permutation(total)[:k])
 
 
@@ -282,11 +282,10 @@ def _train_group(state: SimState, cfg: SimConfig, attack: AttackConfig | None, c
     them to report.
     """
     data = state.clients[client_id]
-    tspec = replace(cfg.train, seed=seed)
     if attack is None:
-        params = local_train(global_params, cfg.model, data, tspec)
+        params = local_train(global_params, cfg.model, data, cfg.train, seed)
     else:
-        params = malicious_local_train(global_params, cfg.model, data, tspec, attack)
+        params = malicious_local_train(global_params, cfg.model, data, cfg.train, seed, attack)
     deltas = params - global_params
     deltas.flags.writeable = False
     return deltas

@@ -232,7 +232,8 @@ def fresh_philox(seed: int, counter: int) -> np.random.Generator:
 
 
 def sgd_oracle(
-    global_params, spec: ModelSpec, examples, tspec: TrainSpec, alpha=0.0, radius=math.inf
+    global_params, spec: ModelSpec, examples, tspec: TrainSpec, seed: int, alpha=0.0,
+    radius=math.inf,
 ) -> np.ndarray:
     """Local SGD by its documented schedule over a sequence of ``Example``s.
 
@@ -248,7 +249,7 @@ def sgd_oracle(
     center = np.array(global_params, dtype=np.float64, copy=True)
     params = center
     for epoch in range(tspec.local_epochs):
-        order = fresh_philox(tspec.seed, epoch).permutation(len(examples)).tolist()
+        order = fresh_philox(seed, epoch).permutation(len(examples)).tolist()
         for start in range(0, len(examples), tspec.batch_size):
             batch = stacked([examples[i] for i in order[start : start + tspec.batch_size]])
             grad = loss_and_grad(params, spec, batch)[1]
@@ -298,7 +299,7 @@ def scaled_filter_oracle(updates, cfg: DefenseConfig, single_core: bool) -> Defe
     fallbacks to plain averaging.
     """
     updates = sorted(updates, key=lambda u: u.client_id)
-    cfg = cfg.resolved(len(updates))
+    core_size, accept_count = cfg.sizes(len(updates))
     diag = RoundDiagnostics()
 
     def fallback():
@@ -316,8 +317,8 @@ def scaled_filter_oracle(updates, cfg: DefenseConfig, single_core: bool) -> Defe
                 f"client {u.client_id} sent an all-zero update; excluded from filtering",
                 RuntimeWarning,
             )
-    core_size = 1 if single_core else cfg.core_size
-    if len(live) < 2 or len(live) < max(core_size, cfg.accept_count):
+    core_size = 1 if single_core else core_size
+    if len(live) < 2 or len(live) < max(core_size, accept_count):
         return fallback()
     try:
         diag.d_t = linalg.dispersion(normalized)
@@ -330,7 +331,7 @@ def scaled_filter_oracle(updates, cfg: DefenseConfig, single_core: bool) -> Defe
     core = select_core_set(scores, core_size)
     diag.core_set = [live[i].client_id for i in core]
     try:
-        _, accepted_pos, dists = rcc_filter(scaled, core, cfg.accept_count)
+        _, accepted_pos, dists = rcc_filter(scaled, core, accept_count)
     except DegenerateCentroidError:
         return fallback()
     diag.distances = {u.client_id: d for u, d in zip(live, dists)}

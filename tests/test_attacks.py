@@ -44,8 +44,11 @@ def _target_only():
     return stacked([Example(rng.normal(size=8), TRIGGER.target_label) for _ in range(20)])
 
 
+SEED = 5
+
+
 def _tspec(**kw):
-    base = dict(local_epochs=3, batch_size=16, learning_rate=0.05, seed=5)
+    base = dict(local_epochs=3, batch_size=16, learning_rate=0.05)
     base.update(kw)
     return TrainSpec(**base)
 
@@ -55,8 +58,8 @@ class TestDispatch:
         data = _local_data()
         start = init_params(SPEC, 1)
         acfg = AttackConfig(kind="none", trigger=TRIGGER)
-        mal = malicious_local_train(start, SPEC, data, _tspec(), acfg)
-        hon = local_train(start, SPEC, data, _tspec())
+        mal = malicious_local_train(start, SPEC, data, _tspec(), SEED, acfg)
+        hon = local_train(start, SPEC, data, _tspec(), SEED)
         assert np.array_equal(mal, hon)
 
     def test_data_poison_overfits_own_backdoor(self):
@@ -64,7 +67,7 @@ class TestDispatch:
         start = init_params(SPEC, 2)
         acfg = AttackConfig(kind="data_poison", trigger=TRIGGER, poison_rate=1.0)
         tspec = _tspec(local_epochs=60, batch_size=100, learning_rate=0.1)
-        params = malicious_local_train(start, SPEC, data, tspec, acfg)
+        params = malicious_local_train(start, SPEC, data, tspec, SEED, acfg)
         assert evaluate_asr(params, SPEC, data, TRIGGER) >= 0.9
 
     def test_deterministic(self):
@@ -73,8 +76,8 @@ class TestDispatch:
         for kind in ("data_poison", "model_replacement", "constrain_and_scale", "edge_case_pgd"):
             acfg = AttackConfig(kind=kind, trigger=TRIGGER, boost=4.0, alpha=0.5,
                                 pgd_radius=5.0, edge_fraction=0.3)
-            a = malicious_local_train(start, SPEC, data, _tspec(), acfg)
-            b = malicious_local_train(start, SPEC, data, _tspec(), acfg)
+            a = malicious_local_train(start, SPEC, data, _tspec(), SEED, acfg)
+            b = malicious_local_train(start, SPEC, data, _tspec(), SEED, acfg)
             assert np.array_equal(a, b), kind
 
     def test_all_target_data_degrades_to_honest_behavior(self):
@@ -82,16 +85,16 @@ class TestDispatch:
         data = _target_only()
         start = init_params(SPEC, 8)
         acfg = AttackConfig(kind="data_poison", trigger=TRIGGER)
-        out = malicious_local_train(start, SPEC, data, _tspec(), acfg)
-        assert np.array_equal(out, local_train(start, SPEC, data, _tspec()))
+        out = malicious_local_train(start, SPEC, data, _tspec(), SEED, acfg)
+        assert np.array_equal(out, local_train(start, SPEC, data, _tspec(), SEED))
         boosted = malicious_local_train(
-            start, SPEC, data, _tspec(),
+            start, SPEC, data, _tspec(), SEED,
             AttackConfig(kind="model_replacement", trigger=TRIGGER, boost=3.0),
         )
         assert np.allclose(boosted, model_replacement(
-            local_train(start, SPEC, data, _tspec()), start, 3.0))
+            local_train(start, SPEC, data, _tspec(), SEED), start, 3.0))
         projected = malicious_local_train(
-            start, SPEC, data, _tspec(),
+            start, SPEC, data, _tspec(), SEED,
             AttackConfig(kind="edge_case_pgd", trigger=TRIGGER, pgd_radius=0.05),
         )
         assert np.linalg.norm(projected - start) <= 0.05 + 1e-9
@@ -178,8 +181,8 @@ class TestConstrainAndScale:
         data = _local_data(9)
         poisoned = poison_dataset(data, TRIGGER, 0.5, 5)
         start = init_params(SPEC, 4)
-        a = constrain_and_scale_train(start, SPEC, poisoned, _tspec(), 0.0)
-        b = local_train(start, SPEC, poisoned, _tspec())
+        a = constrain_and_scale_train(start, SPEC, poisoned, _tspec(), SEED, 0.0)
+        b = local_train(start, SPEC, poisoned, _tspec(), SEED)
         assert np.array_equal(a, b)
 
     def test_alpha_one_descends_cosine_distance(self):
@@ -191,9 +194,8 @@ class TestConstrainAndScale:
         params = global_p + rng.normal(size=SPEC.param_count()) * 0.5
         prev = cosine_distance(params, global_p)
         for epoch in range(8):
-            params = constrain_and_scale_train(
-                params, SPEC, data, _tspec(local_epochs=1, batch_size=100, learning_rate=0.05, seed=epoch), 1.0
-            )
+            tspec = _tspec(local_epochs=1, batch_size=100, learning_rate=0.05)
+            params = constrain_and_scale_train(params, SPEC, data, tspec, epoch, 1.0)
             # pure stealth loss: distance to the global ray must not increase
             cur = cosine_distance(params, global_p)
             assert cur <= prev + 1e-6
@@ -202,15 +204,15 @@ class TestConstrainAndScale:
     def test_zero_global_trains_without_stealth(self):
         zero = np.zeros(SPEC.param_count())
         data = _local_data()
-        out = constrain_and_scale_train(zero, SPEC, data, _tspec(), 0.5)
-        assert np.array_equal(out, local_train(zero, SPEC, data, _tspec()))
+        out = constrain_and_scale_train(zero, SPEC, data, _tspec(), SEED, 0.5)
+        assert np.array_equal(out, local_train(zero, SPEC, data, _tspec(), SEED))
 
     def test_dispatch_falls_back_on_zero_global(self):
         data = _local_data(2)
         acfg = AttackConfig(kind="constrain_and_scale", trigger=TRIGGER, alpha=0.7)
-        out = malicious_local_train(np.zeros(SPEC.param_count()), SPEC, data, _tspec(), acfg)
-        poisoned = poison_dataset(data, TRIGGER, acfg.poison_rate, _tspec().seed)
-        expected = local_train(np.zeros(SPEC.param_count()), SPEC, poisoned, _tspec())
+        out = malicious_local_train(np.zeros(SPEC.param_count()), SPEC, data, _tspec(), SEED, acfg)
+        poisoned = poison_dataset(data, TRIGGER, acfg.poison_rate, SEED)
+        expected = local_train(np.zeros(SPEC.param_count()), SPEC, poisoned, _tspec(), SEED)
         assert np.array_equal(out, expected)
 
     def test_stealth_spectrum(self):
@@ -223,18 +225,18 @@ class TestConstrainAndScale:
             rng = np.random.default_rng(seed)
             global_p = init_params(SPEC, seed)
             # a short warm-up so the global model is informative
-            warm = TrainSpec(3, 400, 0.05, seed)
-            global_p = local_train(global_p, SPEC, data_pool, warm)
+            warm = TrainSpec(3, 400, 0.05)
+            global_p = local_train(global_p, SPEC, data_pool, warm, seed)
             honest_deltas = []
             for i in range(6):
                 sl = data_pool.take(slice(i * 40, (i + 1) * 40))
-                tspec = TrainSpec(10, 400, 0.05, 1000 + i)
-                honest_deltas.append(local_train(global_p, SPEC, sl, tspec) - global_p)
+                tspec = TrainSpec(10, 400, 0.05)
+                honest_deltas.append(local_train(global_p, SPEC, sl, tspec, 1000 + i) - global_p)
             mean_honest = np.mean(honest_deltas, axis=0)
             mal_data = poison_dataset(data_pool.take(slice(240, None)), TRIGGER, 1.0, seed)
             for alpha in (0.1, 0.9):
-                tspec = TrainSpec(10, 400, 0.05, 77)
-                mal = constrain_and_scale_train(global_p, SPEC, mal_data, tspec, alpha)
+                tspec = TrainSpec(10, 400, 0.05)
+                mal = constrain_and_scale_train(global_p, SPEC, mal_data, tspec, 77, alpha)
                 dists[alpha].append(cosine_distance(mal - global_p, mean_honest))
         assert np.mean(dists[0.9]) < np.mean(dists[0.1])
 
@@ -252,11 +254,11 @@ class TestEdgeCasePgd:
         start = init_params(SPEC, 5)
         acfg = AttackConfig(kind="edge_case_pgd", trigger=TRIGGER,
                             pgd_radius=math.inf, edge_fraction=0.3)
-        out = edge_case_pgd_train(start, SPEC, data, _tspec(), acfg)
+        out = edge_case_pgd_train(start, SPEC, data, _tspec(), SEED, acfg)
         source = _edge_source_label(data, TRIGGER.target_label)
         pool = edge_case_pool(data, source, 0.3)
         augmented = stacked([*data, *(apply_trigger(e, TRIGGER) for e in pool)])
-        expected = local_train(start, SPEC, augmented, _tspec())
+        expected = local_train(start, SPEC, augmented, _tspec(), SEED)
         assert np.array_equal(out, expected)
 
     def test_final_params_within_radius(self):
@@ -265,7 +267,7 @@ class TestEdgeCasePgd:
         for radius in (0.05, 0.5, 2.0):
             acfg = AttackConfig(kind="edge_case_pgd", trigger=TRIGGER,
                                 pgd_radius=radius, edge_fraction=0.4)
-            out = edge_case_pgd_train(start, SPEC, data, _tspec(learning_rate=0.3), acfg)
+            out = edge_case_pgd_train(start, SPEC, data, _tspec(learning_rate=0.3), SEED, acfg)
             assert np.linalg.norm(out - start) <= radius + 1e-9
 
     def test_tiny_radius_throttles_attack(self):
@@ -274,7 +276,7 @@ class TestEdgeCasePgd:
         start = init_params(SPEC, 7)
         acfg = AttackConfig(kind="edge_case_pgd", trigger=TRIGGER,
                             pgd_radius=1e-6, edge_fraction=0.4)
-        out = edge_case_pgd_train(start, SPEC, data, _tspec(), acfg)
+        out = edge_case_pgd_train(start, SPEC, data, _tspec(), SEED, acfg)
         asr_model = evaluate_asr(out, SPEC, ds_test, TRIGGER)
         asr_global = evaluate_asr(start, SPEC, ds_test, TRIGGER)
         assert abs(asr_model - asr_global) <= 0.01
@@ -295,7 +297,7 @@ class TestArrayInput:
         start = init_params(SPEC, 9)
         acfg = AttackConfig(kind=kind, trigger=TRIGGER, poison_rate=rate, boost=3.0,
                             alpha=0.4, pgd_radius=1.5, edge_fraction=0.3)
-        malicious_local_train(start, SPEC, arrays, _tspec(), acfg)
+        malicious_local_train(start, SPEC, arrays, _tspec(), SEED, acfg)
         assert np.array_equal(arrays.x, x0) and np.array_equal(arrays.y, y0)
 
     def test_poisoned_training_follows_the_documented_schedule(self):
@@ -303,9 +305,9 @@ class TestArrayInput:
         data = _local_data(22)
         start = init_params(SPEC, 10)
         acfg = AttackConfig(kind="data_poison", trigger=TRIGGER, poison_rate=0.6)
-        got = malicious_local_train(start, SPEC, data, _tspec(), acfg)
-        poisoned = list(poison_dataset(data, TRIGGER, 0.6, _tspec().seed))
-        assert got.tobytes() == sgd_oracle(start, SPEC, poisoned, _tspec()).tobytes()
+        got = malicious_local_train(start, SPEC, data, _tspec(), SEED, acfg)
+        poisoned = list(poison_dataset(data, TRIGGER, 0.6, SEED))
+        assert got.tobytes() == sgd_oracle(start, SPEC, poisoned, _tspec(), SEED).tobytes()
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5])
     def test_constrain_and_scale_train(self, alpha):
@@ -314,8 +316,8 @@ class TestArrayInput:
         start = init_params(SPEC, 11)
         tspec = _tspec()
         assert tspec.local_epochs >= 2
-        got = constrain_and_scale_train(start, SPEC, data, tspec, alpha)
-        assert got.tobytes() == sgd_oracle(start, SPEC, data, tspec, alpha=alpha).tobytes()
+        got = constrain_and_scale_train(start, SPEC, data, tspec, SEED, alpha)
+        assert got.tobytes() == sgd_oracle(start, SPEC, data, tspec, SEED, alpha=alpha).tobytes()
 
     def test_edge_case_pgd_train(self):
         # the edge-case rows follow the local rows; the projection runs after every epoch
@@ -326,12 +328,12 @@ class TestArrayInput:
                             edge_fraction=0.4)
         tspec = _tspec(learning_rate=0.3)
         assert tspec.local_epochs >= 2
-        got = edge_case_pgd_train(start, SPEC, data, tspec, acfg)
+        got = edge_case_pgd_train(start, SPEC, data, tspec, SEED, acfg)
         pool = edge_case_pool(data, _edge_source_label(data, TRIGGER.target_label), 0.4)
         augmented = [*data, *(apply_trigger(e, TRIGGER) for e in pool)]
-        first_epoch = sgd_oracle(start, SPEC, augmented, replace(tspec, local_epochs=1))
+        first_epoch = sgd_oracle(start, SPEC, augmented, replace(tspec, local_epochs=1), SEED)
         assert np.linalg.norm(first_epoch - start) > radius  # the radius binds from epoch 1
-        assert got.tobytes() == sgd_oracle(start, SPEC, augmented, tspec, radius=radius).tobytes()
+        assert got.tobytes() == sgd_oracle(start, SPEC, augmented, tspec, SEED, radius=radius).tobytes()
 
     def test_edge_source_label_ties_to_the_lowest_label(self):
         data = Samples(np.zeros((9, 4)), [3, 1, 0, 3, 1, 2, 0, 0, 0])
@@ -341,7 +343,7 @@ class TestArrayInput:
     def test_empty_data_rejected(self):
         empty = Samples(np.empty((0, SPEC.input_dim)), np.empty(0))
         with pytest.raises(EmptySetError):
-            constrain_and_scale_train(init_params(SPEC, 0), SPEC, empty, _tspec(), 0.5)
+            constrain_and_scale_train(init_params(SPEC, 0), SPEC, empty, _tspec(), SEED, 0.5)
 
 
 class TestStackedTraining:
@@ -352,7 +354,7 @@ class TestStackedTraining:
         # a fresh model, an all-zero one (constrain-and-scale trains it plain),
         # a model already fitted to the data (small updates) and a random one
         start = init_params(spec, 1)
-        fitted = local_train(start, spec, data, _tspec(local_epochs=40, batch_size=64, seed=2))
+        fitted = local_train(start, spec, data, _tspec(local_epochs=40, batch_size=64), 2)
         rng = np.random.default_rng(3)
         return np.stack([start, np.zeros(spec.param_count()), fitted,
                          rng.normal(scale=0.5, size=spec.param_count())])
@@ -370,8 +372,8 @@ class TestStackedTraining:
 
         def train(global_params, acfg=acfg):
             if kind == "honest":
-                return local_train(global_params, spec, data, tspec)
-            return malicious_local_train(global_params, spec, data, tspec, acfg)
+                return local_train(global_params, spec, data, tspec, SEED)
+            return malicious_local_train(global_params, spec, data, tspec, SEED, acfg)
 
         if kind == "edge_case_pgd":
             # a radius that the fitted model's updates stay inside and the fresh

@@ -178,6 +178,21 @@ class TestSweep:
                  for p in sorted(out.glob("sweep_*.json"))]
         assert seeds == ["3", "4"]
 
+    @pytest.mark.parametrize("axis,message", [
+        ("foo=1,2", "unknown config key 'foo'"),
+        (" = 1", "unknown config key ''"),
+        ("rounds", "expected key = value, got 'rounds'"),
+        ("rounds= , ", "no values"),
+        ("compare.attacks=none,data_poison", "compare.attacks configures compare"),
+    ])
+    def test_bad_axis_exit_2_naming_the_axis(self, tiny_cfg, tmp_path, capsys, axis, message):
+        out = tmp_path / "bad"
+        code = main(["sweep", "--config", str(tiny_cfg), "--out", str(out), "--axis", axis])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"config error: sweep axis: {message}" in err, err
+        assert not out.exists()
+
     def test_failed_summary_write_leaves_no_temp_file(self, tiny_cfg, tmp_path, capsys):
         out = tmp_path / "sweep4"
         (out / "sweep_summary.csv").mkdir(parents=True)

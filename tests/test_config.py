@@ -83,7 +83,6 @@ DEFAULT = {
     "train.local_epochs": 2,
     "train.batch_size": 32,
     "train.learning_rate": 0.25,
-    "train.seed": 0,
     "data.num_classes": 10,
     "data.feature_dim": 16,
     "data.n_per_class": 100,
@@ -254,6 +253,21 @@ def test_key_list_and_order():
     assert list(config.KEY_PARSERS) == KEYS
 
 
+def test_no_config_field_is_ignored():
+    # a field that is neither a key nor filled and checked is a knob that nothing reads
+    for section, cls in config._SECTIONS.items():
+        for f in dataclasses.fields(cls):
+            key = config._key(section, f.name)
+            if f.type in config._SECTIONS.values() or key in config.KEY_PARSERS:
+                continue
+            assert key in config._FILLED_BY_SIMULATOR, key
+            cfg = SimConfig()
+            part = getattr(cfg, section)
+            object.__setattr__(part, f.name, getattr(part, f.name) + 1)
+            with pytest.raises(ConfigError, match=re.escape(key)):
+                cfg.validate()
+
+
 def test_shipped_configs_cover_every_key():
     used = set()
     for path in REPO_CONFIGS.glob("*.cfg"):
@@ -389,7 +403,7 @@ def test_kind_fields_accept_their_kinds_only(case):
 def test_every_numeric_field_carries_a_bound():
     unbounded = [f"{cls.__name__}.{f.name}" for cls, _ in SECTIONS for f in dataclasses.fields(cls)
                  if {int, float} & {f.type, *typing.get_args(f.type)} and "bound" not in f.metadata]
-    assert unbounded == ["TrainSpec.seed"]
+    assert not unbounded, unbounded
     assert len(INTERVALS) == 32 and len(KINDS) == 2
 
 

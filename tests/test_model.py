@@ -159,7 +159,7 @@ class TestLossAndGrad:
 
 class TestLocalTrain:
     def _tspec(self, **kw):
-        base = dict(local_epochs=2, batch_size=4, learning_rate=0.1, seed=3)
+        base = dict(local_epochs=2, batch_size=4, learning_rate=0.1)
         base.update(kw)
         return TrainSpec(**base)
 
@@ -167,7 +167,7 @@ class TestLocalTrain:
         rng = np.random.default_rng(6)
         data = _random_batch(rng, SOFTMAX, 10)
         start = rng.normal(size=SOFTMAX.param_count())
-        out = local_train(start, SOFTMAX, data, self._tspec(learning_rate=0.0))
+        out = local_train(start, SOFTMAX, data, self._tspec(learning_rate=0.0), 3)
         assert np.array_equal(out, start)
 
     def test_descent_small_lr(self):
@@ -175,8 +175,8 @@ class TestLocalTrain:
             rng = np.random.default_rng(seed)
             data = _random_batch(rng, SOFTMAX, 20)
             start = rng.normal(scale=0.5, size=SOFTMAX.param_count())
-            tspec = self._tspec(local_epochs=1, batch_size=100, learning_rate=0.01, seed=seed)
-            out = local_train(start, SOFTMAX, data, tspec)
+            tspec = self._tspec(local_epochs=1, batch_size=100, learning_rate=0.01)
+            out = local_train(start, SOFTMAX, data, tspec, seed)
             before, _ = loss_and_grad(start, SOFTMAX, data)
             after, _ = loss_and_grad(out, SOFTMAX, data)
             assert after <= before + 1e-12, seed
@@ -185,13 +185,13 @@ class TestLocalTrain:
         rng = np.random.default_rng(8)
         data = _random_batch(rng, MLP, 16)
         start = init_params(MLP, 0)
-        a = local_train(start, MLP, data, self._tspec())
-        b = local_train(start, MLP, data, self._tspec())
+        a = local_train(start, MLP, data, self._tspec(), 3)
+        b = local_train(start, MLP, data, self._tspec(), 3)
         assert np.array_equal(a, b)
 
     def test_empty_dataset(self):
         with pytest.raises(EmptySetError):
-            local_train(np.zeros(15), SOFTMAX, _empty(SOFTMAX), self._tspec())
+            local_train(np.zeros(15), SOFTMAX, _empty(SOFTMAX), self._tspec(), 3)
 
 
 class TestEvaluate:
@@ -210,8 +210,8 @@ class TestEvaluate:
     def test_converged_blobs_accuracy(self):
         ds = blob_arrays(4, 8, 60, 8.0, 2)
         spec = ModelSpec(8, 4)
-        tspec = TrainSpec(local_epochs=30, batch_size=240, learning_rate=0.05, seed=0)
-        params = local_train(init_params(spec, 0), spec, ds, tspec)
+        tspec = TrainSpec(local_epochs=30, batch_size=240, learning_rate=0.05)
+        params = local_train(init_params(spec, 0), spec, ds, tspec, 0)
         assert evaluate_acc(params, spec, ds) >= 0.95
 
     def test_asr_degenerate_predictor(self):
@@ -234,8 +234,8 @@ class TestEvaluate:
     def test_clean_model_low_asr_control(self):
         ds = blob_arrays(10, 16, 80, 8.0, 3)
         spec = ModelSpec(16, 10)
-        tspec = TrainSpec(local_epochs=20, batch_size=800, learning_rate=0.05, seed=1)
-        params = local_train(init_params(spec, 1), spec, ds, tspec)
+        tspec = TrainSpec(local_epochs=20, batch_size=800, learning_rate=0.05)
+        params = local_train(init_params(spec, 1), spec, ds, tspec, 1)
         assert evaluate_acc(params, spec, ds) >= 0.95
         trig = TriggerSpec((13, 14, 15), (1.5, -1.5, 1.5), 0)
         # mild trigger on a clean model stays near chance level
@@ -269,9 +269,9 @@ class TestArrayInput:
         arrays = _random_batch(rng, spec, 23)
         x0, y0 = arrays.x.copy(), arrays.y.copy()
         start = init_params(spec, 4)
-        tspec = TrainSpec(local_epochs=3, batch_size=batch_size, learning_rate=0.1, seed=9)
-        got = local_train(start, spec, arrays, tspec)
-        assert got.tobytes() == sgd_oracle(start, spec, arrays, tspec).tobytes()
+        tspec = TrainSpec(local_epochs=3, batch_size=batch_size, learning_rate=0.1)
+        got = local_train(start, spec, arrays, tspec, 9)
+        assert got.tobytes() == sgd_oracle(start, spec, arrays, tspec, 9).tobytes()
         assert np.array_equal(arrays.x, x0) and np.array_equal(arrays.y, y0)
 
 
@@ -318,14 +318,14 @@ class TestPhilox:
         rng = np.random.default_rng(12)
         data = _random_batch(rng, MLP, 40)
         start = init_params(MLP, 1)
-        tspecs = [TrainSpec(local_epochs=40, batch_size=8, learning_rate=0.05, seed=s)
-                  for s in (5, 2**64 - 3)]
-        serial = [local_train(start, MLP, data, t).tobytes() for t in tspecs]
+        tspec = TrainSpec(local_epochs=40, batch_size=8, learning_rate=0.05)
+        train_seeds = (5, 2**64 - 3)
+        serial = [local_train(start, MLP, data, tspec, s).tobytes() for s in train_seeds]
         results = [[], []]
 
         def train(i):
             for _ in range(5):
-                results[i].append(local_train(start, MLP, data, tspecs[i]).tobytes())
+                results[i].append(local_train(start, MLP, data, tspec, train_seeds[i]).tobytes())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

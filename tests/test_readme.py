@@ -1,5 +1,6 @@
 """The README's Python examples run as written, its key table matches the
-config fields, its cross-field limit table matches ``SimConfig._limits``
+config fields, its cross-field limit table matches ``SimConfig._limits``,
+its count of simulator-filled fields matches ``config._FILLED_BY_SIMULATOR``
 and the module names it cites exist, so API docs that drift fail here."""
 
 import dataclasses
@@ -63,6 +64,14 @@ def limit_table() -> str:
 
 def test_readme_limit_table_matches_the_limits():
     assert limit_table() in README.read_text(), limit_table()
+
+
+def test_readme_names_the_fields_the_simulator_fills():
+    *rest, last = [f"`{key}`" for key in config._FILLED_BY_SIMULATOR]
+    count = ("One", "Two", "Three", "Four")[len(rest)]
+    names = f"{', '.join(rest)} and {last}" if rest else last
+    sentence = f"{count} fields are filled by the simulator and are not keys: {names}"
+    assert sentence in " ".join(README.read_text().split()), sentence
 
 
 def _resolves(module: str, name: str) -> bool:

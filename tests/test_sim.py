@@ -54,6 +54,12 @@ class TestSampleClients:
         with pytest.raises(ConfigError):
             sample_clients(5, 6, 1, 0)
 
+    def test_arguments_out_of_range_raise_naming_them(self):
+        assert sample_clients(5, 0, 0, 7) == []
+        for k, round_idx, name in ((-1, 1, "k"), (6, 1, "k"), (2, -1, "round_idx")):
+            with pytest.raises(ConfigError, match=f"^{name} must be in "):
+                sample_clients(5, k, round_idx, 7)
+
     def test_uniformity_chi_square(self):
         total, k, rounds = 20, 5, 10000
         counts = np.zeros(total)
@@ -115,7 +121,7 @@ class TestRunRound:
     def test_divergence_raises_typed_error_naming_round_and_client(self):
         cfg = small_config()
         cfg.model = ModelSpec(16, 10, hidden_dim=8)
-        cfg.train = TrainSpec(2, 4000, 1e300, 0)
+        cfg.train = TrainSpec(2, 4000, 1e300)
         state = build_state(cfg)
         ids = sample_clients(cfg.total_clients, cfg.clients_per_round, 1, cfg.master_seed)
         with pytest.raises(errors.NonFiniteUpdateError) as info, np.errstate(all="ignore"):
@@ -476,7 +482,7 @@ class TestSharedState:
             ("", "eval_every"): 2, ("", "force_c_per_round"): None,
             ("", "parallel_clients"): True,
             ("train", "local_epochs"): 3, ("train", "batch_size"): 16,
-            ("train", "learning_rate"): 0.1, ("train", "seed"): 5,
+            ("train", "learning_rate"): 0.1,
             ("attack", "kind"): "data_poison", ("attack", "poison_rate"): 0.25,
             ("attack", "boost"): 3.0, ("attack", "alpha"): 0.25, ("attack", "pgd_radius"): 1.0,
             ("attack", "edge_fraction"): 0.5,
