@@ -153,9 +153,12 @@ def cmd_compare(args) -> int:
     The cells differ only in ``attack.kind`` and ``defense.kind``, so they
     all run from one state, round by round (``sim.run_simulations``). Each
     round trains a client input that several cells share once, over the
-    stack of their global models. The cell lines print when every cell is
-    done. If a cell fails, the lines of the cells before it print and its
-    error is raised, as if the cells had run one after another.
+    stack of their global models. A cell's line reads only its last
+    evaluated round, so each cell evaluates that round alone (its
+    ``eval_every`` is that round's number); the line equals its fresh
+    run's final metrics. The cell lines print when every cell is done. If
+    a cell fails, the lines of the cells before it print and its error is
+    raised, as if the cells had run one after another.
     """
     exp = _load(args)
     if not exp.compare_attacks or not exp.compare_defenses:
@@ -164,10 +167,11 @@ def cmd_compare(args) -> int:
         )
     out_dir = _out_dir(args)
     cells = [(a, d) for a in sorted(exp.compare_attacks) for d in sorted(exp.compare_defenses)]
+    last = exp.sim.rounds // exp.sim.eval_every * exp.sim.eval_every
     cfgs = [
-        cfgmod.build_config(
-            cfgmod.apply_overrides(exp.raw, [f"attack.kind={a}", f"defense.kind={d}"])
-        ).sim
+        cfgmod.build_config(cfgmod.apply_overrides(
+            exp.raw, [f"attack.kind={a}", f"defense.kind={d}", f"eval_every={last}"]
+        )).sim
         for a, d in cells
     ]
     runs, error = simmod.run_simulations(cfgs)

@@ -123,13 +123,16 @@ def _key_value(item: str, where: str) -> tuple[str, str]:
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
-    """Parse key = value lines into a raw string map; unknown keys are fatal."""
-    raw = {}
+    """Parse key = value lines into a raw string map; an unknown key, or a key
+    set on two lines, is fatal."""
+    raw, lines = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if stripped:
             key, value = _key_value(stripped, f"{source}:{lineno}: ")
-            raw[key] = value
+            if key in lines:
+                raise ConfigError(f"{source}:{lineno}: {key!r} is already set on line {lines[key]}")
+            raw[key], lines[key] = value, lineno
     return raw
 
 

@@ -291,8 +291,19 @@ def _train_group(state: SimState, cfg: SimConfig, attack: AttackConfig | None, c
     return deltas
 
 
-def _round_updates(states: list[SimState], cfgs: list[SimConfig]) -> list[list[tuple]]:
-    """Each run's ``[(client_id, delta), ...]`` for its round, in plan order.
+def _wrap(r: int, client_id: int, delta) -> ClientUpdate | FedsimError:
+    """``delta`` as client ``client_id``'s update, or the error that stands in for it."""
+    if isinstance(delta, FedsimError):
+        return delta
+    try:
+        return ClientUpdate(client_id, delta)
+    except ValueError:  # ClientUpdate's one check: a NaN or Inf entry
+        return NonFiniteUpdateError(r, client_id)
+
+
+def _round_updates(states: list[SimState], cfgs: list[SimConfig]) -> list[list]:
+    """Each run's updates for its round, in plan order: a :class:`ClientUpdate`
+    per sampled client, or the :class:`FedsimError` that stands in for it.
 
     The runs share their clients' rows (one :func:`build_state`). Each
     sampling config is planned once: its client ids and their training
@@ -300,9 +311,12 @@ def _round_updates(states: list[SimState], cfgs: list[SimConfig]) -> list[list[t
     resolved attack, every other client honestly (attack None). Each input,
     a (client, seed, ``cfg.train``, ``cfg.model``, attack), trains once over
     the stack of the distinct global models of the runs that need it, in
-    slices of at most ``MAX_DATA_ELEMENTS`` elements of rows x params. A
-    :class:`FedsimError` stands in for the delta of a model whose training
-    raised it; a slice that raises trains again one model at a time.
+    slices of at most ``MAX_DATA_ELEMENTS`` elements of rows x params. Each
+    trained row is wrapped in its :class:`ClientUpdate` once, and every run
+    that needs it gets that one object. A row with a NaN or Inf entry
+    becomes :class:`NonFiniteUpdateError` (its round and client) instead,
+    and a model whose training raised a :class:`FedsimError` gets that
+    error; a slice that raises trains again one model at a time.
     """
     plans, heads, groups, runs = {}, {}, {}, []
     for state, cfg in zip(states, cfgs):
@@ -323,12 +337,12 @@ def _round_updates(states: list[SimState], cfgs: list[SimConfig]) -> list[list[t
         run = []
         for i, seed in plans[sampling]:
             attack, head = (acfg, attacked) if i < cfg.malicious_count else (None, honest)
-            # the input's global models, by their bytes; training swaps each for its delta
+            # the input's global models, by their bytes; training swaps each for its update
             models = groups.setdefault((head, i, seed), (state, cfg, attack, row_cap, {}))[-1]
             models.setdefault(model, state.global_params)
-            run.append((i, models))
+            run.append(models)
         runs.append((model, run))
-    # a diverging client overflows inside numpy; the run that takes its delta reports it
+    # a diverging client overflows inside numpy; the run that takes its update reports it
     with np.errstate(over="ignore", invalid="ignore"):
         for (_, i, seed), (state, cfg, attack, row_cap, models) in groups.items():
             keys = list(models)
@@ -343,8 +357,8 @@ def _round_updates(states: list[SimState], cfgs: list[SimConfig]) -> list[list[t
                         chunks += [[k] for k in chunk]
                         continue
                     deltas = [e]
-                models.update(zip(chunk, deltas))
-    return [[(i, models[model]) for i, models in run] for model, run in runs]
+                models.update((k, _wrap(state.round, i, d)) for k, d in zip(chunk, deltas))
+    return [[models[model] for models in run] for model, run in runs]
 
 
 def run_round(
@@ -358,29 +372,25 @@ def run_round(
     added to the global model. ACC/ASR are evaluated on rounds divisible by
     eval_every (NaN otherwise).
 
-    ``updates`` is this run's entry of :func:`_round_updates`; without it
-    the round trains its clients itself. The first client, in plan order,
-    whose entry is an error raises it, or :class:`NonFiniteUpdateError` if
-    its delta is not finite. ``wall_ms`` covers the training only when the
-    round does it.
+    ``updates`` is this run's entry of :func:`_round_updates`: a
+    :class:`ClientUpdate` or a :class:`FedsimError` per sampled client, in
+    plan order. Without it the round trains its clients itself. The first
+    entry that is an error is raised (:class:`NonFiniteUpdateError` for a
+    delta that is not finite). ``wall_ms`` covers the training only when
+    the round does it.
     """
     t0 = time.perf_counter()
     r = state.round
     if updates is None:
         (updates,) = _round_updates([state], [cfg])
-    ids = [i for i, _ in updates]
-    client_updates = []
-    for i, delta in updates:
-        if isinstance(delta, FedsimError):
-            raise delta
-        try:
-            client_updates.append(ClientUpdate(i, delta))
-        except ValueError as e:  # ClientUpdate's one check: a NaN or Inf entry
-            raise NonFiniteUpdateError(r, i) from e
+    for u in updates:
+        if isinstance(u, FedsimError):
+            raise u
+    ids = [u.client_id for u in updates]
 
     # only weak_dp reads the noise seed
     seed = _derive_seed(cfg.master_seed, _TAG_DP_NOISE, r) if cfg.defense.kind == "weak_dp" else 0
-    outcome = aggregate(client_updates, cfg.defense, seed=seed, round=r)
+    outcome = aggregate(updates, cfg.defense, seed=seed, round=r)
     new_params = state.global_params + outcome.aggregated_delta
 
     malicious = [i for i in ids if i < cfg.malicious_count]

@@ -343,6 +343,66 @@ class TestCompare:
         assert f"round 3, client {first}" in err
         assert not (tmp_path / "compare_matrix.csv").exists()
 
+    def test_a_compare_of_n_cells_makes_2n_evaluations(self, tiny_cfg, tmp_path, monkeypatch):
+        calls = []
+        real_accuracy = sim.accuracy
+        monkeypatch.setattr(sim, "accuracy", lambda *a: calls.append(a) or real_accuracy(*a))
+        assert main(["compare", "--config", str(tiny_cfg), "--out", str(tmp_path)]) == 0
+        # 4 cells of 5 rounds under eval_every = 1: ACC and ASR of round 5 only
+        assert len(calls) == 2 * 4
+
+    def test_cells_evaluate_only_the_last_evaluated_round_of_their_fresh_run(
+            self, tiny_cfg, tmp_path, monkeypatch, capsys):
+        evaluated = []
+        real_accuracy = sim.accuracy
+
+        def accuracy(params, spec, x, y):
+            evaluated.append((params.tobytes(), x.tobytes(), np.asarray(y).tobytes()))
+            return real_accuracy(params, spec, x, y)
+
+        monkeypatch.setattr(sim, "accuracy", accuracy)
+        # 5 rounds, evaluated every 2: round 4 is the last evaluated one
+        code = main(["compare", "--config", str(tiny_cfg), "--out", str(tmp_path),
+                     "--set", "eval_every=2"])
+        assert code == 0
+        compared = list(evaluated)
+        rows = (tmp_path / "compare_matrix.csv").read_text().splitlines()[1:]
+        printed = capsys.readouterr().out.splitlines()
+        raw = {**load_config_file(tiny_cfg), "eval_every": "2"}
+        fresh = []
+        for row, line in zip(rows, printed, strict=True):
+            attack, defense, acc, asr = row.split(",")
+            evaluated.clear()
+            records = sim.run_simulation(
+                build_config({**raw, "attack.kind": attack, "defense.kind": defense}).sim)
+            assert [r.round for r in records] == [2, 4]
+            summary = sim.summarize(records)
+            assert (acc, asr) == (f"{summary['final_acc']:.9g}", f"{summary['final_asr']:.9g}")
+            assert line == f"{attack} vs {defense}: acc={acc} asr={asr}"
+            fresh += evaluated[2:]
+        # the compare evaluated each cell's round-4 model on the two test sets, nothing else
+        assert compared == fresh
+
+    def test_each_trained_row_is_wrapped_in_one_client_update(self, tiny_cfg, tmp_path,
+                                                              monkeypatch):
+        rows, wrapped = [], []
+        real_train, real_update = sim._train_group, sim.ClientUpdate
+
+        def train(state, cfg, attack, client_id, seed, global_params):
+            rows.extend([client_id] * len(global_params))
+            return real_train(state, cfg, attack, client_id, seed, global_params)
+
+        monkeypatch.setattr(sim, "_train_group", train)
+        monkeypatch.setattr(sim, "ClientUpdate",
+                            lambda i, delta: wrapped.append(i) or real_update(i, delta))
+        code = main(["compare", "--config", str(tiny_cfg), "--out", str(tmp_path),
+                     "--set", "compare.attacks=data_poison",
+                     "--set", "compare.defenses=faros,fedavg"])
+        assert code == 0
+        # the two cells share their round-1 rows, so fewer rows train than they aggregate
+        assert len(rows) < 2 * 5 * 4
+        assert sorted(wrapped) == sorted(rows)
+
     @pytest.mark.parametrize("key", ["compare.attacks", "compare.defenses"])
     @pytest.mark.parametrize("command", ["compare", "validate-config"])
     def test_repeated_kind_exit_2_naming_key(self, tiny_cfg, tmp_path, capsys, key, command):
@@ -443,7 +503,8 @@ class TestValidateConfig:
         (b"rounds = 3\nrounds 4  # no equals sign\n", [],
          "{path}:2: expected key = value, got 'rounds 4'"),
         (b"rounds = 3\n", ["--set", "rounds"], "override: expected key = value, got 'rounds'"),
-    ], ids=["not-utf8", "line-without-equals", "set-without-equals"])
+        (b"rounds = 3\n# rounds = 9\nrounds = 4\n", [], "{path}:3: 'rounds' is already set on line 1"),
+    ], ids=["not-utf8", "line-without-equals", "set-without-equals", "key-set-twice"])
     def test_unreadable_or_malformed_input_exit_2(self, tmp_path, capsys, text, overrides,
                                                   message):
         cfg = tmp_path / "in.cfg"

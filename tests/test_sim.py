@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fedsim import errors, sim
 from fedsim.attacks import ATTACK_KINDS, AttackConfig
-from fedsim.defenses import DEFENSE_KINDS, DefenseConfig
+from fedsim.defenses import DEFENSE_KINDS, ClientUpdate, DefenseConfig
 from fedsim.errors import ConfigError
 from fedsim.data import TriggerSpec
 from fedsim.model import ModelSpec, TrainSpec, evaluate_acc, evaluate_asr
@@ -160,7 +160,7 @@ class TestRunRound:
         state = build_state(cfg)
         ids = sample_clients(cfg.total_clients, cfg.clients_per_round, 1, cfg.master_seed)
         # finite updates whose sum overflows, as no training here would produce them
-        updates = [(i, np.full(cfg.model.param_count(), 1.5e308)) for i in ids]
+        updates = [ClientUpdate(i, np.full(cfg.model.param_count(), 1.5e308)) for i in ids]
         with pytest.raises(errors.NonFiniteAggregateError, match="^round 1, defense.kind fedavg: "):
             run_round(state, cfg, updates)
         assert np.isfinite(state.global_params).all()
@@ -526,7 +526,7 @@ class TestSharedState:
                             or real_train(state, cfg, attack, i, seed, stack))
         names = ("forced", "free", "forced")
         for name, updates in zip(names, sim._round_updates([state] * 3, [cfgs[n] for n in names])):
-            assert [i for i, _ in updates] == ids[name]
+            assert [u.client_id for u in updates] == ids[name]
             _, rec = run_round(state, cfgs[name], updates)
             assert rec.malicious_selected == [i for i in ids[name] if i < 3]
         # one plan per sampling config in the round; the repeated config reuses its own
@@ -575,7 +575,7 @@ class TestSharedState:
         def trained(cap):
             monkeypatch.setattr(sim, "MAX_DATA_ELEMENTS", cap)
             stacks.clear()
-            return [[(i, d.tobytes()) for i, d in updates]
+            return [[(u.client_id, u.delta.tobytes()) for u in updates]
                     for updates in sim._round_updates(scaled, [cfg] * 4)]
 
         whole = trained(sim.MAX_DATA_ELEMENTS)
