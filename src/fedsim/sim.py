@@ -278,8 +278,8 @@ def _train_group(state: SimState, cfg: SimConfig, attack: AttackConfig | None, c
 
     The one training path: the models train as one stack, each row exactly
     as it would alone. The (G, P) result is read-only, because a row may be
-    handed to several runs; non-finite rows are left for the run that takes
-    them to report.
+    handed to several runs; a non-finite row is left for
+    :func:`_round_updates` to raise.
     """
     data = state.clients[client_id]
     if attack is None:
@@ -291,19 +291,9 @@ def _train_group(state: SimState, cfg: SimConfig, attack: AttackConfig | None, c
     return deltas
 
 
-def _wrap(r: int, client_id: int, delta) -> ClientUpdate | FedsimError:
-    """``delta`` as client ``client_id``'s update, or the error that stands in for it."""
-    if isinstance(delta, FedsimError):
-        return delta
-    try:
-        return ClientUpdate(client_id, delta)
-    except ValueError:  # ClientUpdate's one check: a NaN or Inf entry
-        return NonFiniteUpdateError(r, client_id)
-
-
-def _round_updates(states: list[SimState], cfgs: list[SimConfig]) -> list[list]:
-    """Each run's updates for its round, in plan order: a :class:`ClientUpdate`
-    per sampled client, or the :class:`FedsimError` that stands in for it.
+def _round_updates(states: list[SimState], cfgs: list[SimConfig]) -> list[list[ClientUpdate]]:
+    """Each run's updates for its round: a :class:`ClientUpdate` per sampled
+    client, in plan order. Raises the first :class:`FedsimError` it meets.
 
     The runs share their clients' rows (one :func:`build_state`). Each
     sampling config is planned once: its client ids and their training
@@ -314,9 +304,10 @@ def _round_updates(states: list[SimState], cfgs: list[SimConfig]) -> list[list]:
     slices of at most ``MAX_DATA_ELEMENTS`` elements of rows x params. Each
     trained row is wrapped in its :class:`ClientUpdate` once, and every run
     that needs it gets that one object. A row with a NaN or Inf entry
-    becomes :class:`NonFiniteUpdateError` (its round and client) instead,
-    and a model whose training raised a :class:`FedsimError` gets that
-    error; a slice that raises trains again one model at a time.
+    raises :class:`NonFiniteUpdateError` (its round and client), and a
+    trainer's :class:`FedsimError` propagates. The inputs train in the
+    order the runs first need them, so for a lone run the error raised is
+    the first of its plan.
     """
     plans, heads, groups, runs = {}, {}, {}, []
     for state, cfg in zip(states, cfgs):
@@ -342,27 +333,25 @@ def _round_updates(states: list[SimState], cfgs: list[SimConfig]) -> list[list]:
             models.setdefault(model, state.global_params)
             run.append(models)
         runs.append((model, run))
-    # a diverging client overflows inside numpy; the run that takes its update reports it
+    # a diverging client overflows inside numpy; its non-finite row raises below
     with np.errstate(over="ignore", invalid="ignore"):
         for (_, i, seed), (state, cfg, attack, row_cap, models) in groups.items():
             keys = list(models)
             step = max(1, row_cap // len(state.clients[i]))
-            chunks = [keys[at : at + step] for at in range(0, len(keys), step)]
-            for chunk in chunks:  # grows by the models of each slice that raises
-                try:
-                    deltas = _train_group(state, cfg, attack, i, seed,
-                                          np.array([models[k] for k in chunk]))
-                except FedsimError as e:
-                    if len(chunk) > 1:
-                        chunks += [[k] for k in chunk]
-                        continue
-                    deltas = [e]
-                models.update((k, _wrap(state.round, i, d)) for k, d in zip(chunk, deltas))
+            for at in range(0, len(keys), step):
+                chunk = keys[at : at + step]
+                deltas = _train_group(state, cfg, attack, i, seed,
+                                      np.array([models[k] for k in chunk]))
+                for k, delta in zip(chunk, deltas):
+                    try:
+                        models[k] = ClientUpdate(i, delta)
+                    except ValueError:  # ClientUpdate's one check: a NaN or Inf entry
+                        raise NonFiniteUpdateError(state.round, i) from None
     return [[models[model] for models in run] for model, run in runs]
 
 
 def run_round(
-    state: SimState, cfg: SimConfig, updates: list[tuple] | None = None
+    state: SimState, cfg: SimConfig, updates: list[ClientUpdate] | None = None
 ) -> tuple[SimState, RoundRecord]:
     """Execute one full round and report it.
 
@@ -373,19 +362,16 @@ def run_round(
     eval_every (NaN otherwise).
 
     ``updates`` is this run's entry of :func:`_round_updates`: a
-    :class:`ClientUpdate` or a :class:`FedsimError` per sampled client, in
-    plan order. Without it the round trains its clients itself. The first
-    entry that is an error is raised (:class:`NonFiniteUpdateError` for a
-    delta that is not finite). ``wall_ms`` covers the training only when
-    the round does it.
+    :class:`ClientUpdate` per sampled client, in plan order. Without it the
+    round trains its clients itself, stopping at the first client whose
+    training fails: its :class:`FedsimError` is raised
+    (:class:`NonFiniteUpdateError` for a delta that is not finite).
+    ``wall_ms`` covers the training only when the round does it.
     """
     t0 = time.perf_counter()
     r = state.round
     if updates is None:
         (updates,) = _round_updates([state], [cfg])
-    for u in updates:
-        if isinstance(u, FedsimError):
-            raise u
     ids = [u.client_id for u in updates]
 
     # only weak_dp reads the noise seed
@@ -433,8 +419,10 @@ def run_simulations(cfgs: list[SimConfig]) -> tuple[list[list[RoundRecord]], Fed
     ``cfgs[0]`` in a field that :func:`build_state` reads (``_shared``).
     With more than one run due, one :func:`_round_updates` call trains the
     round for all of them, and their ``wall_ms`` leaves that training out;
-    a lone run trains in :func:`run_round`. Each run's records, ``wall_ms``
-    aside, equal those of a run alone.
+    a lone run trains in :func:`run_round`. If that shared call raises a
+    :class:`FedsimError`, each due run trains the step alone, in order, and
+    so meets its own error, if any, as it would alone. Each run's records,
+    ``wall_ms`` aside, equal those of a run alone.
 
     Returns the evaluated rounds of each run before the first, in order, to
     raise a :class:`FedsimError`, and that error (None if none did): the
@@ -453,7 +441,8 @@ def run_simulations(cfgs: list[SimConfig]) -> tuple[list[list[RoundRecord]], Fed
         due = [j for j in range(live) if step < cfgs[j].rounds]
         shared = [None] * len(due)
         if len(due) > 1:
-            shared = _round_updates([states[j] for j in due], [cfgs[j] for j in due])
+            with contextlib.suppress(FedsimError):  # then each run trains alone
+                shared = _round_updates([states[j] for j in due], [cfgs[j] for j in due])
         for j, updates in zip(due, shared):
             cfg = cfgs[j]
             r = states[j].round

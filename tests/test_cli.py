@@ -314,17 +314,25 @@ class TestCompare:
     def test_one_diverging_row_of_a_shared_stack_fails_only_its_cell(
             self, tiny_cfg, tmp_path, monkeypatch, capsys):
         # From round 2 the faros and fedavg cells hold different global models,
-        # so each client trains as one stack of two rows, faros's first. At
-        # round 3 only fedavg's rows diverge: fedavg fails at its first client,
-        # and faros, before it in order, keeps the records of a run alone.
+        # so each client trains as one stack of two rows. At round 3 only the
+        # rows trained from fedavg's model diverge: fedavg fails at its first
+        # client, and faros, before it in order, keeps the records of a run alone.
+        raw = load_config_file(tiny_cfg)
+        cell, other = (build_config({**raw, "attack.kind": "data_poison",
+                                     "defense.kind": kind}).sim for kind in ("faros", "fedavg"))
+        state = sim.build_state(other)
+        for _ in range(2):
+            state, _ = sim.run_round(state, other)
+        poisoned = state.global_params.tobytes()
         real_train = sim._train_group
+        stacks = []
 
         def train(state, cfg, attack, client_id, seed, global_params):
             deltas = real_train(state, cfg, attack, client_id, seed, global_params)
             if state.round == 3:
-                assert len(global_params) == 2
-                deltas = deltas.copy()
-                deltas[1] = np.inf
+                stacks.append(len(global_params))
+                hit = [[g.tobytes() == poisoned] for g in global_params]
+                deltas = np.where(hit, np.inf, deltas)
             return deltas
 
         monkeypatch.setattr(sim, "_train_group", train)
@@ -333,9 +341,8 @@ class TestCompare:
                      "--set", "compare.defenses=faros,fedavg"])
         assert code == 1
         out, err = capsys.readouterr()
+        assert max(stacks) == 2
         monkeypatch.setattr(sim, "_train_group", real_train)
-        cell = build_config({**load_config_file(tiny_cfg), "attack.kind": "data_poison",
-                             "defense.kind": "faros"}).sim
         summary = sim.summarize(sim.run_simulation(cell))
         assert out.splitlines() == [f"data_poison vs faros: acc={summary['final_acc']:.9g} "
                                     f"asr={summary['final_asr']:.9g}"]

@@ -155,6 +155,24 @@ class TestRunRound:
             with pytest.raises(errors.ZeroVectorError, match=f"^planted, client {ids[0]}$"):
                 run_round(state, cfg)
 
+    def test_a_lone_round_trains_no_client_after_its_first_failure(self, monkeypatch):
+        cfg = small_config()
+        state = build_state(cfg)
+        ids = sample_clients(cfg.total_clients, cfg.clients_per_round, 1, cfg.master_seed)
+        real_train = sim._train_group
+        trained = []
+
+        def train(state, cfg, attack, i, seed, stack):
+            trained.append(i)
+            deltas = real_train(state, cfg, attack, i, seed, stack)
+            return np.full_like(deltas, np.nan) if i == ids[1] else deltas
+
+        monkeypatch.setattr(sim, "_train_group", train)
+        with pytest.raises(errors.NonFiniteUpdateError) as info:
+            run_round(state, cfg)
+        assert (info.value.round, info.value.client_id) == (1, ids[1])
+        assert trained == ids[:2]
+
     def test_overflowing_aggregate_raises_typed_error_naming_round_and_rule(self):
         cfg = small_config()
         state = build_state(cfg)
@@ -561,6 +579,39 @@ class TestSharedState:
         ids = sim._sample_forced(base, 3)
         assert str(error) == f"planted, client {ids[0]}"
         assert [[_no_wall(r) for r in run] for run in runs] == [fresh]
+
+    def test_a_failed_shared_step_is_retried_alone_for_that_step_only(self, monkeypatch):
+        base = small_config(defense="faros", malicious=3, attack="model_replacement",
+                            accept_count=3, core_size=2, force_c=1)
+        cfgs = [dataclasses.replace(base, defense=dataclasses.replace(base.defense, kind=kind))
+                for kind in ("faros", "fedavg")]
+        # trains apart from the other two, so its global models are its own
+        cfgs.append(_changed(base, "train", "learning_rate", 0.05))
+        fresh = [[_no_wall(r) for r in run_simulation(cfg)] for cfg in cfgs[:2]]
+        state = build_state(cfgs[2])
+        for _ in range(2):
+            state, _ = run_round(state, cfgs[2])
+        poisoned = state.global_params.tobytes()
+        real_train = sim._train_group
+        stacks = []
+
+        def train(state, cfg, attack, i, seed, stack):
+            # only a training from the last run's round-3 model fails
+            stacks.append((state.round, len(stack)))
+            if any(g.tobytes() == poisoned for g in stack):
+                raise errors.ZeroVectorError(f"planted, client {i}")
+            return real_train(state, cfg, attack, i, seed, stack)
+
+        monkeypatch.setattr(sim, "_train_group", train)
+        runs, error = run_simulations(cfgs)
+        assert str(error) == f"planted, client {sim._sample_forced(base, 3)[0]}"
+        assert [[_no_wall(r) for r in run] for run in runs] == fresh
+        k = base.clients_per_round
+        # round 3: the shared stacks of the first two runs, the last run's first
+        # client failing, then each run alone up to that same failure
+        assert [n for r, n in stacks if r == 3] == [2] * k + [1] + [1] * (2 * k + 1)
+        # from round 4 the first two runs train as shared stacks again
+        assert [n for r, n in stacks if r > 3] == [2] * k * (base.rounds - 3)
 
     def test_stacks_are_cut_to_the_element_cap(self, monkeypatch):
         cfg = small_config(defense="faros", malicious=3, attack="constrain_and_scale", force_c=1)
