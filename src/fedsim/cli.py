@@ -82,23 +82,31 @@ def _load(args) -> cfgmod.ExperimentConfig:
     return cfgmod.build_config(_raw(args))
 
 
+def _final(records) -> tuple[str, str]:
+    """The final ACC and ASR of ``records``, each as ``:.9g`` text."""
+    summary = simmod.summarize(records)
+    return f"{summary['final_acc']:.9g}", f"{summary['final_asr']:.9g}"
+
+
 def _run_once(exp: cfgmod.ExperimentConfig, out_dir: str, fmt: str, stem: str = "results"):
+    """Run ``exp``, write ``<stem>.csv`` and/or ``<stem>.json`` as ``fmt`` asks,
+    and return the run's ``_final``."""
     records = simmod.run_simulation(exp.sim)
-    if fmt in ("csv", "both"):
-        simmod.write_results(records, os.path.join(out_dir, f"{stem}.csv"), "csv")
-    if fmt in ("json", "both"):
-        simmod.write_results(
-            records, os.path.join(out_dir, f"{stem}.json"), "json", config_echo=exp.raw
-        )
-    return records
+    for kind in ("csv", "json"):
+        if fmt in (kind, "both"):
+            simmod.write_results(
+                records, os.path.join(out_dir, f"{stem}.{kind}"), kind, config_echo=exp.raw
+            )
+    return _final(records)
+
+
+def _write_table(out_dir: str, name: str, header: str, rows):
+    simmod.atomic_write(os.path.join(out_dir, name), "".join(f"{r}\n" for r in (header, *rows)))
 
 
 def cmd_run(args) -> int:
-    exp = _load(args)
-    out_dir = _out_dir(args)
-    records = _run_once(exp, out_dir, args.format)
-    summary = simmod.summarize(records)
-    print(f"final_acc={summary['final_acc']:.9g} final_asr={summary['final_asr']:.9g}")
+    acc, asr = _run_once(_load(args), _out_dir(args), args.format)
+    print(f"final_acc={acc} final_asr={asr}")
     return EXIT_OK
 
 
@@ -107,9 +115,13 @@ def _safe_name(value: str) -> str:
 
 
 def cmd_sweep(args) -> int:
+    """Run each axis value in turn and write ``sweep_summary.csv``. A failed value
+    prints its error and the sweep goes on; the first failure sets the exit code."""
     key, values_text = cfgmod._key_value(args.axis, "sweep axis: ")
     if key.startswith("compare."):
         raise ConfigError(f"sweep axis: {key} configures compare, not a run")
+    if key in cfgmod.LIST_KEYS:
+        raise ConfigError(f"sweep axis: {key} takes a list, which the axis splits at commas")
     values = [v.strip() for v in values_text.split(",") if v.strip()]
     if not values:
         raise ConfigError("sweep axis: no values")
@@ -118,33 +130,25 @@ def cmd_sweep(args) -> int:
     base_seed = cfgmod.parse_values(raw).get("master_seed", simmod.SimConfig.master_seed)
     out_dir = _out_dir(args)
 
-    rows, failures = [], []
+    rows, failure = [], None
     for idx, value in enumerate(values):
         per_run = {**raw, key: value}
         if key != "master_seed":
             per_run["master_seed"] = str(base_seed + idx)
         try:
-            exp = cfgmod.build_config(per_run)
-            stem = f"sweep_{idx:03d}_{_safe_name(value)}"
-            records = _run_once(exp, out_dir, args.format, stem=stem)
-            summary = simmod.summarize(records)
-            rows.append(
-                f"{value},{summary['final_acc']:.9g},{summary['final_asr']:.9g}"
-            )
-            print(f"{key}={value}: final_acc={summary['final_acc']:.9g} "
-                  f"final_asr={summary['final_asr']:.9g}")
+            acc, asr = _run_once(cfgmod.build_config(per_run), out_dir, args.format,
+                                 stem=f"sweep_{idx:03d}_{_safe_name(value)}")
         except FedsimError as e:
-            failures.append((value, e))
+            failure = failure or e
             print(f"{key}={value}: FAILED ({e})", file=sys.stderr)
+            continue
+        rows.append(f"{value},{acc},{asr}")
+        print(f"{key}={value}: final_acc={acc} final_asr={asr}")
 
-    simmod.atomic_write(
-        os.path.join(out_dir, "sweep_summary.csv"),
-        "axis_value,final_acc,final_asr\n" + "".join(r + "\n" for r in rows),
-    )
-    if failures:
-        first = failures[0][1]
-        return EXIT_CONFIG if isinstance(first, ConfigError) else EXIT_RUNTIME
-    return EXIT_OK
+    _write_table(out_dir, "sweep_summary.csv", "axis_value,final_acc,final_asr", rows)
+    if failure is None:
+        return EXIT_OK
+    return EXIT_CONFIG if isinstance(failure, ConfigError) else EXIT_RUNTIME
 
 
 def cmd_compare(args) -> int:
@@ -162,32 +166,24 @@ def cmd_compare(args) -> int:
     """
     exp = _load(args)
     if not exp.compare_attacks or not exp.compare_defenses:
-        raise ConfigError(
-            "compare needs compare.attacks and compare.defenses in the config"
-        )
+        raise ConfigError("compare needs compare.attacks and compare.defenses in the config")
     out_dir = _out_dir(args)
     cells = [(a, d) for a in sorted(exp.compare_attacks) for d in sorted(exp.compare_defenses)]
-    last = exp.sim.rounds // exp.sim.eval_every * exp.sim.eval_every
-    cfgs = [
-        cfgmod.build_config(cfgmod.apply_overrides(
-            exp.raw, [f"attack.kind={a}", f"defense.kind={d}", f"eval_every={last}"]
-        )).sim
+    last = str(exp.sim.rounds // exp.sim.eval_every * exp.sim.eval_every)
+    runs, error = simmod.run_simulations([
+        cfgmod.build_config({**exp.raw, "attack.kind": a, "defense.kind": d, "eval_every": last}).sim
         for a, d in cells
-    ]
-    runs, error = simmod.run_simulations(cfgs)
+    ])
 
     rows = []
     for (attack, defense), records in zip(cells, runs):
-        summary = simmod.summarize(records)
-        acc, asr = f"{summary['final_acc']:.9g}", f"{summary['final_asr']:.9g}"
-        rows.append(f"{attack},{defense},{acc},{asr}\n")
+        acc, asr = _final(records)
+        rows.append(f"{attack},{defense},{acc},{asr}")
         print(f"{attack} vs {defense}: acc={acc} asr={asr}")
     if error is not None:
         raise error
 
-    simmod.atomic_write(
-        os.path.join(out_dir, "compare_matrix.csv"), "attack,defense,final_acc,final_asr\n" + "".join(rows)
-    )
+    _write_table(out_dir, "compare_matrix.csv", "attack,defense,final_acc,final_asr", rows)
     return EXIT_OK
 
 

@@ -84,6 +84,9 @@ KEY_PARSERS = {
     if f.type not in _SECTIONS.values() and _key(section, f.name) not in _FILLED_BY_SIMULATOR
 }
 KEY_PARSERS["compare.attacks"] = KEY_PARSERS["compare.defenses"] = _parser(tuple[str, ...])
+# the keys of a run whose value is a comma-separated list
+LIST_KEYS = {_key(section, f.name) for section, cls in _SECTIONS.items() for f in fields(cls)
+             if typing.get_origin(f.type) is tuple}
 
 
 @dataclass

@@ -136,8 +136,9 @@ class SimConfig:
         if c is not None and c >= self.clients_per_round / 2:
             warnings.warn("forced malicious count is not an honest majority", RuntimeWarning,
                           stacklevel=1)
+        # pinned attackers make every round hold exactly c of them, checked above
         expected = self.clients_per_round * self.malicious_count / self.total_clients
-        if expected >= self.clients_per_round / 2:
+        if c is None and expected >= self.clients_per_round / 2:
             warnings.warn("expected malicious share per round is not an honest majority",
                           RuntimeWarning, stacklevel=1)
 

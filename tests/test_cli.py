@@ -184,6 +184,8 @@ class TestSweep:
         ("rounds", "expected key = value, got 'rounds'"),
         ("rounds= , ", "no values"),
         ("compare.attacks=none,data_poison", "compare.attacks configures compare"),
+        ("trigger.values=1.5,-1.5,1.5", "trigger.values takes a list"),
+        ("trigger.positions=13,14", "trigger.positions takes a list"),
     ])
     def test_bad_axis_exit_2_naming_the_axis(self, tiny_cfg, tmp_path, capsys, axis, message):
         out = tmp_path / "bad"
@@ -443,7 +445,8 @@ def test_honest_majority_warning_prints_once_per_run(tiny_cfg, tmp_path):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("default")
         code = main(["run", "--config", str(tiny_cfg), "--out", str(tmp_path),
-                     "--set", "malicious_count=6", "--set", "rounds=1"])
+                     "--set", "malicious_count=6", "--set", "force_c_per_round=none",
+                     "--set", "rounds=1"])
     assert code == 0
     assert [str(w.message) for w in caught] == [
         "expected malicious share per round is not an honest majority"

@@ -351,6 +351,20 @@ class TestRunSimulation:
             ids = sim._sample_forced(cfg, r)
             assert len(set(ids)) == 6 and sum(i < 8 for i in ids) == 4
 
+    @pytest.mark.parametrize("force_c,expected", [
+        # 2 pinned attackers of 10 in every round: an honest majority
+        (2, []),
+        # 30 of 50 malicious: 6 of every 10 sampled are expected to be
+        (None, ["expected malicious share per round is not an honest majority"]),
+    ])
+    def test_expected_share_warns_only_when_attackers_are_not_pinned(self, force_c, expected):
+        cfg = sim.SimConfig(total_clients=50, clients_per_round=10, malicious_count=30,
+                            force_c_per_round=force_c)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cfg.validate()
+        assert [str(w.message) for w in caught] == expected
+
     def test_replacement_attack_implants_under_plain_averaging(self):
         cfg = standard_config(defense="fedavg", attack="model_replacement",
                               rounds=50, boost=20.0)
