@@ -42,6 +42,7 @@ from .errors import (
     ConfigError,
     DegenerateCentroidError,
     DimensionMismatchError,
+    DuplicateClientError,
     EmptySetError,
     FedsimError,
     NoEligibleExamplesError,

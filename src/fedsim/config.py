@@ -10,11 +10,12 @@ sections is ``<section>.<field>``: ``data.`` (DataConfig), ``trigger.``
 (AttackConfig) and ``defense.`` (DefenseConfig). A value is parsed by the
 field's annotation, and an unset key takes the field's default. The field
 is the only place its default and its bound (``errors.bounded``: an
-interval such as ``(0, 1]``, or the kinds) are written; ``check_bounds``
-checks every bound, naming the key, and ``SimConfig.validate`` adds the
-limits that span fields, each written once as a row of
-``SimConfig._limits``. Two fields are filled by the simulator and are
-not keys: ``model.input_dim`` and ``model.num_classes`` (from ``data``).
+interval such as ``(0, 1]``, or the kinds) are written. Every config
+dataclass is frozen and checked once, when it is built: ``check_bounds``
+checks every bound, naming the key, and ``SimConfig`` adds the limits that
+span fields, each written once as a row of ``SimConfig._limits``. Two
+fields are filled by the simulator and are not keys: ``model.input_dim``
+and ``model.num_classes`` (from ``data``).
 The ``trigger`` section builds ``attack.trigger``, the run's one trigger.
 
 The ``compare.attacks`` / ``compare.defenses`` keys configure the comparison
@@ -89,7 +90,7 @@ LIST_KEYS = {_key(section, f.name) for section, cls in _SECTIONS.items() for f i
              if typing.get_origin(f.type) is tuple}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """A parsed config file: the simulation config plus comparison lists."""
 
@@ -189,6 +190,5 @@ def build_config(raw: dict) -> ExperimentConfig:
         attack=AttackConfig(**given["attack"], trigger=TriggerSpec(**given["trigger"])),
         defense=DefenseConfig(**given["defense"]),
     )
-    sim.validate()
     compare = {f"compare_{name}": value for name, value in given["compare"].items()}
     return ExperimentConfig(sim, **compare, raw=dict(raw))

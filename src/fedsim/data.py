@@ -33,13 +33,17 @@ class Samples:
 
     def __init__(self, x, y):
         x = np.asarray(x, dtype=np.float64)
-        y = np.asarray(y, dtype=np.intp)
+        y = np.asarray(y)
+        if y.dtype.kind != "i":
+            y = _whole(y)
         if x.ndim != 2 or y.shape != (x.shape[0],):
             raise DimensionMismatchError(
                 f"samples need x of shape (n, d) and y of shape (n,), got {x.shape} and {y.shape}"
             )
+        if y.size and y.min() < 0:
+            raise DimensionMismatchError(f"labels must be non-negative, got {y.min()}")
         self.x = x
-        self.y = y
+        self.y = y.astype(np.intp, copy=False)
 
     def __len__(self) -> int:
         return self.y.shape[0]
@@ -48,8 +52,25 @@ class Samples:
         return map(Example, self.x, self.y.tolist())
 
     def take(self, rows) -> "Samples":
-        """The rows that the index ``rows`` (positions or a boolean mask) selects, as new arrays."""
-        return Samples(self.x[rows], self.y[rows])
+        """The rows that the index ``rows`` selects: views for a slice, new arrays for
+        positions or a boolean mask. Rows of checked samples are not checked again."""
+        out = object.__new__(Samples)
+        out.x, out.y = self.x[rows], self.y[rows]
+        return out
+
+
+def _whole(labels: np.ndarray) -> np.ndarray:
+    """``labels`` cast to intp; a label that the cast changes (a fraction, NaN, inf)
+    raises :class:`DimensionMismatchError`."""
+    # numpy casts NaN and inf to some integer, and warns
+    with np.errstate(invalid="ignore"):
+        y = labels.astype(np.intp)
+    changed = y != labels
+    if changed.any():
+        raise DimensionMismatchError(
+            f"labels must be whole numbers, got {labels[changed][0].item()!r}"
+        )
+    return y
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import ConfigError, DegenerateCentroidError, DimensionMismatchError, EmptySetError
-from .errors import NonFiniteAggregateError, bounded, check_bounds, check_in
+from .errors import ConfigError, DegenerateCentroidError, DimensionMismatchError
+from .errors import DuplicateClientError, EmptySetError, NonFiniteAggregateError, bounded
+from .errors import check_bounds, check_in
 
 DEFENSE_KINDS = ("fedavg", "multi_krum", "weak_dp", "scope_static", "faros")
 
@@ -41,15 +42,15 @@ class ClientUpdate:
         object.__setattr__(self, "delta", linalg.as_vector(self.delta))
 
 
-@dataclass
+@dataclass(frozen=True)
 class DefenseConfig:
     """Settings of the aggregation rules; only the fields for ``kind`` matter.
 
     ``core_size`` (l) and ``accept_count`` (m) default to None, meaning
     "half the round's clients, rounded up" -- the honest-majority default.
     Their upper bound is the round's client count, checked by
-    ``SimConfig.validate`` against ``clients_per_round`` and by
-    :meth:`sizes` against a given k.
+    ``SimConfig`` against ``clients_per_round`` and by :meth:`sizes`
+    against a given k.
     """
 
     kind: str = bounded(DEFENSE_KINDS, "fedavg")
@@ -102,12 +103,15 @@ class DefenseOutcome:
 
 
 def _stack(updates) -> tuple[list[int], np.ndarray]:
-    """The round's client ids, ascending, and their deltas as the rows of one matrix."""
+    """The round's client ids, ascending, and their deltas as the rows of one matrix.
+    A client may send one update per round."""
     updates = sorted(updates, key=lambda u: u.client_id)
     if not updates:
         raise EmptySetError("no client updates to aggregate")
     dim = updates[0].delta.size
-    for u in updates[1:]:
+    for prev, u in zip(updates, updates[1:]):
+        if u.client_id == prev.client_id:
+            raise DuplicateClientError(f"client {u.client_id} sent more than one update")
         if u.delta.size != dim:
             raise DimensionMismatchError(
                 f"client {u.client_id} delta has dim {u.delta.size}, expected {dim}"
@@ -356,9 +360,8 @@ def aggregate(updates, cfg: DefenseConfig, seed: int = 0, round: int | None = No
         "scope_static": lambda: scope_static_aggregate(updates, cfg),
         "faros": lambda: faros_aggregate(updates, cfg),
     }
-    if cfg.kind not in rules:
-        raise ConfigError(f"unknown defense kind {cfg.kind!r}")
     try:
+        # DefenseConfig is frozen and its kind checked against DEFENSE_KINDS
         return rules[cfg.kind]()
     except NonFiniteAggregateError as e:
         where = "" if round is None else f"round {round}, "

@@ -21,6 +21,10 @@ class EmptySetError(FedsimError):
     """An operation received an empty collection."""
 
 
+class DuplicateClientError(FedsimError):
+    """A round holds more than one update from the same client."""
+
+
 class DegenerateCentroidError(FedsimError):
     """The centroid of a vector set is the zero vector."""
 

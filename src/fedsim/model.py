@@ -127,10 +127,20 @@ def _log_softmax_grad(params, spec, x, y):
     return log_probs, np.concatenate(grads[::-1], axis=1)
 
 
+def _check_labels(y: np.ndarray, spec: ModelSpec):
+    """Raise :class:`DimensionMismatchError` naming a label of the non-empty ``y``
+    that is not a class of ``spec``."""
+    for label in (y.min(), y.max()):
+        if not 0 <= label < spec.num_classes:
+            raise DimensionMismatchError(f"label {label} is not a class of a "
+                                         f"{spec.num_classes}-class model")
+
+
 def loss_and_grad(params: np.ndarray, spec: ModelSpec, batch: Samples) -> tuple[float, np.ndarray]:
     """Mean cross-entropy over the rows of ``batch`` and its exact analytic gradient."""
     if not len(batch):
         raise EmptySetError("loss over an empty batch")
+    _check_labels(batch.y, spec)
     params = np.asarray(params, np.float64)[None]
     log_probs, grad = _log_softmax_grad(params, spec, batch.x, batch.y)
     return float(np.mean(-log_probs[0, np.arange(len(batch)), batch.y])), grad[0]
@@ -187,11 +197,13 @@ def sgd(params, spec: ModelSpec, x, y, tspec: TrainSpec, seed: int, step=None,
     alone. Each epoch's order is drawn in full before the steps, so the
     re-keyed stream is used up before the next ``philox`` call; repeated
     calls, on any thread, are bit-identical. Only the gradient is computed
-    on a step, never the loss.
+    on a step, never the loss. A label outside ``[0, spec.num_classes)``
+    raises :class:`DimensionMismatchError`, checked once per call.
     """
     n = x.shape[0]
     if not n:
         raise EmptySetError("cannot train on an empty dataset")
+    _check_labels(y, spec)
     single = np.ndim(params) == 1
     params = np.array(params, dtype=np.float64, ndmin=2, copy=True)
     for epoch in range(tspec.local_epochs):
@@ -220,9 +232,11 @@ def accuracy(params: np.ndarray, spec: ModelSpec, x: np.ndarray, labels) -> floa
 
     ``labels`` is one class per row, or one class for all rows (the target,
     for the attack success rate). The prediction is the argmax class; ties
-    break to the lowest class index (numpy argmax takes the first max).
+    break to the lowest class index (numpy argmax takes the first max). Logits
+    that overflow predict by the same argmax, without numpy's warning.
     """
-    logits = _forward(np.asarray(params, dtype=np.float64)[None], spec, x)[0][0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        logits = _forward(np.asarray(params, dtype=np.float64)[None], spec, x)[0][0]
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 

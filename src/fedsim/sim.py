@@ -33,7 +33,7 @@ MAX_DATA_ELEMENTS = 2**26
 _TAG_DATA, _TAG_PARTITION, _TAG_CLIENT, _TAG_DP_NOISE, _TAG_INIT = range(5)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataConfig:
     """Synthetic dataset shape plus the heterogeneity setting."""
 
@@ -48,7 +48,7 @@ class DataConfig:
         check_bounds(self, "data")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """Full experiment description; every run is determined by this plus nothing.
 
@@ -57,8 +57,9 @@ class SimConfig:
     a thread pool over GIL-bound numpy calls on small vectors only slowed
     rounds down.
 
-    ``validate`` checks every field's bound, then each limit that spans
-    fields: the rows of ``_limits``. Four of them cap at
+    Building one checks every field's bound (each section checks its own
+    when it is built), then each limit that spans fields: the rows of
+    ``_limits``. Four of them cap at
     ``MAX_DATA_ELEMENTS`` (2**26) the arrays that the blob draw (the
     class-center differences and the blob matrix) and the model (a round's
     update matrix and the hidden activation over every blob row) build.
@@ -117,10 +118,8 @@ class SimConfig:
              "total_clients - malicious_count", self.total_clients - self.malicious_count),
         )
 
-    def validate(self):
-        # the sections too: a field set after construction skipped their check
-        for section in ("", "data", "model", "train", "attack", "defense"):
-            check_bounds(getattr(self, section) if section else self, section)
+    def __post_init__(self):
+        check_bounds(self)
         # filled from the data section; only a library caller can set them apart
         for name, field_ in (("input_dim", "feature_dim"), ("num_classes", "num_classes")):
             got, want = getattr(self.model, name), getattr(self.data, field_)
@@ -129,18 +128,14 @@ class SimConfig:
         for key, value, limit_key, limit in self._limits():
             if value is not None and value > limit:
                 raise ConfigError(f"{key} must be at most {limit_key} = {limit}, got {value}")
-        # both warnings are filed under this file's lines, not the caller's:
-        # build_config and build_state both validate, and the default
-        # filter then shows each warning once per process
         c = self.force_c_per_round
         if c is not None and c >= self.clients_per_round / 2:
-            warnings.warn("forced malicious count is not an honest majority", RuntimeWarning,
-                          stacklevel=1)
+            warnings.warn("forced malicious count is not an honest majority", RuntimeWarning)
         # pinned attackers make every round hold exactly c of them, checked above
         expected = self.clients_per_round * self.malicious_count / self.total_clients
         if c is None and expected >= self.clients_per_round / 2:
             warnings.warn("expected malicious share per round is not an honest majority",
-                          RuntimeWarning, stacklevel=1)
+                          RuntimeWarning)
 
 
 @dataclass
@@ -227,7 +222,6 @@ def build_state(cfg: SimConfig) -> SimState:
     Every array is read-only: a stray write raises instead of corrupting
     the runs that share the state.
     """
-    cfg.validate()
     d = cfg.data
     per_class = d.n_per_class + d.test_per_class
     blobs = blob_arrays(
@@ -256,7 +250,7 @@ def build_state(cfg: SimConfig) -> SimState:
         dataset=train,
         test_set=test,
         partition=part,
-        clients=[Samples(dealt.x[a:b], dealt.y[a:b]) for a, b in zip(bounds, bounds[1:])],
+        clients=[dealt.take(slice(a, b)) for a, b in zip(bounds, bounds[1:])],
         asr_x=asr_x,
     )
 
@@ -415,9 +409,9 @@ def _shared(cfg: SimConfig) -> tuple:
 def run_simulations(cfgs: list[SimConfig]) -> tuple[list[list[RoundRecord]], FedsimError | None]:
     """Run every config in ``cfgs`` from one state, all advancing one round at a time.
 
-    The state is built once, from ``cfgs[0]``; an empty or invalid
-    ``cfgs`` raises :class:`ConfigError`, as does a config that differs from
-    ``cfgs[0]`` in a field that :func:`build_state` reads (``_shared``).
+    The state is built once, from ``cfgs[0]``; an empty ``cfgs`` raises
+    :class:`ConfigError`, as does a config that differs from ``cfgs[0]``
+    in a field that :func:`build_state` reads (``_shared``).
     With more than one run due, one :func:`_round_updates` call trains the
     round for all of them, and their ``wall_ms`` leaves that training out;
     a lone run trains in :func:`run_round`. If that shared call raises a
@@ -432,7 +426,6 @@ def run_simulations(cfgs: list[SimConfig]) -> tuple[list[list[RoundRecord]], Fed
     if not cfgs:
         raise ConfigError("no configs to run")
     for j, cfg in enumerate(cfgs):
-        cfg.validate()
         if _shared(cfg) != _shared(cfgs[0]):
             raise ConfigError(f"config {j} differs from config 0 in what its state is built from")
     states = [build_state(cfgs[0])] * len(cfgs)

@@ -1,16 +1,26 @@
+import contextlib
+import dataclasses
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
+import typing
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fedsim import config as cfgmod
 from fedsim import sim
 from fedsim.cli import main
 from fedsim.config import build_config, load_config_file
+from fedsim.errors import ConfigError
 
 REPO = Path(__file__).resolve().parent.parent
 REPO_CONFIGS = REPO / "configs"
@@ -602,3 +612,128 @@ def test_python_dash_m_runs_from_a_clean_checkout():
                           "--set", "mystery.knob=1")
     assert bad.returncode == 2
     assert "mystery.knob" in bad.stderr
+
+
+# ROADMAP O: the CLI contract as a property. A tiny config (2 rounds of 8
+# clients on 24 rows) is overridden with values at each key's boundaries.
+CONTRACT_BASE = """
+total_clients = 8
+clients_per_round = 4
+malicious_count = 2
+rounds = 2
+master_seed = 3
+force_c_per_round = 1
+data.num_classes = 3
+data.feature_dim = 4
+data.n_per_class = 8
+data.test_per_class = 4
+trigger.positions = 1,2
+trigger.values = 2.0,-2.0
+train.local_epochs = 1
+attack.kind = model_replacement
+defense.kind = faros
+"""
+# the keys that scale a run's work, and the largest value drawn for each
+CONTRACT_CAPS = {
+    "total_clients": 16, "clients_per_round": 16, "malicious_count": 16, "rounds": 2,
+    "eval_every": 2, "data.num_classes": 8, "data.feature_dim": 8, "data.n_per_class": 16,
+    "data.test_per_class": 16, "model.hidden_dim": 8, "train.local_epochs": 2,
+}
+# values at the edges of every type, drawn for every key
+CONTRACT_EDGES = ("0", "1", "-1", "1e308", "nan", "inf", "-inf", "", "none", "true", "bogus")
+# the warnings a valid config or round may raise, by message
+CONTRACT_WARNINGS = ("forced malicious count", "expected malicious share", "multi-krum has k=",
+                     "client [0-9]+ sent an all-zero update")
+
+
+def _bound_values() -> dict:
+    """key -> the values drawn for it besides CONTRACT_EDGES: each end of a bounded
+    field's interval and the integers beside it, each kind of a kind field, and
+    each side of every limit of ``SimConfig._limits`` at CONTRACT_BASE whose key or
+    limit key is a config key."""
+    values = {key: set() for key in cfgmod.KEY_PARSERS}
+    for section, cls in cfgmod._SECTIONS.items():
+        for f in dataclasses.fields(cls):
+            key, bound = cfgmod._key(section, f.name), f.metadata.get("bound")
+            if key not in values or bound is None:
+                continue
+            if isinstance(bound, tuple):
+                values[key] |= set(bound)
+                continue
+            for end in map(float, bound[1:-1].split(",")):
+                if math.isfinite(end) and int in (f.type, *typing.get_args(f.type)):
+                    values[key] |= {str(int(end) + d) for d in (-1, 0, 1)}
+                elif math.isfinite(end):
+                    values[key].add(repr(end))
+    values["parallel_clients"] |= {"true", "false"}
+    values["trigger.positions"] |= {"0,0", "3", "1,2,3"}
+    values["trigger.values"] |= {"1,1", "1,-1"}
+    for key in ("compare.attacks", "compare.defenses"):
+        values[key] |= {"none,faros", "faros,faros"}
+    base = build_config(cfgmod.parse_config_text(CONTRACT_BASE)).sim
+    for key, value, limit_key, limit in base._limits():
+        if value is not None:
+            for k, texts in ((key, (limit, limit + 1)), (limit_key, (value - 1, value))):
+                if k in values:
+                    values[k] |= {str(t) for t in texts}
+    for key, cap in CONTRACT_CAPS.items():
+        values[key] = {v for v in values[key] if not v.lstrip("-").isdigit() or int(v) <= cap}
+    return {key: sorted(v) for key, v in values.items()}
+
+
+CONTRACT_VALUES = _bound_values()
+# a key's own bound values twice as often as the edges of every type
+_overrides = st.lists(
+    st.sampled_from(sorted(CONTRACT_VALUES)).flatmap(lambda key: st.tuples(st.just(key), (
+        st.sampled_from(CONTRACT_VALUES[key]) | st.sampled_from(CONTRACT_VALUES[key])
+        | st.sampled_from(CONTRACT_EDGES)))),
+    min_size=1, max_size=3, unique_by=lambda kv: kv[0])
+
+
+@contextlib.contextmanager
+def _contract_warnings():
+    """Any warning outside CONTRACT_WARNINGS raises."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for message in CONTRACT_WARNINGS:
+            warnings.filterwarnings("ignore", message, RuntimeWarning)
+        yield
+
+
+def _contract_main(argv) -> tuple[int, str]:
+    """``main(argv)``'s exit code and stderr."""
+    err = io.StringIO()
+    with _contract_warnings(), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv)
+    return code, err.getvalue()
+
+
+@given(_overrides)
+# evaluating a model whose logits overflow printed numpy's warning
+@example([("data.class_sep", "1e308")])
+@settings(max_examples=150, deadline=None)
+def test_cli_contract_at_boundary_values(overrides):
+    sets = [f"{key}={value}" for key, value in overrides]
+    argv = [arg for item in sets for arg in ("--set", item)]
+    try:
+        with _contract_warnings():
+            build_config(cfgmod.apply_overrides(cfgmod.parse_config_text(CONTRACT_BASE), sets))
+        builds = True
+    except ConfigError:
+        builds = False
+    with tempfile.TemporaryDirectory() as out:
+        path = os.path.join(out, "base.cfg")
+        with open(path, "w") as f:
+            f.write(CONTRACT_BASE)
+        code, err = _contract_main(["validate-config", "--config", path, *argv])
+        assert code == (0 if builds else 2), err
+        if code == 2:
+            # one line, naming a key that was set
+            assert err.startswith("config error: ") and err.count("\n") == 1, err
+            assert any(key in err for key, _ in overrides), err
+            return
+        code, err = _contract_main(["run", "--config", path, "--out", out, "--format", "csv",
+                                    *argv])
+        assert code in (0, 1), err
+        assert err == "" if code == 0 else err.startswith("error: "), err

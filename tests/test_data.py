@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +94,18 @@ class TestSamples:
             Samples(np.zeros((3, 2)), [0, 1])
         with pytest.raises(DimensionMismatchError):
             Samples(np.zeros(3), [0, 1, 2])
+
+    @pytest.mark.parametrize("label,message", [
+        (2.7, "whole numbers, got 2.7"), (0.2, "whole numbers, got 0.2"),
+        (math.nan, "whole numbers, got nan"), (math.inf, "whole numbers, got inf"),
+        (-1, "non-negative, got -1"), (-1.0, "non-negative, got -1"),
+    ])
+    def test_labels_must_be_non_negative_whole_numbers(self, label, message):
+        with pytest.raises(DimensionMismatchError, match=f"^labels must be {message}$"):
+            Samples(np.zeros((2, 3)), [1, label])
+
+    def test_whole_float_labels_are_kept(self):
+        assert Samples(np.zeros((2, 3)), [2.0, 0.0]).y.tolist() == [2, 0]
 
     def test_blob_arrays_are_the_per_class_draws(self):
         # centers first, then one standard-normal block per class in class order

@@ -30,6 +30,7 @@ from fedsim.errors import (
     ConfigError,
     DegenerateCentroidError,
     DimensionMismatchError,
+    DuplicateClientError,
     EmptySetError,
     FedsimError,
     NonFiniteAggregateError,
@@ -474,6 +475,15 @@ class TestAggregateDispatch:
         # the message names the first client, in id order, that differs from the lowest id's
         with pytest.raises(DimensionMismatchError, match="^client 4 delta has dim 2, expected 3$"):
             aggregate(ups, DefenseConfig(kind=kind))
+
+    @pytest.mark.parametrize("kind", DEFENSE_KINDS)
+    def test_two_updates_from_one_client_raise_naming_it(self, kind):
+        # ids 0, 1, 2, 3, 0, 1: clients 0 and 1 each send two updates
+        ups = _random_updates(np.random.default_rng(18), 6, 8)
+        ups = [ClientUpdate(i % 4, u.delta) for i, u in enumerate(ups)]
+        with pytest.raises(DuplicateClientError, match="^client 0 sent more than one update$"):
+            aggregate(ups, DefenseConfig(kind=kind, krum_f=1))
+        assert issubclass(DuplicateClientError, FedsimError)
 
     @pytest.mark.parametrize("kind,read_only", [
         pytest.param(kind, read_only, id=kind + ("-read_only" if read_only else ""))

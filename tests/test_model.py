@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fedsim.data import Example, Samples, TriggerSpec, blob_arrays
-from fedsim.errors import EmptySetError, NoEligibleExamplesError
+from fedsim.errors import DimensionMismatchError, EmptySetError, NoEligibleExamplesError
 from fedsim.model import (
     ModelSpec,
     TrainSpec,
@@ -20,6 +20,7 @@ from fedsim.model import (
     local_train,
     loss_and_grad,
     philox,
+    sgd,
 )
 
 from helpers import fresh_philox, finite_diff_grad, rel_grad_error, sgd_oracle, stacked
@@ -156,6 +157,11 @@ class TestLossAndGrad:
         with pytest.raises(EmptySetError):
             loss_and_grad(np.zeros(15), SOFTMAX, _empty(SOFTMAX))
 
+    def test_label_past_the_last_class_raises_naming_it(self):
+        batch = Samples(np.zeros((2, 4)), [0, 3])
+        with pytest.raises(DimensionMismatchError, match="^label 3 is not a class of a 3-class"):
+            loss_and_grad(np.zeros(15), SOFTMAX, batch)
+
 
 class TestLocalTrain:
     def _tspec(self, **kw):
@@ -192,6 +198,18 @@ class TestLocalTrain:
     def test_empty_dataset(self):
         with pytest.raises(EmptySetError):
             local_train(np.zeros(15), SOFTMAX, _empty(SOFTMAX), self._tspec(), 3)
+
+    @pytest.mark.parametrize("spec", [SOFTMAX, MLP], ids=["softmax", "mlp"])
+    @pytest.mark.parametrize("label", [3, 7, -1])
+    def test_label_outside_the_classes_raises_naming_it(self, spec, label):
+        # sgd takes raw label arrays, so it rejects a negative label too
+        x, y = np.zeros((5, 4)), np.array([0, 1, label, 2, 0])
+        start = init_params(spec, 0)
+        with pytest.raises(DimensionMismatchError, match=f"^label {label} is not a class of a 3-"):
+            sgd(start, spec, x, y, self._tspec(), 3)
+        if label >= 0:
+            with pytest.raises(DimensionMismatchError, match=f"^label {label} is not a class"):
+                local_train(np.stack([start, start]), spec, Samples(x, y), self._tspec(), 3)
 
 
 class TestEvaluate:

@@ -35,11 +35,7 @@ from helpers import standard_config
 def small_config(**kw):
     base = dict(rounds=6, malicious=0, n_per_class=50)
     base.update(kw)
-    cfg = standard_config(**base)
-    cfg.total_clients = 12
-    cfg.clients_per_round = 4
-    cfg.malicious_count = base["malicious"]
-    return cfg
+    return dataclasses.replace(standard_config(**base), total_clients=12, clients_per_round=4)
 
 
 class TestSampleClients:
@@ -119,9 +115,8 @@ class TestRunRound:
         assert time.perf_counter() - t0 < 1.0
 
     def test_divergence_raises_typed_error_naming_round_and_client(self):
-        cfg = small_config()
-        cfg.model = ModelSpec(16, 10, hidden_dim=8)
-        cfg.train = TrainSpec(2, 4000, 1e300)
+        cfg = dataclasses.replace(small_config(), model=ModelSpec(16, 10, hidden_dim=8),
+                                  train=TrainSpec(2, 4000, 1e300))
         state = build_state(cfg)
         ids = sample_clients(cfg.total_clients, cfg.clients_per_round, 1, cfg.master_seed)
         with pytest.raises(errors.NonFiniteUpdateError) as info, np.errstate(all="ignore"):
@@ -187,10 +182,10 @@ class TestRunRound:
     @pytest.mark.parametrize("attack", ["none", "model_replacement"])
     def test_metrics_equal_the_list_evaluators(self, attack, hidden_dim):
         cfg = small_config(defense="faros", malicious=3, attack=attack, force_c=1)
-        cfg.model = ModelSpec(16, 10, hidden_dim=hidden_dim)
         # ASR is measured with the attack's trigger, in clean runs too
         trigger = TriggerSpec((2, 9), (4.0, -4.0), 3)
-        cfg.attack = dataclasses.replace(cfg.attack, trigger=trigger)
+        cfg = dataclasses.replace(cfg, model=ModelSpec(16, 10, hidden_dim=hidden_dim),
+                                  attack=dataclasses.replace(cfg.attack, trigger=trigger))
         state = build_state(cfg)
         for _ in range(3):
             new, rec = run_round(state, cfg)
@@ -248,8 +243,7 @@ class TestRunRound:
 
     def test_conservation_and_self_consistency(self):
         cfg = small_config(defense="faros", malicious=3, attack="data_poison",
-                           accept_count=2, core_size=2)
-        cfg.force_c_per_round = 1
+                           accept_count=2, core_size=2, force_c=1)
         state = build_state(cfg)
         for _ in range(5):
             state, rec = run_round(state, cfg)
@@ -263,8 +257,7 @@ class TestRunRound:
 class TestRunSimulation:
     def test_bit_identical_records(self):
         cfg = small_config(defense="faros", malicious=3, attack="data_poison",
-                           accept_count=3, core_size=2)
-        cfg.force_c_per_round = 1
+                           accept_count=3, core_size=2, force_c=1)
         a = run_simulation(cfg)
         b = run_simulation(cfg)
         assert len(a) == len(b) == cfg.rounds
@@ -288,8 +281,7 @@ class TestRunSimulation:
         # parallel_clients is accepted but trains serially: no thread is
         # started while a round runs, and the records equal the serial ones
         cfg = small_config(defense="faros", malicious=3, attack="model_replacement",
-                           accept_count=3, core_size=2)
-        cfg.force_c_per_round = 1
+                           accept_count=3, core_size=2, force_c=1)
         serial = run_simulation(cfg)
 
         seen = []
@@ -314,39 +306,32 @@ class TestRunSimulation:
             assert da == db
 
     def test_eval_every_controls_record_count(self):
-        cfg = small_config(rounds=12)
-        cfg.eval_every = 3
+        cfg = dataclasses.replace(small_config(rounds=12), eval_every=3)
         recs = run_simulation(cfg)
         assert len(recs) == 4
         assert [r.round for r in recs] == [3, 6, 9, 12]
         assert all(not math.isnan(r.acc) for r in recs)
 
     def test_invalid_config(self):
-        cfg = small_config()
-        cfg.clients_per_round = 99
-        with pytest.raises(ConfigError):
-            run_simulation(cfg)
+        with pytest.raises(ConfigError, match="clients_per_round"):
+            dataclasses.replace(small_config(), clients_per_round=99)
 
     @pytest.mark.parametrize("num_classes", [5, 12])
     def test_model_classes_must_match_the_data(self, num_classes):
-        cfg = sim.SimConfig(rounds=1, model=ModelSpec(16, num_classes),
-                            data=sim.DataConfig(num_classes=10))
         with pytest.raises(ConfigError, match="data.num_classes"):
-            run_simulation(cfg)
+            sim.SimConfig(rounds=1, model=ModelSpec(16, num_classes),
+                          data=sim.DataConfig(num_classes=10))
 
     def test_forced_sampling_needs_enough_honest_clients(self):
         # 6 per round with 1 pinned attacker needs 5 honest clients; 10 - 8 = 2 exist
         cfg = small_config(malicious=8, attack="model_replacement", force_c=1)
-        cfg.total_clients, cfg.clients_per_round = 10, 6
         with pytest.raises(ConfigError, match="force_c_per_round"):
-            cfg.validate()
-        with pytest.raises(ConfigError, match="force_c_per_round"):
-            run_simulation(cfg)
+            dataclasses.replace(cfg, total_clients=10, clients_per_round=6)
         # 4 pinned attackers leave exactly 2 honest slots: every round trains 6
-        cfg.force_c_per_round = 4
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            cfg.validate()
+            cfg = dataclasses.replace(cfg, total_clients=10, clients_per_round=6,
+                                      force_c_per_round=4)
         for r in range(1, 6):
             ids = sim._sample_forced(cfg, r)
             assert len(set(ids)) == 6 and sum(i < 8 for i in ids) == 4
@@ -358,18 +343,16 @@ class TestRunSimulation:
         (None, ["expected malicious share per round is not an honest majority"]),
     ])
     def test_expected_share_warns_only_when_attackers_are_not_pinned(self, force_c, expected):
-        cfg = sim.SimConfig(total_clients=50, clients_per_round=10, malicious_count=30,
-                            force_c_per_round=force_c)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            cfg.validate()
+            sim.SimConfig(total_clients=50, clients_per_round=10, malicious_count=30,
+                          force_c_per_round=force_c)
         assert [str(w.message) for w in caught] == expected
 
     def test_replacement_attack_implants_under_plain_averaging(self):
-        cfg = standard_config(defense="fedavg", attack="model_replacement",
-                              rounds=50, boost=20.0)
-        cfg.clients_per_round = 20
-        cfg.force_c_per_round = 4
+        cfg = dataclasses.replace(standard_config(defense="fedavg", attack="model_replacement",
+                                                  rounds=50, boost=20.0),
+                                  clients_per_round=20, force_c_per_round=4)
         recs = run_simulation(cfg)
         assert recs[-1].asr >= 0.80
 
@@ -410,13 +393,17 @@ def _shared_state_configs(draw):
             phi_static=st.sampled_from([1.0, 2.5]),
         )
         rounds = draw(st.integers(1, 3))
-        cfgs.append(sim.SimConfig(
+        fields = dict(
             total_clients=total, clients_per_round=k, malicious_count=malicious,
             rounds=rounds, eval_every=draw(st.integers(1, rounds)), master_seed=seed,
             force_c_per_round=draw(st.none() | forced), model=model,
             train=_pick(draw, trains), data=data, attack=_pick(draw, attacks),
             defense=draw(defenses),
-        ))
+        )
+        with warnings.catch_warnings():
+            # a drawn roster need not be an honest majority
+            warnings.simplefilter("ignore", RuntimeWarning)
+            cfgs.append(sim.SimConfig(**fields))
     return cfgs
 
 
@@ -497,7 +484,6 @@ class TestSharedState:
                                                                value):
         base = small_config(malicious=3, attack="model_replacement", force_c=1)
         other = _changed(base, section, name, value)
-        other.validate()
         monkeypatch.setattr(sim, "build_state", lambda cfg: pytest.fail("state built"))
         with pytest.raises(ConfigError, match="config 2 differs"):
             run_simulations([base, base, other])
@@ -729,8 +715,7 @@ class TestWriteResults:
             assert list(record) == header.split(",")
 
     def test_csv_line_count_matches_eval_cadence(self, tmp_path):
-        cfg = small_config(rounds=12)
-        cfg.eval_every = 3
+        cfg = dataclasses.replace(small_config(rounds=12), eval_every=3)
         recs = run_simulation(cfg)
         path = tmp_path / "run.csv"
         write_results(recs, path, "csv")
