@@ -14,6 +14,9 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatchError, bounded, check_bounds, check_in
 
 
+_INTP = np.iinfo(np.intp)
+
+
 @dataclass(frozen=True, eq=False)
 class Example:
     """One labeled input: a flat feature vector and a class index."""
@@ -60,16 +63,21 @@ class Samples:
 
 
 def _whole(labels: np.ndarray) -> np.ndarray:
-    """``labels`` cast to intp; a label that the cast changes (a fraction, NaN, inf)
-    raises :class:`DimensionMismatchError`."""
-    # numpy casts NaN and inf to some integer, and warns
+    """``labels`` cast to intp. The first label that the cast changes raises
+    :class:`DimensionMismatchError`: a fraction, NaN or inf as not whole, a whole
+    number past intp as out of range."""
+    # numpy casts NaN, inf and floats past intp to some integer, and warns
     with np.errstate(invalid="ignore"):
-        y = labels.astype(np.intp)
-    changed = y != labels
-    if changed.any():
-        raise DimensionMismatchError(
-            f"labels must be whole numbers, got {labels[changed][0].item()!r}"
-        )
+        try:
+            y = labels.astype(np.intp)
+        except OverflowError:  # a Python int past intp, in an object array
+            y = None
+    for label in (labels if y is None else labels[y != labels]).tolist():
+        if not (isinstance(label, int) or float(label).is_integer()):
+            raise DimensionMismatchError(f"labels must be whole numbers, got {label!r}")
+        if not _INTP.min <= label <= _INTP.max:
+            bound = "non-negative" if label < 0 else f"at most {_INTP.max}"
+            raise DimensionMismatchError(f"labels must be {bound}, got {label}")
     return y
 
 

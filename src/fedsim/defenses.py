@@ -49,8 +49,8 @@ class DefenseConfig:
     ``core_size`` (l) and ``accept_count`` (m) default to None, meaning
     "half the round's clients, rounded up" -- the honest-majority default.
     Their upper bound is the round's client count, checked by
-    ``SimConfig`` against ``clients_per_round`` and by :meth:`sizes`
-    against a given k.
+    ``SimConfig`` against ``clients_per_round`` and by :meth:`size`
+    against a given k, only by the rules that read them.
     """
 
     kind: str = bounded(DEFENSE_KINDS, "fedavg")
@@ -67,16 +67,13 @@ class DefenseConfig:
     def __post_init__(self):
         check_bounds(self, "defense")
 
-    def sizes(self, k: int) -> tuple[int, int]:
-        """``(core_size, accept_count)`` for a round of k clients: an unset one is
-        ceil(k/2), and each must lie in [1, k]."""
-        l = self.core_size if self.core_size is not None else math.ceil(k / 2)
-        m = self.accept_count if self.accept_count is not None else math.ceil(k / 2)
-        if not 1 <= l <= k:
-            raise ConfigError(f"defense.core_size must be in [1, {k}], got {l}")
-        if not 1 <= m <= k:
-            raise ConfigError(f"defense.accept_count must be in [1, {k}], got {m}")
-        return l, m
+    def size(self, name: str, k: int) -> int:
+        """Field ``name``, ``core_size`` or ``accept_count``, for a round of k
+        clients: unset is ceil(k/2), and the value must lie in [1, k]."""
+        value = getattr(self, name)
+        value = math.ceil(k / 2) if value is None else value
+        check_in(f"[1, {k}]", f"defense.{name}", value)
+        return value
 
 
 @dataclass
@@ -159,7 +156,7 @@ def multi_krum(updates, cfg: DefenseConfig) -> DefenseOutcome:
     ids, deltas = _stack(updates)
     k = len(ids)
     f = cfg.krum_f
-    select = cfg.sizes(k)[1]
+    select = cfg.size("accept_count", k)
     if k < 2 * f + 3:
         warnings.warn(
             f"multi-krum has k={k} < 2f+3={2 * f + 3}; scores are not Byzantine-safe",
@@ -285,7 +282,8 @@ def _scaled_pipeline(updates, cfg: DefenseConfig, single_core: bool) -> DefenseO
     plain averaging over all updates, flagged in the diagnostics.
     """
     ids, deltas = _stack(updates)
-    core_size, accept_count = cfg.sizes(len(ids))
+    core_size = 1 if single_core else cfg.size("core_size", len(ids))
+    accept_count = cfg.size("accept_count", len(ids))
     diag = RoundDiagnostics()
 
     normalized, zero = linalg.normalize_rows(deltas)
@@ -300,7 +298,6 @@ def _scaled_pipeline(updates, cfg: DefenseConfig, single_core: bool) -> DefenseO
     live = np.flatnonzero(~zero).tolist()
     live_ids = [ids[p] for p in live]
 
-    core_size = 1 if single_core else core_size
     accepted = None  # positions among live; None falls back to plain averaging
     if len(live) >= max(2, core_size, accept_count):
         try:

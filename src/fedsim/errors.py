@@ -97,5 +97,10 @@ class NonFiniteAggregateError(FedsimError):
     """An aggregation rule combined finite client updates into NaN or Inf entries."""
 
 
+class NonFiniteLogitsError(FedsimError):
+    """A model's logits on the evaluation rows have NaN or Inf entries, so its
+    predictions, and the accuracy read from them, are undefined."""
+
+
 class NoEligibleExamplesError(FedsimError):
     """No test examples qualify for the requested metric."""

@@ -31,6 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, EmptySetError, NoEligibleExamplesError
+from .errors import NonFiniteLogitsError
 from .errors import bounded, check_bounds
 from .data import Samples, TriggerSpec, triggered_rows
 
@@ -233,10 +234,14 @@ def accuracy(params: np.ndarray, spec: ModelSpec, x: np.ndarray, labels) -> floa
     ``labels`` is one class per row, or one class for all rows (the target,
     for the attack success rate). The prediction is the argmax class; ties
     break to the lowest class index (numpy argmax takes the first max). Logits
-    that overflow predict by the same argmax, without numpy's warning.
+    with a NaN or Inf entry predict nothing: they raise
+    :class:`NonFiniteLogitsError`, without numpy's overflow warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         logits = _forward(np.asarray(params, dtype=np.float64)[None], spec, x)[0][0]
+    if not np.isfinite(logits).all():
+        raise NonFiniteLogitsError("the model's logits on the evaluation rows are not "
+                                   "finite (NaN or Inf); not reported")
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 

@@ -22,7 +22,8 @@ import numpy as np
 from .attacks import AttackConfig, malicious_local_train
 from .data import Samples, blob_arrays, dirichlet_partition, triggered_rows
 from .defenses import ClientUpdate, DefenseConfig, aggregate
-from .errors import ConfigError, FedsimError, NonFiniteUpdateError, bounded, check_bounds, check_in
+from .errors import ConfigError, FedsimError, NonFiniteAggregateError, NonFiniteLogitsError
+from .errors import NonFiniteUpdateError, bounded, check_bounds, check_in
 from .model import ModelSpec, TrainSpec, accuracy, init_params, local_train, philox
 
 # Elements in the largest array the blob draw or the model may build (512 MiB
@@ -158,7 +159,7 @@ class RoundRecord:
 CSV_HEADER = ",".join(f.name for f in fields(RoundRecord))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimState:
     """Everything carried between rounds.
 
@@ -166,9 +167,10 @@ class SimState:
     each as one feature matrix and one label vector. ``clients[i]`` holds
     client ``i``'s rows, cut from ``dataset`` once, in the order of
     ``partition[i]``; every round trains on these arrays. ``asr_x`` holds
-    the triggered test rows whose label is not the attack's target. All of
-    them are read-only, as is the initial ``global_params``: the runs of one
-    :func:`run_simulations` call share the one state that it builds.
+    the triggered test rows whose label is not the attack's target. The
+    state is frozen, and all of these arrays are read-only, as is the
+    initial ``global_params``: the runs of one :func:`run_simulations` call
+    share the one state that it builds.
     """
 
     round: int
@@ -354,7 +356,10 @@ def run_round(
     malicious_count) train maliciously, everyone else honestly; the
     configured defense aggregates the deltas and the aggregated delta is
     added to the global model. ACC/ASR are evaluated on rounds divisible by
-    eval_every (NaN otherwise).
+    eval_every (NaN otherwise). A new global model with a NaN or Inf entry
+    raises :class:`NonFiniteAggregateError` (its round and ``defense.kind``),
+    and evaluation logits with one :class:`NonFiniteLogitsError` (its
+    round): neither is reported.
 
     ``updates`` is this run's entry of :func:`_round_updates`: a
     :class:`ClientUpdate` per sampled client, in plan order. Without it the
@@ -372,7 +377,11 @@ def run_round(
     # only weak_dp reads the noise seed
     seed = _derive_seed(cfg.master_seed, _TAG_DP_NOISE, r) if cfg.defense.kind == "weak_dp" else 0
     outcome = aggregate(updates, cfg.defense, seed=seed, round=r)
-    new_params = state.global_params + outcome.aggregated_delta
+    with np.errstate(over="ignore", invalid="ignore"):
+        new_params = state.global_params + outcome.aggregated_delta
+    if not np.isfinite(new_params).all():
+        raise NonFiniteAggregateError(f"round {r}, defense.kind {cfg.defense.kind}: the new "
+                                      "global model has NaN or Inf entries; not applied")
 
     malicious = [i for i in ids if i < cfg.malicious_count]
     rejected = set(ids).difference(outcome.accepted)
@@ -382,8 +391,11 @@ def run_round(
 
     acc = asr = float("nan")
     if r % cfg.eval_every == 0:
-        acc = accuracy(new_params, cfg.model, state.test_set.x, state.test_set.y)
-        asr = accuracy(new_params, cfg.model, state.asr_x, cfg.attack.trigger.target_label)
+        try:
+            acc = accuracy(new_params, cfg.model, state.test_set.x, state.test_set.y)
+            asr = accuracy(new_params, cfg.model, state.asr_x, cfg.attack.trigger.target_label)
+        except NonFiniteLogitsError as e:
+            raise NonFiniteLogitsError(f"round {r}: {e}") from None
 
     record = RoundRecord(
         round=r,

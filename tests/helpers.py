@@ -299,7 +299,8 @@ def scaled_filter_oracle(updates, cfg: DefenseConfig, single_core: bool) -> Defe
     fallbacks to plain averaging.
     """
     updates = sorted(updates, key=lambda u: u.client_id)
-    core_size, accept_count = cfg.sizes(len(updates))
+    core_size = 1 if single_core else cfg.size("core_size", len(updates))
+    accept_count = cfg.size("accept_count", len(updates))
     diag = RoundDiagnostics()
 
     def fallback():
@@ -317,7 +318,6 @@ def scaled_filter_oracle(updates, cfg: DefenseConfig, single_core: bool) -> Defe
                 f"client {u.client_id} sent an all-zero update; excluded from filtering",
                 RuntimeWarning,
             )
-    core_size = 1 if single_core else core_size
     if len(live) < 2 or len(live) < max(core_size, accept_count):
         return fallback()
     try:

@@ -20,6 +20,7 @@ from fedsim import config as cfgmod
 from fedsim import sim
 from fedsim.cli import main
 from fedsim.config import build_config, load_config_file
+from fedsim.defenses import ClientUpdate
 from fedsim.errors import ConfigError
 
 REPO = Path(__file__).resolve().parent.parent
@@ -227,6 +228,31 @@ class TestDivergence:
         assert "round 1" in done.stderr and "client" in done.stderr
         assert "Traceback" not in done.stderr
         assert "RuntimeWarning" not in done.stderr
+
+    def test_run_exits_1_when_the_new_global_model_overflows(self, tiny_cfg, tmp_path,
+                                                              monkeypatch, capsys):
+        # finite updates whose mean is finite but whose sum with the global model is not
+        real_build = sim.build_state
+        monkeypatch.setattr(sim, "build_state", lambda cfg: dataclasses.replace(
+            real_build(cfg), global_params=np.full(cfg.model.param_count(), 1.5e308)))
+        monkeypatch.setattr(sim, "_round_updates", lambda states, cfgs: [
+            [ClientUpdate(i, np.full(cfg.model.param_count(), 4e307)) for i in range(4)]
+            for cfg in cfgs])
+        code = main(["run", "--config", str(tiny_cfg), "--out", str(tmp_path),
+                     "--set", "defense.kind=fedavg"])
+        assert code == 1
+        assert capsys.readouterr().err == ("error: round 1, defense.kind fedavg: the new global "
+                                           "model has NaN or Inf entries; not applied\n")
+
+    def test_run_exits_1_when_the_logits_overflow_at_evaluation(self, tmp_path, capsys):
+        # rows this far apart overflow the logits of the model that round 1 trains
+        path = tmp_path / "base.cfg"
+        path.write_text(CONTRACT_BASE)
+        code = main(["run", "--config", str(path), "--out", str(tmp_path),
+                     "--set", "data.class_sep=1e308", "--set", "rounds=1"])
+        assert code == 1
+        assert capsys.readouterr().err == ("error: round 1: the model's logits on the evaluation "
+                                           "rows are not finite (NaN or Inf); not reported\n")
 
     def test_sweep_records_failure_and_finishes(self, tiny_cfg, tmp_path, capsys):
         out = tmp_path / "sweep"

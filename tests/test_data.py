@@ -99,10 +99,14 @@ class TestSamples:
         (2.7, "whole numbers, got 2.7"), (0.2, "whole numbers, got 0.2"),
         (math.nan, "whole numbers, got nan"), (math.inf, "whole numbers, got inf"),
         (-1, "non-negative, got -1"), (-1.0, "non-negative, got -1"),
+        # whole numbers past intp: an object array, and a uint64 one
+        (2**70, f"at most {np.iinfo(np.intp).max}, got {2**70}"),
+        (np.uint64(2**63 + 5), f"at most {np.iinfo(np.intp).max}, got {2**63 + 5}"),
     ])
     def test_labels_must_be_non_negative_whole_numbers(self, label, message):
+        labels = np.array([1, label], dtype=np.asarray(label).dtype)
         with pytest.raises(DimensionMismatchError, match=f"^labels must be {message}$"):
-            Samples(np.zeros((2, 3)), [1, label])
+            Samples(np.zeros((2, 3)), labels)
 
     def test_whole_float_labels_are_kept(self):
         assert Samples(np.zeros((2, 3)), [2.0, 0.0]).y.tolist() == [2, 0]

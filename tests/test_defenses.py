@@ -439,6 +439,21 @@ class TestAggregateDispatch:
             assert out.aggregated_delta.shape == (8,)
             assert len(out.accepted) >= 1
 
+    @pytest.mark.parametrize("kind", ["multi_krum", "scope_static", "faros"])
+    def test_a_size_is_checked_only_by_the_rules_that_read_it(self, kind):
+        ups = _random_updates(np.random.default_rng(15), 6, 8)
+        # multi_krum reads only accept_count, and scope_static's core is one client
+        cfg = DefenseConfig(kind=kind, core_size=7, accept_count=3, krum_f=1)
+        if kind == "faros":
+            with pytest.raises(ConfigError, match=r"^defense.core_size must be in \[1, 6\], got 7$"):
+                aggregate(ups, cfg)
+        else:
+            out = aggregate(ups, cfg)
+            assert len(out.accepted) == 3 and not out.diagnostics.fallback
+        with pytest.raises(ConfigError,
+                           match=r"^defense.accept_count must be in \[1, 6\], got 7$"):
+            aggregate(ups, dataclasses.replace(cfg, core_size=None, accept_count=7))
+
     def test_generator_input_equals_list_input(self):
         rng = np.random.default_rng(16)
         ups = _random_updates(rng, 7, 8)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fedsim.data import Example, Samples, TriggerSpec, blob_arrays
 from fedsim.errors import DimensionMismatchError, EmptySetError, NoEligibleExamplesError
+from fedsim.errors import NonFiniteLogitsError
 from fedsim.model import (
     ModelSpec,
     TrainSpec,
@@ -275,6 +276,16 @@ class TestEvaluate:
         eligible = y != 1
         x[:, 0] = 6.0
         assert evaluate_asr(params, spec, ds, t) == accuracy(params, spec, x[eligible], 1)
+
+    @pytest.mark.parametrize("value", [1e308, math.nan])
+    def test_logits_that_are_not_finite_raise(self, value):
+        # finite weights of 1e308 overflow the logits of rows with an entry past 1.8
+        ds = blob_arrays(4, 8, 30, 4.0, 6)
+        spec = ModelSpec(8, 4)
+        params = np.full(spec.param_count(), value)
+        with pytest.raises(NonFiniteLogitsError, match="^the model's logits on the evaluation "
+                                                       r"rows are not finite \(NaN or Inf\)"):
+            evaluate_acc(params, spec, ds)
 
 
 class TestArrayInput:

@@ -1,12 +1,14 @@
 """The README's Python examples run as written, its key table matches the
 config fields, its cross-field limit table matches ``SimConfig._limits``,
-its count of simulator-filled fields matches ``config._FILLED_BY_SIMULATOR``
-and the module names it cites exist, so API docs that drift fail here."""
+its count of simulator-filled fields matches ``config._FILLED_BY_SIMULATOR``,
+the module names it cites exist and it names what the package root exports,
+so API docs that drift fail here."""
 
 import dataclasses
 import importlib
 import pkgutil
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -90,3 +92,12 @@ def test_readme_module_names_resolve():
     assert len(cited) >= 10
     unknown = [f"{m}.{n}" for m, n in cited if not _resolves(m, n)]
     assert not unknown, unknown
+
+
+def test_readme_names_exactly_what_the_package_root_exports():
+    paragraph = next(p for p in README.read_text().split("\n\n")
+                     if p.startswith("The package root `fedsim` exports"))
+    named = set(re.findall(r"`(\w+)`", paragraph)) - {"fedsim"}
+    exported = {name for name, value in vars(fedsim).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert named == exported

@@ -178,6 +178,30 @@ class TestRunRound:
             run_round(state, cfg, updates)
         assert np.isfinite(state.global_params).all()
 
+    def test_a_new_global_model_that_overflows_raises_naming_round_and_rule(self):
+        cfg = small_config()
+        params = np.full(cfg.model.param_count(), 1.5e308)
+        state = dataclasses.replace(build_state(cfg), global_params=params)
+        ids = sample_clients(cfg.total_clients, cfg.clients_per_round, 1, cfg.master_seed)
+        # their mean is finite, its sum with the global model is not
+        updates = [ClientUpdate(i, np.full(len(params), 4e307)) for i in ids]
+        with pytest.raises(errors.NonFiniteAggregateError,
+                           match="^round 1, defense.kind fedavg: the new global model has NaN "
+                                 "or Inf entries; not applied$"):
+            run_round(state, cfg, updates)
+
+    def test_logits_that_overflow_at_evaluation_raise_naming_the_round(self):
+        cfg = small_config()
+        # a finite model whose logits on the test rows overflow
+        params = np.full(cfg.model.param_count(), 1e308)
+        state = dataclasses.replace(build_state(cfg), global_params=params)
+        ids = sample_clients(cfg.total_clients, cfg.clients_per_round, 1, cfg.master_seed)
+        updates = [ClientUpdate(i, np.zeros(len(params))) for i in ids]
+        with pytest.raises(errors.NonFiniteLogitsError,
+                           match="^round 1: the model's logits on the evaluation rows are not "
+                                 "finite"):
+            run_round(state, cfg, updates)
+
     @pytest.mark.parametrize("hidden_dim", [0, 8])
     @pytest.mark.parametrize("attack", ["none", "model_replacement"])
     def test_metrics_equal_the_list_evaluators(self, attack, hidden_dim):
@@ -423,6 +447,12 @@ class TestSharedState:
                     break
         assert [[_no_wall(r) for r in run] for run in runs] == want
         assert repr(error) == repr(want_error)
+
+    def test_the_state_is_frozen(self):
+        # the runs of one run_simulations call share one state object
+        state = build_state(small_config())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            state.global_params = np.zeros_like(state.global_params)
 
     def test_arrays_are_read_only(self):
         cfg = small_config(malicious=3, attack="model_replacement", force_c=1)
