@@ -7,6 +7,7 @@ the row view it yields. All generators are pure functions of their seed.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,17 +64,21 @@ class Samples:
 
 
 def _whole(labels: np.ndarray) -> np.ndarray:
-    """``labels`` cast to intp. The first label that the cast changes raises
-    :class:`DimensionMismatchError`: a fraction, NaN or inf as not whole, a whole
-    number past intp as out of range."""
-    # numpy casts NaN, inf and floats past intp to some integer, and warns
-    with np.errstate(invalid="ignore"):
-        try:
-            y = labels.astype(np.intp)
-        except OverflowError:  # a Python int past intp, in an object array
-            y = None
+    """``labels`` cast to intp. The first label that is not a real number or that
+    the cast changes raises :class:`DimensionMismatchError`: a string, None, a
+    fraction, NaN or inf as not whole, a whole number past intp as out of range."""
+    y = None
+    # strings, bytes and complex numbers are not labels, whatever numpy casts them to
+    if labels.dtype.kind in "buifO":
+        # numpy casts NaN, inf and floats past intp to some integer, and warns
+        with np.errstate(invalid="ignore"):
+            try:
+                y = labels.astype(np.intp)
+            except (OverflowError, TypeError, ValueError):  # in an object array
+                pass
     for label in (labels if y is None else labels[y != labels]).tolist():
-        if not (isinstance(label, int) or float(label).is_integer()):
+        if not (isinstance(label, numbers.Real)
+                and (isinstance(label, int) or float(label).is_integer())):
             raise DimensionMismatchError(f"labels must be whole numbers, got {label!r}")
         if not _INTP.min <= label <= _INTP.max:
             bound = "non-negative" if label < 0 else f"at most {_INTP.max}"

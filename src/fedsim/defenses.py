@@ -170,10 +170,10 @@ def multi_krum(updates, cfg: DefenseConfig) -> DefenseOutcome:
     # so may a sum of finite distances, which fsum raises on instead.
     sq_dists = np.zeros((k, k))
     with np.errstate(over="ignore"):
-        for i in range(k):
-            for j in range(i + 1, k):
-                diff = deltas[i] - deltas[j]
-                sq_dists[i, j] = sq_dists[j, i] = float(np.dot(diff, diff))
+        for i in range(k - 1):
+            # row i's distances to the later rows, each float(np.dot(diff, diff))
+            sq_dists[i, i + 1 :] = sq_dists[i + 1 :, i] = linalg.squared_norms(
+                deltas[i] - deltas[i + 1 :])
     # the zero self-distance sorts first in its row
     scores = [_fsum_or_inf(row[1 : n_neighbors + 1]) for row in np.sort(sq_dists, axis=1).tolist()]
 
@@ -187,13 +187,14 @@ def weak_dp(updates, cfg: DefenseConfig, seed: int) -> DefenseOutcome:
     # rows of the stacked copy are clipped in place, not the callers' deltas; a finite
     # row's norm can overflow, and the row scaled to max magnitude 1 then gives a finite one
     with np.errstate(over="ignore"):
-        for row in deltas:
-            norm = float(np.linalg.norm(row))
-            if norm > cfg.clip_norm:
-                if norm == math.inf:
-                    row /= np.abs(row).max()
-                    norm = float(np.linalg.norm(row))
-                row *= cfg.clip_norm / norm
+        # each row's np.linalg.norm, the square root of its squared norm
+        norms = np.sqrt(linalg.squared_norms(deltas))
+        for i in np.flatnonzero(norms > cfg.clip_norm).tolist():
+            row, norm = deltas[i], float(norms[i])
+            if norm == math.inf:
+                row /= np.abs(row).max()
+                norm = float(np.linalg.norm(row))
+            row *= cfg.clip_norm / norm
     noise = None
     if cfg.noise_std > 0:
         noise = np.random.default_rng(seed).normal(0.0, cfg.noise_std, size=deltas.shape[1])
@@ -220,18 +221,26 @@ def differential_scale(v, phi: float) -> np.ndarray:
     coordinates relative to dominant ones. A 2-D matrix of vectors keeps
     its shape; any other input is flattened to one vector.
     """
-    v = linalg.as_matrix(v) if np.ndim(v) == 2 else linalg.as_vector(v)
+    return _power_scale(linalg.as_matrix(v) if np.ndim(v) == 2 else linalg.as_vector(v), phi)
+
+
+def _power_scale(v: np.ndarray, phi: float) -> np.ndarray:
+    """:func:`differential_scale` of a checked vector or matrix ``v``."""
     return np.sign(v) * np.abs(v) ** phi
 
 
-def pairwise_scores(scaled) -> list[float]:
+def pairwise_scores(scaled, wide=None) -> list[float]:
     """Mutual-dissimilarity score per row: sum of cosine distances to all rows.
 
     ``scaled`` is a (k, P) matrix. The sum runs over every row including
-    itself (the self term is 0 and never affects the ranking).
+    itself (the self term is 0 and never affects the ranking). ``wide``, if
+    given, is ``scaled`` checked and widened to long double by the caller,
+    which shares it with :func:`rcc_filter`; otherwise ``scaled`` is checked
+    and widened here, once, not on each ``cosine_distance`` call.
     """
-    # widened once, not on each cosine_distance call
-    rows = list(linalg.as_matrix(scaled).astype(np.longdouble))
+    if wide is None:
+        wide = linalg.as_matrix(scaled).astype(np.longdouble)
+    rows = list(wide)
     k = len(rows)
     dists = np.zeros((k, k))
     for i in range(k):
@@ -249,24 +258,28 @@ def select_core_set(scores, l: int) -> list[int]:
     scores = list(scores)
     if not 1 <= l <= len(scores):
         raise ConfigError(f"core size must be in [1, {len(scores)}], got {l}")
-    order = sorted(range(len(scores)), key=lambda i: (scores[i], i))
+    # the sort is stable: equal scores keep their ascending positions
+    order = sorted(range(len(scores)), key=scores.__getitem__)
     return sorted(order[:l])
 
 
-def rcc_filter(scaled, core, m: int):
+def rcc_filter(scaled, core, m: int, wide=None):
     """Accept the ``m`` rows nearest the core set's centroid.
 
     Returns (centroid, accepted positions, per-row cosine distances).
     ``scaled`` is a (k, P) matrix. The centroid averages its rows at the
-    ``core`` positions; a zero centroid is degenerate and raises.
+    ``core`` positions; a zero centroid is degenerate and raises. ``wide``,
+    as for :func:`pairwise_scores`, is ``scaled`` checked and widened by the
+    caller; otherwise ``scaled`` is checked here.
     """
-    scaled = linalg.as_matrix(scaled)
+    if wide is None:
+        scaled = linalg.as_matrix(scaled)
     core = list(core)
     if not core:
         raise EmptySetError("core set is empty")
     if not 1 <= m <= len(scaled):
         raise ConfigError(f"accept count must be in [1, {len(scaled)}], got {m}")
-    centroid, dists = linalg.centroid_distances(scaled, core, "core-set")
+    centroid, dists = linalg.centroid_distances(scaled, core, "core-set", wide)
     return centroid, select_core_set(dists, m), dists
 
 
@@ -307,13 +320,15 @@ def _scaled_pipeline(updates, cfg: DefenseConfig, single_core: bool) -> DefenseO
         diag.phi_t = (cfg.phi_static if single_core
                       else adaptive_phi(diag.d_t, cfg.phi_max, cfg.kappa))
 
-        scaled = differential_scale(normalized, diag.phi_t)
-        scores = pairwise_scores(scaled)
+        # normalize_rows checked the matrix; it is widened once, for both stages
+        scaled = _power_scale(normalized, diag.phi_t)
+        wide = scaled.astype(np.longdouble)
+        scores = pairwise_scores(scaled, wide)
         diag.scores = dict(zip(live_ids, scores))
         core = select_core_set(scores, core_size)
         diag.core_set = [live_ids[i] for i in core]
         with contextlib.suppress(DegenerateCentroidError):
-            _, accepted, dists = rcc_filter(scaled, core, accept_count)
+            _, accepted, dists = rcc_filter(scaled, core, accept_count, wide)
             diag.distances = dict(zip(live_ids, dists))
 
     diag.fallback = accepted is None

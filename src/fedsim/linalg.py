@@ -18,6 +18,8 @@ from .errors import (
     ZeroVectorError,
 )
 
+_WIDE = np.dtype(np.longdouble)
+
 
 def _flat(values, dtype=np.float64) -> np.ndarray:
     v = np.asarray(values, dtype=dtype)
@@ -49,6 +51,16 @@ def as_matrix(vs) -> np.ndarray:
     if m.ndim != 2:
         raise DimensionMismatchError(f"expected a (k, P) matrix, got shape {m.shape}")
     return _check_finite(m)
+
+
+def squared_norms(m: np.ndarray) -> np.ndarray:
+    """``float(np.dot(row, row))`` of every row of the float64 (k, P) matrix ``m``,
+    bit for bit, as one stacked ``np.matmul`` of shape (k, 1, P) @ (k, P, 1):
+    numpy computes each (1, P) @ (P, 1) slice with the same BLAS dot as
+    ``np.dot``. A 2-D matrix product or ``np.einsum`` adds in another order,
+    and differs in the last bit on some rows. A square that overflows is inf.
+    """
+    return np.matmul(m[:, None, :], m[:, :, None]).reshape(-1)
 
 
 def normalize(v) -> np.ndarray:
@@ -88,9 +100,13 @@ def cosine_distance(a, b) -> float:
     residual drift. Each operand is converted to long double directly:
     float64 and float32 entries and integers up to 2**53 convert exactly,
     and a long-double operand is used as it is, without a copy and without
-    rounding to float64 first. A float64 vector widened once by the caller
-    therefore gives the same distance as the vector itself, which lets the
-    filter stages widen a round's matrix once rather than on every call.
+    rounding to float64 first. A float64 vector widened by the caller
+    therefore gives the same distance as the vector itself. The FAROS
+    pipeline relies on this: it widens each matrix of a round once, the
+    normalized rows for the dispersion and the scaled rows for the pairwise
+    scores and the core-set filter together, and still makes one scalar call
+    per distance, 65 per desk round (k = 10: 10 to the round's centroid, 45
+    pairs, 10 to the core set's centroid).
 
     Finiteness is checked here, on the sum of the two long-double squared
     norms, rather than entry by entry: any NaN or Inf entry makes that sum
@@ -104,8 +120,9 @@ def cosine_distance(a, b) -> float:
         ZeroVectorError: if either operand has zero norm.
         DimensionMismatchError: if the operands differ in length.
     """
-    wa = _flat(a, np.longdouble)
-    wb = _flat(b, np.longdouble)
+    # a 1-D long-double operand, such as a row of a matrix widened once, as it is
+    wa = a if type(a) is np.ndarray and a.dtype is _WIDE and a.ndim == 1 else _flat(a, _WIDE)
+    wb = b if type(b) is np.ndarray and b.dtype is _WIDE and b.ndim == 1 else _flat(b, _WIDE)
     if wa.shape != wb.shape:
         _check_finite(wa)
         _check_finite(wb)
@@ -122,21 +139,28 @@ def cosine_distance(a, b) -> float:
     if na == 0.0 or nb == 0.0:
         raise ZeroVectorError("cosine distance undefined for zero vectors")
     d = 1.0 - float(wa.dot(wb) / (na * nb))
-    return min(max(d, 0.0), 2.0)
+    # min(max(d, 0.0), 2.0) without two builtin calls; NaN stays NaN
+    return 0.0 if d < 0.0 else 2.0 if d > 2.0 else d
 
 
-def centroid_distances(m: np.ndarray, rows=slice(None), name: str = "round") -> tuple:
+def centroid_distances(m: np.ndarray, rows=slice(None), name: str = "round", wide=None) -> tuple:
     """The centroid of the rows ``rows`` of the (k, P) matrix ``m`` (all rows for
     :func:`dispersion`, the core rows for ``defenses.rcc_filter``), and the
     cosine distance of every row of ``m`` to it. A zero centroid raises
     :class:`DegenerateCentroidError`, whose message calls it ``name``.
+
+    The distances are k :func:`cosine_distance` calls on long-double rows.
+    ``wide`` is ``m`` widened to long double, if the caller has it already
+    (the FAROS pipeline widens its scaled matrix once a round, for the
+    pairwise scores and this); otherwise ``m`` is widened here, once.
     """
     centroid = np.mean(m[rows], axis=0)
     if not np.any(centroid):
         raise DegenerateCentroidError(f"{name} centroid is the zero vector")
-    # widened once, not on each cosine_distance call
     wide_centroid = centroid.astype(np.longdouble)
-    return centroid, [cosine_distance(v, wide_centroid) for v in m.astype(np.longdouble)]
+    if wide is None:
+        wide = m.astype(np.longdouble)
+    return centroid, [cosine_distance(v, wide_centroid) for v in wide]
 
 
 def dispersion(vs) -> float:
@@ -154,4 +178,8 @@ def dispersion(vs) -> float:
     vs = as_matrix(vs)
     if vs.shape[0] < 2:
         raise EmptySetError("dispersion needs at least 2 vectors")
-    return float(np.var(centroid_distances(vs)[1]))
+    d = np.array(centroid_distances(vs)[1])
+    # np.var's own array operations, without its dispatch: the mean as the
+    # sum over the count, then the summed squared deviations over the count
+    dev = d - d.sum() / len(d)
+    return float(np.square(dev, out=dev).sum() / len(d))

@@ -106,13 +106,33 @@ def _forward(params: np.ndarray, spec: ModelSpec, x: np.ndarray):
     return x, trace
 
 
+def _class_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=2, keepdims=True)`` of a (G, n, C) stack, from a class-major
+    copy: C - 1 elementwise maxima of (G, n) planes rather than G * n loops of
+    length C. A maximum does not depend on the order; only the sign of a zero
+    maximum may differ, which changes no gradient (exp(-0) == exp(0))."""
+    return np.maximum.reduce(np.ascontiguousarray(a.transpose(2, 0, 1)))[..., None]
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=1)`` of a (G, n, m) stack, bit for bit: numpy adds the n rows
+    in order either way, but from an (n, G, m) copy it adds whole (G, m)
+    planes, n inner loops rather than G * n loops of length m."""
+    return np.ascontiguousarray(a.transpose(1, 0, 2)).sum(axis=0)
+
+
 def _log_softmax_grad(params, spec, x, y):
     """Log-softmax of the logits of rows ``x`` under each model of the stack
     ``params``, and each model's mean cross-entropy gradient for ``y``: shapes
     (G, n, num_classes) and (G, P)."""
-    # in place on the fresh logits, the same operations as out of place
+    # In place on the fresh logits, the same operations as out of place. The
+    # class max and the bias gradients' sums over rows (_class_max, _row_sum)
+    # run on reordered copies that numpy reduces plane by plane, with the
+    # result of numpy's own reductions. The log-sum-exp's sum over classes
+    # stays on the class axis: numpy adds it pairwise, in an order that a
+    # copy would change.
     log_probs, trace = _forward(params, spec, x)
-    log_probs -= log_probs.max(axis=2, keepdims=True)
+    log_probs -= _class_max(log_probs)
     log_probs -= np.log(np.exp(log_probs).sum(axis=2, keepdims=True))
     g = np.exp(log_probs)
     n = g.shape[1]
@@ -120,11 +140,11 @@ def _log_softmax_grad(params, spec, x, y):
     g /= n
     grads = []
     for w, inp in trace[:0:-1]:  # the layers after the first, last to first
-        grads += (g.sum(axis=1), (g.transpose(0, 2, 1) @ inp).reshape(len(g), -1))
+        grads += (_row_sum(g), (g.transpose(0, 2, 1) @ inp).reshape(len(g), -1))
         g = g @ w
         # relu(pre) > 0 exactly where pre > 0; the subgradient at 0 is 0
         g *= inp > 0.0
-    grads += (g.sum(axis=1), (g.transpose(0, 2, 1) @ x).reshape(len(g), -1))
+    grads += (_row_sum(g), (g.transpose(0, 2, 1) @ x).reshape(len(g), -1))
     return log_probs, np.concatenate(grads[::-1], axis=1)
 
 

@@ -108,6 +108,16 @@ class TestSamples:
         with pytest.raises(DimensionMismatchError, match=f"^labels must be {message}$"):
             Samples(np.zeros((2, 3)), labels)
 
+    @pytest.mark.parametrize("labels,shown", [
+        (["a", "1"], "'a'"),
+        (["1", "2"], "'1'"),  # a digit string is not a number either
+        (np.array([1, math.nan], dtype=object), "nan"),
+        (np.array([1, None], dtype=object), "None"),
+    ])
+    def test_labels_that_are_not_numbers_are_named(self, labels, shown):
+        with pytest.raises(DimensionMismatchError, match=f"^labels must be whole numbers, got {shown}$"):
+            Samples(np.zeros((2, 3)), labels)
+
     def test_whole_float_labels_are_kept(self):
         assert Samples(np.zeros((2, 3)), [2.0, 0.0]).y.tolist() == [2, 0]
 

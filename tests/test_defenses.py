@@ -761,6 +761,92 @@ class TestStagesEqualPerPairReferenceProperty:
                 assert linalg.dispersion(m) == float(np.var(want))
 
 
+def _product_matrix(k, dim, seed, huge):
+    """A (k, dim) matrix of normal rows drawn from ``seed``, each scaled by 10**e
+    for e in [-3, 3], and ``huge`` rows redrawn at 1e150..1e308: their squares,
+    and the squares of their differences, overflow to inf."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(k, dim)) * 10.0 ** rng.integers(-3, 4, size=(k, 1))
+    for i in rng.integers(0, k, size=huge):
+        m[i] = rng.uniform(-1.0, 1.0, size=dim) * 10.0 ** rng.uniform(150, 308)
+    return m
+
+
+_product_matrices = st.builds(
+    _product_matrix,
+    k=st.integers(3, 12),
+    dim=st.integers(1, 16) | st.sampled_from([170, 874, 2001]),
+    seed=st.integers(0, 2**32 - 1),
+    huge=st.integers(0, 3),
+)
+
+_SMALL = _product_matrix(3, 170, 0, 0)
+_OVERFLOWING = _product_matrix(8, 874, 0, 1)
+
+
+class TestRowProductsEqualPerRowReference:
+    """Multi-Krum's squared pair distances and weak DP's norms, taken as one
+    stacked product (``linalg.squared_norms``), equal per-row ``np.dot`` and
+    ``np.linalg.norm`` bit for bit, overflow included. One 2-D matrix product
+    or ``np.einsum`` adds in another order and is off in the last bit on some
+    rows."""
+
+    # _SMALL fails on an einsum or a 2-D GEMM kernel; _OVERFLOWING has a row whose
+    # square overflows
+    @given(_product_matrices)
+    @example(m=_SMALL)
+    @example(m=_OVERFLOWING)
+    @settings(max_examples=60, deadline=None)
+    def test_squared_norms_and_norms(self, m):
+        with np.errstate(over="ignore"):
+            want = [float(np.dot(row, row)) for row in m]
+            norms = [float(np.linalg.norm(row)) for row in m]
+            got = linalg.squared_norms(m)
+        assert got.tolist() == want
+        assert np.sqrt(got).tolist() == norms
+
+    @given(_product_matrices, st.integers(0, 2))
+    @example(m=_SMALL, f=0)
+    @example(m=_OVERFLOWING, f=2)
+    @settings(max_examples=60, deadline=None)
+    def test_multi_krum_scores(self, m, f):
+        k = len(m)
+        sq = np.zeros((k, k))
+        with np.errstate(over="ignore"):
+            for i in range(k):
+                for j in range(i + 1, k):
+                    diff = m[i] - m[j]
+                    sq[i, j] = sq[j, i] = float(np.dot(diff, diff))
+        n_neighbors = min(max(k - f - 2, 1), k - 1)
+        want = []
+        for row in np.sort(sq, axis=1).tolist():
+            try:
+                want.append(math.fsum(row[1 : n_neighbors + 1]))
+            except OverflowError:
+                want.append(math.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # k < 2f + 3
+            out = multi_krum(_updates(m), _krum(f, 1))
+        assert list(out.diagnostics.scores.values()) == want
+
+    @given(_product_matrices, st.floats(1e-3, 1e3))
+    @example(m=_SMALL, clip_norm=1.0)
+    @example(m=_OVERFLOWING, clip_norm=1.0)
+    @settings(max_examples=60, deadline=None)
+    def test_weak_dp_clipping(self, m, clip_norm):
+        rows = m.copy()
+        with np.errstate(over="ignore"):
+            for row in rows:
+                norm = float(np.linalg.norm(row))
+                if norm > clip_norm:
+                    if norm == math.inf:
+                        row /= np.abs(row).max()
+                        norm = float(np.linalg.norm(row))
+                    row *= clip_norm / norm
+        out = weak_dp(_updates(m), DefenseConfig(clip_norm=clip_norm, noise_std=0.0), seed=0)
+        assert out.aggregated_delta.tobytes() == rows.mean(axis=0).tobytes()
+
+
 # one unit in the last place of 1.0: a row times (1 + _ULP) is a near-tie of the row
 _ULP = 2.0**-52
 _TINY, _HUGE = float(np.finfo(np.float64).tiny), float(np.finfo(np.float64).max)

@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fedsim.data import Example, Samples, TriggerSpec, blob_arrays
@@ -13,7 +13,10 @@ from fedsim.errors import NonFiniteLogitsError
 from fedsim.model import (
     ModelSpec,
     TrainSpec,
+    _class_max,
     _forward,
+    _log_softmax_grad,
+    _row_sum,
     accuracy,
     evaluate_acc,
     evaluate_asr,
@@ -368,3 +371,85 @@ class TestPhilox:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [[serial[0]] * 5, [serial[1]] * 5]
+
+
+@st.composite
+def _stacks(draw):
+    """A (G, n, m) stack of rows of magnitude 1e-3 to 1e3, about one in ten of
+    them all zero and one in ten all negative."""
+    g, n, m = draw(st.integers(1, 32)), draw(st.integers(1, 400)), draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.normal(size=(g, n, m)) * 10.0 ** rng.integers(-3, 4, size=(g, n, 1))
+    rows = a.reshape(-1, m)
+    kind = rng.random(len(rows))
+    rows[kind < 0.1] = 0.0
+    rows[kind > 0.9] = -np.abs(rows[kind > 0.9])
+    return a
+
+
+def _step_alone(params, spec, x, y):
+    """One model's log-softmax and gradient, written out here in 2-D with numpy's
+    own reductions: the class max from ``max(axis=1)``, each bias gradient from
+    ``sum(axis=0)`` over the rows."""
+    inputs, end = [], 0
+    z = x
+    for fan_out, fan_in in spec.layers:
+        if inputs:
+            z = np.maximum(z, 0.0)
+        w = params[end : end + fan_out * fan_in].reshape(fan_out, fan_in)
+        end += fan_out * fan_in
+        inputs.append((w, z))
+        z = z @ w.T + params[end : end + fan_out]
+        end += fan_out
+    z = z - z.max(axis=1, keepdims=True)
+    z = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    g = np.exp(z)
+    g[np.arange(len(x)), y] -= 1.0
+    g /= len(x)
+    grads = []
+    for w, inp in inputs[:0:-1]:
+        grads += (g.sum(axis=0), (g.T @ inp).ravel())
+        g = (g @ w) * (inp > 0.0)
+    grads += (g.sum(axis=0), (g.T @ x).ravel())
+    return z, np.concatenate(grads[::-1])
+
+
+class TestStackedStepEqualsNumpysReductions:
+    """The stacked trainer's reductions on reordered copies equal numpy's own, and
+    each model's step equals that model's 2-D step, bit for bit. One 2-D matrix
+    product over the whole stack, or ``np.einsum``, adds in another order and is
+    off in the last bit on some shapes."""
+
+    @given(_stacks())
+    @settings(max_examples=60, deadline=None)
+    def test_class_max_and_row_sum(self, a):
+        # equal values: the sign of a zero maximum may differ
+        assert np.array_equal(_class_max(a), a.max(axis=2, keepdims=True))
+        assert _row_sum(a).tobytes() == a.sum(axis=1).tobytes()
+
+    @given(
+        g=st.integers(1, 32),
+        n=st.integers(1, 400),
+        d=st.integers(1, 40),
+        c=st.integers(2, 40),
+        h=st.just(0) | st.integers(2, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # between them these fail every inexact variant tried: one 2-D GEMM over the
+    # stack for the forward or the backward pass, np.einsum for the forward
+    # pass, a pairwise (class-major) row sum
+    @example(g=17, n=21, d=2, c=2, h=14, seed=0)
+    @example(g=2, n=2, d=1, c=2, h=0, seed=0)
+    @example(g=1, n=1, d=2, c=4, h=0, seed=1)
+    @settings(max_examples=40, deadline=None)
+    def test_each_model_steps_as_it_would_alone(self, g, n, d, c, h, seed):
+        spec = ModelSpec(d, c, hidden_dim=h)
+        rng = np.random.default_rng(seed)
+        params = rng.normal(size=(g, spec.param_count()))
+        x = rng.normal(size=(n, d))
+        y = rng.integers(0, c, size=n)
+        log_probs, grads = _log_softmax_grad(params, spec, x, y)
+        for p, got_log_probs, got in zip(params, log_probs, grads, strict=True):
+            want_log_probs, want = _step_alone(p, spec, x, y)
+            assert got.tobytes() == want.tobytes()
+            assert got_log_probs.tobytes() == want_log_probs.tobytes()
